@@ -8,7 +8,6 @@ The pipeline is split into small, independently testable modules:
 - ``dsp``        filtering, Fourier resampling, normalization, preprocessing
 - ``rpeak``      Pan-Tompkins R-peak detector
 - ``segment``    beat-based and blind sliding-window segmentation
-- ``represent``  2D encodings (spectrogram, Gramian angular field, recurrence plot)
 - ``augment``    training-only data augmentation
 - ``embed``      morphology embedder and a reference MLP with hand-written backprop
 - ``biometric``  templates, probe fusion, similarity scoring, pair generation

@@ -43,8 +43,8 @@ def apply_augmentation(seg: BeatSegment, op, seed: int) -> BeatSegment:
 
 
 def _provenance_key(seg: BeatSegment) -> tuple:
-    return (seg.subject_id, seg.session_id, seg.day_index, seg.record_index,
-            seg.position)
+    # Flat, not (RecordKey(...), position): stable_seed hashes the repr.
+    return (*seg.key, seg.position)
 
 
 def augment_training_set(segments, spec, seed: int) -> list[BeatSegment]:

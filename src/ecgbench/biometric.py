@@ -51,30 +51,36 @@ class PairScores:
     seed: int | None = None
 
 
+def pairwise(p, g, metric: str) -> np.ndarray:
+    """(n, m) similarities between the rows of p (n, d) and the rows of g (m, d)."""
+    if metric == "cosine":
+        gn = np.linalg.norm(g, axis=1)
+        pn = np.linalg.norm(p, axis=1)
+        if np.any(gn == 0.0) or np.any(pn == 0.0):
+            raise ZeroVector("cosine undefined for all-zero vectors")
+        return (p / pn[:, None]) @ (g / gn[:, None]).T
+    if metric == "pearson":
+        gc = g - g.mean(axis=1, keepdims=True)
+        pc = p - p.mean(axis=1, keepdims=True)
+        gn = np.linalg.norm(gc, axis=1)
+        pn = np.linalg.norm(pc, axis=1)
+        if np.any(gn == 0.0) or np.any(pn == 0.0):
+            raise ConstantVector("pearson undefined for constant vectors")
+        return (pc / pn[:, None]) @ (gc / gn[:, None]).T
+    if metric == "euclidean":
+        sq = (np.sum(p**2, axis=1)[:, None] + np.sum(g**2, axis=1)[None, :]
+              - 2.0 * (p @ g.T))
+        return -np.sqrt(np.maximum(sq, 0.0))
+    raise ValueError(f"metric must be one of {METRIC_NAMES}, got {metric!r}")
+
+
 def similarity(a, b, metric: str = "cosine") -> float:
     """Similarity between two vectors under the configured metric."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1 or len(a) < 2:
         raise ValueError("similarity needs two equal-length vectors of dim >= 2")
-    if metric == "cosine":
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
-        if na == 0.0 or nb == 0.0:
-            raise ZeroVector("cosine undefined for all-zero vectors")
-        return float(a @ b / (na * nb))
-    if metric == "pearson":
-        ca, cb = a - a.mean(), b - b.mean()
-        na, nb = np.linalg.norm(ca), np.linalg.norm(cb)
-        if na == 0.0 or nb == 0.0:
-            raise ConstantVector("pearson undefined for constant vectors")
-        return float(ca @ cb / (na * nb))
-    if metric == "euclidean":
-        return float(-np.linalg.norm(a - b))
-    raise ValueError(f"metric must be one of {METRIC_NAMES}, got {metric!r}")
-
-
-def _distance(a, b, metric: str) -> float:
-    return 1.0 - similarity(a, b, metric)
+    return float(pairwise(a[None, :], b[None, :], metric)[0, 0])
 
 
 def build_template(embeddings, subject_id: str, fusion: str = "mean",
@@ -101,11 +107,10 @@ def build_template(embeddings, subject_id: str, fusion: str = "mean",
         if len(chosen) == 1:
             vector = chosen[0].copy()
         else:
-            costs = [
-                sum(_distance(c, other, metric) for j, other in enumerate(chosen) if j != i)
-                for i, c in enumerate(chosen)
-            ]
-            vector = chosen[int(np.argmin(costs))].copy()
+            stacked = np.stack(chosen)
+            dist = 1.0 - pairwise(stacked, stacked, metric)
+            np.fill_diagonal(dist, 0.0)
+            vector = chosen[int(np.argmin(dist.sum(axis=1)))].copy()
     else:
         raise ValueError(f"fusion must be mean or representative, got {fusion!r}")
     return Template(vector=vector, subject_id=subject_id, fusion=fusion,
@@ -141,28 +146,7 @@ def score_matrix(gallery, probes, probe_subjects, metric: str = "cosine") -> Sco
     probes = [np.asarray(p, dtype=float) for p in probes]
     if not gallery or not probes:
         raise ValueError("score_matrix needs a non-empty gallery and probes")
-    g = np.stack([t.vector for t in gallery])
-    p = np.stack(probes)
-    if metric == "cosine":
-        gn = np.linalg.norm(g, axis=1)
-        pn = np.linalg.norm(p, axis=1)
-        if np.any(gn == 0.0) or np.any(pn == 0.0):
-            raise ZeroVector("cosine undefined for all-zero vectors")
-        scores = (p / pn[:, None]) @ (g / gn[:, None]).T
-    elif metric == "pearson":
-        gc = g - g.mean(axis=1, keepdims=True)
-        pc = p - p.mean(axis=1, keepdims=True)
-        gn = np.linalg.norm(gc, axis=1)
-        pn = np.linalg.norm(pc, axis=1)
-        if np.any(gn == 0.0) or np.any(pn == 0.0):
-            raise ConstantVector("pearson undefined for constant vectors")
-        scores = (pc / pn[:, None]) @ (gc / gn[:, None]).T
-    elif metric == "euclidean":
-        sq = (np.sum(p**2, axis=1)[:, None] + np.sum(g**2, axis=1)[None, :]
-              - 2.0 * (p @ g.T))
-        scores = -np.sqrt(np.maximum(sq, 0.0))
-    else:
-        raise ValueError(f"metric must be one of {METRIC_NAMES}, got {metric!r}")
+    scores = pairwise(np.stack(probes), np.stack([t.vector for t in gallery]), metric)
     return ScoreMatrix(
         scores=scores,
         probe_subjects=tuple(probe_subjects),

@@ -14,7 +14,7 @@ import sys
 
 from . import __version__
 from .core import METRIC_FIELDS, RunConfig, validate_config
-from .errors import ConfigError, EcgBenchError, SchemaVersionMismatch
+from .errors import ConfigError, EcgBenchError, SchemaError, SchemaVersionMismatch
 from .regimes import SegmentStore, aggregate_runs, load_dataset_from_config, run_evaluation
 from .synth import generate_dataset, preset_spec, spec_from_dict
 
@@ -44,9 +44,11 @@ def cmd_synth(args) -> int:
 
 def _resolve_seeds(cfg: RunConfig) -> tuple:
     override = os.environ.get(SEED_ENV)
-    if override is not None:
-        return (int(override),)
-    return cfg.seeds
+    if override is None:
+        return cfg.seeds
+    if not override.isdecimal():
+        raise ConfigError(f"{SEED_ENV} must be a non-negative integer, got {override!r}")
+    return (int(override),)
 
 
 def _select_cells(cfg: RunConfig, regime: str | None, setting: str | None):
@@ -119,13 +121,13 @@ def cmd_run(args) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         cfg = validate_config(raw)
+        seeds = _resolve_seeds(cfg)
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         return _fail(f"config: {exc}", 2)
     cells = _select_cells(cfg, args.regime, args.setting)
     if not cells:
         return _fail(f"no configured regime cell matches "
                      f"--regime {args.regime} --setting {args.setting}", 2)
-    seeds = _resolve_seeds(cfg)
 
     json_path = os.path.join(args.out, "results.json")
     csv_path = os.path.join(args.out, "results.csv")
@@ -162,10 +164,23 @@ def cmd_run(args) -> int:
 def _load_results(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{path}: results file must be a JSON object")
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaVersionMismatch(
             f"{path}: schema_version {version} (this tool reads {SCHEMA_VERSION})")
+    results = payload.get("results")
+    if not isinstance(results, dict):
+        raise SchemaError(f"{path}: 'results' must be an object")
+    for key, cell in results.items():
+        metrics = cell.get("metrics") if isinstance(cell, dict) else None
+        if (key.count("|") != 1 or not isinstance(metrics, dict) or not all(
+                isinstance(metrics.get(m), dict)
+                and all(isinstance(metrics[m].get(f), (int, float)) for f in ("mean", "std"))
+                for m in METRIC_FIELDS)):
+            raise SchemaError(f"{path}: results[{key!r}] needs 'metrics' with a "
+                              f"mean and std for each of {', '.join(METRIC_FIELDS)}")
     return payload
 
 
@@ -186,16 +201,14 @@ def _print_table(payloads: dict):
 def cmd_report(args) -> int:
     try:
         payloads = {os.path.basename(p): _load_results(p) for p in args.results}
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(str(exc), 2)
-    except SchemaVersionMismatch as exc:
+    except (OSError, json.JSONDecodeError, SchemaError, SchemaVersionMismatch) as exc:
         return _fail(str(exc), 2)
     _print_table(payloads)
     if args.delta:
         try:
             a = _load_results(args.delta[0])
             b = _load_results(args.delta[1])
-        except (OSError, json.JSONDecodeError, SchemaVersionMismatch) as exc:
+        except (OSError, json.JSONDecodeError, SchemaError, SchemaVersionMismatch) as exc:
             return _fail(str(exc), 2)
         shared = sorted(set(a["results"]) & set(b["results"]))
         pairs = [(k, k) for k in shared]

@@ -10,7 +10,8 @@ probe fusion of 3, five seeds.
 """
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,32 +39,30 @@ FUSION_NAMES = ("mean", "representative")
 AUGMENT_KINDS = ("amplitude_scale", "gaussian_noise", "time_shift", "random_crop")
 
 
-@dataclass(frozen=True)
-class Recording:
-    """Multi-channel sampled ECG with subject/session/day provenance.
-
-    day_index counts days since the subject's first record; record_index is
-    the acquisition order within a day. Immutable after construction.
-    """
+class RecordKey(NamedTuple):
+    """Identity of one record. day_index counts days since the subject's first
+    record; record_index is the acquisition order within a day."""
     subject_id: str
     session_id: str
     day_index: int
     record_index: int
+
+
+@dataclass(frozen=True)
+class Recording:
+    """Multi-channel sampled ECG with its record identity. Immutable."""
+    key: RecordKey
     fs: float
     channels: tuple
 
     def __post_init__(self):
         if self.fs <= 0:
             raise ValueError(f"fs must be positive, got {self.fs}")
-        if self.day_index < 0 or self.record_index < 0:
+        if self.key.day_index < 0 or self.key.record_index < 0:
             raise ValueError("day_index and record_index must be non-negative")
         lengths = {len(c) for c in self.channels}
         if not self.channels or len(lengths) != 1 or min(lengths) < 1:
             raise ValueError("channels must be non-empty and of equal length >= 1")
-
-    @property
-    def key(self) -> tuple:
-        return (self.subject_id, self.session_id, self.day_index, self.record_index)
 
     @property
     def duration_s(self) -> float:
@@ -163,79 +162,21 @@ class RunConfig:
     def to_dict(self) -> dict:
         """Fully defaulted canonical tree; feeding it back through
         validate_config reproduces this RunConfig exactly."""
-        f = self.preprocess.filter
-        return {
-            "dataset": _drop_none({
-                "kind": self.dataset.kind,
-                "path": self.dataset.path,
-                "preset": self.dataset.preset,
-                "seed": self.dataset.seed,
-            }),
-            "preprocess": {
-                "filter": _drop_none({
-                    "kind": f.kind, "phase_mode": f.phase_mode, "order": f.order,
-                    "low_hz": f.low_hz, "high_hz": f.high_hz, "cut_hz": f.cut_hz,
-                    "notch_hz": f.notch_hz, "q": f.q, "window_len": f.window_len,
-                    "poly_order": f.poly_order, "transition_hz": f.transition_hz,
-                }),
-                "normalization": self.preprocess.normalization,
-                "target_len": self.preprocess.target_len,
-            },
-            "segmentation": _drop_none({
-                "mode": self.segmentation.mode,
-                "pre_s": self.segmentation.pre_s,
-                "post_s": self.segmentation.post_s,
-                "align_peak": self.segmentation.align_peak,
-                "window_s": self.segmentation.window_s,
-                "stride_s": self.segmentation.stride_s,
-            }),
-            "embedder": {
-                "kind": self.embedder.kind,
-                "target_len": self.embedder.target_len,
-                "hidden_dim": self.embedder.hidden_dim,
-                "lr": self.embedder.lr,
-                "epochs": self.embedder.epochs,
-                "batch": self.embedder.batch,
-                "augment": {
-                    "multiplier": self.embedder.augment.multiplier,
-                    "ops": [
-                        _drop_none({
-                            "kind": op.kind, "scale_low": op.scale_low,
-                            "scale_high": op.scale_high, "sigma": op.sigma,
-                            "max_shift_s": op.max_shift_s,
-                            "crop_fraction": op.crop_fraction,
-                        })
-                        for op in self.embedder.augment.ops
-                    ],
-                },
-            },
-            "regime": [
-                _drop_none({
-                    "name": c.name, "setting": c.setting,
-                    "enroll_session": c.enroll_session,
-                    "probe_session": c.probe_session,
-                    "enroll_range": list(c.enroll_range) if c.enroll_range else None,
-                    "probe_range": list(c.probe_range) if c.probe_range else None,
-                    "open_ratio": c.open_ratio, "split_seed": c.split_seed,
-                })
-                for c in self.regimes
-            ],
-            "evaluation": {
-                "metric": self.evaluation.metric,
-                "template_size": self.evaluation.template_size,
-                "template_fusion": self.evaluation.template_fusion,
-                "probe_fusion_k": self.evaluation.probe_fusion_k,
-                "pair_sampling": self.evaluation.pair_sampling,
-            },
-            "seeds": list(self.seeds),
-        }
+        return _tree(self)
 
     def digest(self) -> str:
         return config_digest(self)
 
 
-def _drop_none(d: dict) -> dict:
-    return {k: v for k, v in d.items() if v is not None}
+def _tree(value):
+    """Dataclass fields as a JSON tree: None fields dropped, tuples as lists,
+    and ``regimes`` under its external name ``regime``."""
+    if is_dataclass(value):
+        return {"regime" if f.name == "regimes" else f.name: _tree(getattr(value, f.name))
+                for f in fields(value) if getattr(value, f.name) is not None}
+    if isinstance(value, tuple):
+        return [_tree(v) for v in value]
+    return value
 
 
 def config_digest(cfg: RunConfig) -> str:
@@ -263,6 +204,14 @@ def _as_number(value, where: str, *, integer=False, positive=False, nonneg=False
         raise ConfigError(f"{where} must be positive, got {value}")
     if nonneg and value < 0:
         raise ConfigError(f"{where} must be non-negative, got {value}")
+    return value
+
+
+def _as_target_len(value, where: str) -> int:
+    """Beat feature length; morphology_embed needs at least 8 samples."""
+    value = _as_number(value, where, integer=True, positive=True)
+    if value < 8:
+        raise ConfigError(f"{where} must be >= 8, got {value}")
     return value
 
 
@@ -336,10 +285,7 @@ def _validate_preprocess(raw) -> PreprocessConfig:
     norm = raw.get("normalization", "zscore")
     if norm not in ("zscore", "minmax"):
         raise ConfigError(f"normalization must be zscore or minmax, got {norm!r}")
-    target = _as_number(raw.get("target_len", 128), "preprocess.target_len",
-                        integer=True, positive=True)
-    if target < 8:
-        raise ConfigError(f"target_len must be >= 8, got {target}")
+    target = _as_target_len(raw.get("target_len", 128), "preprocess.target_len")
     return PreprocessConfig(filter=filt, normalization=norm, target_len=target)
 
 
@@ -410,8 +356,7 @@ def _validate_embedder(raw) -> EmbedderConfig:
         raise ConfigError(f"embedder.kind must be morphology or mlp, got {kind!r}")
     return EmbedderConfig(
         kind=kind,
-        target_len=_as_number(raw.get("target_len", 128), "embedder.target_len",
-                              integer=True, positive=True),
+        target_len=_as_target_len(raw.get("target_len", 128), "embedder.target_len"),
         hidden_dim=_as_number(raw.get("hidden_dim", 64), "embedder.hidden_dim",
                               integer=True, positive=True),
         lr=float(_as_number(raw.get("lr", 0.05), "embedder.lr", positive=True)),

@@ -323,20 +323,17 @@ def normalize(x, method: str = "zscore") -> np.ndarray:
 
 @dataclass(frozen=True)
 class CleanSignal:
-    """Filtered single-channel signal with provenance carried along."""
+    """Filtered single-channel signal with its record key carried along."""
     samples: np.ndarray
     fs: float
-    subject_id: str = ""
-    session_id: str = ""
-    day_index: int = 0
-    record_index: int = 0
+    key: tuple | None = None  # core.RecordKey; core imports this module
     steps: tuple[str, ...] = field(default=())
 
 
 def preprocess(rec, cfg) -> CleanSignal:
     """Channel select then filter; segmentation happens downstream.
 
-    ``rec`` needs Recording-shaped attributes (channels, fs, provenance);
+    ``rec`` needs Recording-shaped attributes (key, channels, fs);
     ``cfg`` needs a PreprocessConfig-shaped ``filter`` attribute.
     """
     channel = np.asarray(rec.channels[0], dtype=float)
@@ -346,12 +343,4 @@ def preprocess(rec, cfg) -> CleanSignal:
         "select_channel:0",
         f"filter:{spec.kind}:{spec.phase_mode}",
     )
-    return CleanSignal(
-        samples=filtered,
-        fs=rec.fs,
-        subject_id=rec.subject_id,
-        session_id=rec.session_id,
-        day_index=rec.day_index,
-        record_index=rec.record_index,
-        steps=steps,
-    )
+    return CleanSignal(samples=filtered, fs=rec.fs, key=rec.key, steps=steps)

@@ -7,25 +7,12 @@ serves as the embedding. Backpropagation is written out by hand and verified
 against central finite differences (gradient_check).
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import normalize, resample_fourier
-from .errors import DimensionMismatch, FormatMismatch, SingleClass
-
-MODEL_MAGIC = b"ECGBMLP1"
-
-
-@dataclass(frozen=True)
-class EmbeddingVector:
-    values: np.ndarray
-    embedder: str
-
-    @property
-    def dimension(self) -> int:
-        return len(self.values)
+from . import dsp
+from .errors import DimensionMismatch, SingleClass
 
 
 def morphology_embed(samples, target_len: int = 128, method: str = "zscore") -> np.ndarray:
@@ -38,7 +25,7 @@ def morphology_embed(samples, target_len: int = 128, method: str = "zscore") -> 
         raise ValueError(f"target_len must be >= 8, got {target_len}")
     samples = np.asarray(
         samples.samples if hasattr(samples, "samples") else samples, dtype=float)
-    return normalize(resample_fourier(samples, target_len), method)
+    return dsp.normalize(dsp.resample_fourier(samples, target_len), method)
 
 
 @dataclass(frozen=True)
@@ -51,14 +38,6 @@ class MlpModel:
     @property
     def input_dim(self) -> int:
         return self.w1.shape[1]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.w1.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.w2.shape[0]
 
     def __post_init__(self):
         h, d = self.w1.shape
@@ -193,29 +172,3 @@ def gradient_check(model: MlpModel, sample, label: int, fd_step: float = 1e-5) -
             worst = max(worst, abs(gflat[j] - numeric) / denom)
     return worst
 
-
-def save_model(model: MlpModel, path: str):
-    """Portable layout: magic, dims as u32 LE, then row-major float64 LE."""
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<III", model.input_dim, model.hidden_dim, model.n_classes))
-        for p in (model.w1, model.b1, model.w2, model.b2):
-            fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
-
-
-def load_model(path: str) -> MlpModel:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MODEL_MAGIC))
-        if magic != MODEL_MAGIC:
-            raise FormatMismatch(f"{path}: not an ecgbench model file")
-        d, h, c = struct.unpack("<III", fh.read(12))
-        def grab(shape):
-            count = int(np.prod(shape))
-            data = fh.read(8 * count)
-            if len(data) != 8 * count:
-                raise FormatMismatch(f"{path}: truncated model file")
-            return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
-        model = MlpModel(w1=grab((h, d)), b1=grab((h,)), w2=grab((c, h)), b2=grab((c,)))
-        if fh.read(1):
-            raise FormatMismatch(f"{path}: trailing bytes")
-        return model

@@ -83,16 +83,6 @@ class WindowLongerThanSignal(EcgBenchError):
     """Blind window exceeds the signal duration."""
 
 
-# --- 2D representations ------------------------------------------------------
-
-class WindowTooLong(EcgBenchError):
-    """STFT window longer than the input."""
-
-
-class ConstantSignal(EcgBenchError):
-    """GAF rescaling needs a non-constant input."""
-
-
 # --- embedding ---------------------------------------------------------------
 
 class SingleClass(EcgBenchError):
@@ -149,8 +139,8 @@ class TooFewSubjects(EcgBenchError):
     """Subject partition needs at least two subjects."""
 
 
-class OverlappingRanges(EcgBenchError):
-    """Enrollment and probe time ranges overlap."""
+class SampleLeakage(EcgBenchError):
+    """Enrollment and probe segments of one subject share record samples."""
 
 
 class RangeOutOfBounds(EcgBenchError):

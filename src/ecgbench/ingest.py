@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Recording
+from .core import RecordKey, Recording
 from .errors import (
     DuplicateRecordKey,
     FormatMismatch,
@@ -28,18 +28,11 @@ WFDB_DEFAULT_GAIN = 200.0  # adu per mV when the signal line omits gain
 
 @dataclass(frozen=True)
 class RecordMeta:
-    subject_id: str
-    session_id: str
-    day_index: int
-    record_index: int
+    key: RecordKey
     path: str
     format: str
     fs: float | None = None
     channel_selector: int | None = None
-
-    @property
-    def key(self) -> tuple:
-        return (self.subject_id, self.session_id, self.day_index, self.record_index)
 
 
 @dataclass(frozen=True)
@@ -47,13 +40,20 @@ class DatasetIndex:
     records: tuple[RecordMeta, ...]
 
     def subjects(self) -> list[str]:
-        return sorted({m.subject_id for m in self.records})
+        return sorted({m.key.subject_id for m in self.records})
 
     def by_subject(self) -> dict:
         out: dict[str, list[RecordMeta]] = {}
         for meta in self.records:
-            out.setdefault(meta.subject_id, []).append(meta)
+            out.setdefault(meta.key.subject_id, []).append(meta)
         return out
+
+
+def sorted_index(metas) -> DatasetIndex:
+    """Index in (subject, day, record, session) order."""
+    return DatasetIndex(records=tuple(sorted(
+        metas, key=lambda m: (m.key.subject_id, m.key.day_index,
+                              m.key.record_index, m.key.session_id))))
 
 
 @dataclass(frozen=True)
@@ -127,10 +127,7 @@ def parse_manifest(text: str) -> DatasetIndex:
         if channel is not None and (isinstance(channel, bool) or not isinstance(channel, int) or channel < 0):
             raise SchemaError(f"{where}: channel must be a non-negative integer")
         metas.append(RecordMeta(
-            subject_id=subject,
-            session_id=str(entry["session"]),
-            day_index=day,
-            record_index=rec_idx,
+            key=RecordKey(subject, str(entry["session"]), day, rec_idx),
             path=str(entry["path"]),
             format=fmt,
             fs=float(fs) if fs is not None else None,
@@ -139,18 +136,19 @@ def parse_manifest(text: str) -> DatasetIndex:
 
     first_day = {}
     for m in metas:
-        first_day[m.subject_id] = min(first_day.get(m.subject_id, m.day_index), m.day_index)
-    metas = [replace(m, day_index=m.day_index - first_day[m.subject_id]) for m in metas]
+        subject, day = m.key.subject_id, m.key.day_index
+        first_day[subject] = min(first_day.get(subject, day), day)
+    metas = [replace(m, key=m.key._replace(
+        day_index=m.key.day_index - first_day[m.key.subject_id])) for m in metas]
 
     seen = set()
     for m in metas:
-        k = (m.subject_id, m.session_id, m.day_index, m.record_index)
-        if k in seen:
-            raise DuplicateRecordKey(f"duplicate (subject, session, day, record_index) {k}")
-        seen.add(k)
+        if m.key in seen:
+            raise DuplicateRecordKey(
+                f"duplicate (subject, session, day, record_index) {tuple(m.key)}")
+        seen.add(m.key)
 
-    metas.sort(key=lambda m: (m.subject_id, m.day_index, m.record_index, m.session_id))
-    return DatasetIndex(records=tuple(metas))
+    return sorted_index(metas)
 
 
 # --- WFDB ----------------------------------------------------------------------
@@ -383,10 +381,7 @@ def load_record(meta: RecordMeta) -> Recording:
                 f"{meta.path}: channel {meta.channel_selector} of {len(channels)} requested")
         channels = [channels[meta.channel_selector]]
     return Recording(
-        subject_id=meta.subject_id,
-        session_id=meta.session_id,
-        day_index=meta.day_index,
-        record_index=meta.record_index,
+        key=meta.key,
         fs=float(fs),
         channels=tuple(np.asarray(c, dtype=float) for c in channels),
     )

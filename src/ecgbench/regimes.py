@@ -9,25 +9,25 @@ regardless of worker scheduling.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import biometric, dsp, metrics, rpeak, segment
 from .augment import augment_training_set
 from .core import METRIC_FIELDS, MetricsReport, RegimeCell, RunConfig
-from .embed import mlp_embed, mlp_train
+from .embed import mlp_embed, mlp_train, morphology_embed
 from .errors import (
     GranularityWarning,
     KeyMismatch,
     NoPeaksDetected,
-    OverlappingRanges,
     RangeOutOfBounds,
     RegimeUnsatisfiable,
+    SampleLeakage,
     TooFewSubjects,
     ZeroVariance,
 )
-from .ingest import DatasetIndex, RecordMeta, load_dataset
+from .ingest import DatasetIndex, RecordMeta, load_dataset, sorted_index
 from .util import stable_seed, sub_rng
 
 SINGLE_SESSION_ENROLL_FRACTION = 0.7
@@ -67,9 +67,9 @@ def map_regime(index: DatasetIndex, cell: RegimeCell) -> SplitPlan:
     subjects = {}
     excluded = []
     for subject in sorted(per_subject):
-        recs = sorted(per_subject[subject],
-                      key=lambda m: (m.day_index, m.record_index, m.session_id))
-        split = _plan_subject(cell, subject, recs)
+        keys = sorted((m.key for m in per_subject[subject]),
+                      key=lambda k: (k.day_index, k.record_index, k.session_id))
+        split = _plan_subject(cell, subject, keys)
         if split is None:
             excluded.append(subject)
         else:
@@ -81,8 +81,7 @@ def map_regime(index: DatasetIndex, cell: RegimeCell) -> SplitPlan:
                      subjects=subjects, excluded=tuple(excluded))
 
 
-def _plan_subject(cell: RegimeCell, subject: str, recs) -> SubjectSplit | None:
-    keys = [m.key for m in recs]
+def _plan_subject(cell: RegimeCell, subject: str, keys) -> SubjectSplit | None:
     name = cell.name
     if name == "single_session":
         return SubjectSplit(subject,
@@ -93,9 +92,9 @@ def _plan_subject(cell: RegimeCell, subject: str, recs) -> SubjectSplit | None:
             return None
         return SubjectSplit(subject, (SegmentSource(keys[0]),),
                             (SegmentSource(keys[1]),))
-    first_day = recs[0].day_index
-    day0 = [m.key for m in recs if m.day_index == first_day]
-    later = [m.key for m in recs if m.day_index > first_day]
+    first_day = keys[0].day_index
+    day0 = [k for k in keys if k.day_index == first_day]
+    later = [k for k in keys if k.day_index > first_day]
     if name == "ss_short_term":
         if len(day0) < 2:
             return None
@@ -114,17 +113,17 @@ def _plan_subject(cell: RegimeCell, subject: str, recs) -> SubjectSplit | None:
                             tuple(SegmentSource(k) for k in day0),
                             tuple(SegmentSource(k) for k in later))
     if name == "llo_long_term":
-        last_day = recs[-1].day_index
+        last_day = keys[-1].day_index
         if last_day == first_day:
             return None
-        past = [m.key for m in recs if m.day_index < last_day]
-        last = [m.key for m in recs if m.day_index == last_day]
+        past = [k for k in keys if k.day_index < last_day]
+        last = [k for k in keys if k.day_index == last_day]
         return SubjectSplit(subject,
                             tuple(SegmentSource(k) for k in past),
                             tuple(SegmentSource(k) for k in last))
     if name == "cross_session":
-        enroll = [m.key for m in recs if m.session_id == cell.enroll_session]
-        probe = [m.key for m in recs if m.session_id == cell.probe_session]
+        enroll = [k for k in keys if k.session_id == cell.enroll_session]
+        probe = [k for k in keys if k.session_id == cell.probe_session]
         if not enroll or not probe:
             return None
         return SubjectSplit(subject,
@@ -153,32 +152,13 @@ def subject_partition(subjects, ratio: float, seed: int):
     return train, evaluate
 
 
-def temporal_windows(clean: dsp.CleanSignal, enroll_range, probe_range):
-    """Slice one record into disjoint enrollment and probe sub-signals."""
-    duration = len(clean.samples) / clean.fs
-    for t0, t1 in (enroll_range, probe_range):
-        if t0 < 0 or t1 > duration + 1e-9:
-            raise RangeOutOfBounds(
-                f"range [{t0}, {t1}) outside record of {duration:.3f} s")
-        if t1 <= t0:
-            raise ValueError("ranges must satisfy t0 < t1")
-    a, b = sorted([tuple(enroll_range), tuple(probe_range)])
-    if b[0] < a[1]:
-        raise OverlappingRanges(f"ranges {enroll_range} and {probe_range} overlap")
-    return (_slice_clean(clean, enroll_range), _slice_clean(clean, probe_range))
-
-
 def _slice_clean(clean: dsp.CleanSignal, time_range) -> dsp.CleanSignal:
     lo = int(round(time_range[0] * clean.fs))
     hi = int(round(time_range[1] * clean.fs))
     if lo < 0 or hi > len(clean.samples) or hi <= lo:
         raise RangeOutOfBounds(f"range {time_range} outside record")
-    return dsp.CleanSignal(
-        samples=clean.samples[lo:hi], fs=clean.fs, subject_id=clean.subject_id,
-        session_id=clean.session_id, day_index=clean.day_index,
-        record_index=clean.record_index,
-        steps=clean.steps + (f"slice:{time_range[0]}-{time_range[1]}",),
-    )
+    return replace(clean, samples=clean.samples[lo:hi],
+                   steps=clean.steps + (f"slice:{time_range[0]}-{time_range[1]}",))
 
 
 # --- prepared segments -----------------------------------------------------------
@@ -218,23 +198,12 @@ class SegmentStore:
         return PreparedSource(segments=prepared.segments, spans=prepared.spans,
                               source=source)
 
-    def prewarm(self, plan: SplitPlan):
-        for split in plan.subjects.values():
-            for source in split.enroll + split.probe:
-                self.prepare(source)
-
     def _segment(self, source: SegmentSource) -> PreparedSource:
         clean = self.clean(source.record_key)
         offset = 0
         if source.time_range is not None:
             offset = int(round(source.time_range[0] * clean.fs))
             clean = _slice_clean(clean, source.time_range)
-        prov = {
-            "subject_id": clean.subject_id,
-            "session_id": clean.session_id,
-            "day_index": clean.day_index,
-            "record_index": clean.record_index,
-        }
         seg_cfg = self.cfg.segmentation
         if seg_cfg.mode == "beat":
             try:
@@ -243,7 +212,7 @@ class SegmentStore:
                 return PreparedSource(segments=[], spans=[], source=source)
             segs = segment.segment_beats(
                 clean.samples, clean.fs, peaks, seg_cfg.pre_s, seg_cfg.post_s,
-                align=seg_cfg.align_peak, provenance=prov)
+                align=seg_cfg.align_peak, key=clean.key)
             pre_n = int(round(seg_cfg.pre_s * clean.fs))
             length = int(round((seg_cfg.pre_s + seg_cfg.post_s) * clean.fs))
             spans = [(s.peak_index - pre_n + offset,
@@ -251,7 +220,7 @@ class SegmentStore:
         else:
             segs = segment.segment_blind(
                 clean.samples, clean.fs, seg_cfg.window_s, seg_cfg.stride_s,
-                provenance=prov)
+                key=clean.key)
             w = int(round(seg_cfg.window_s * clean.fs))
             spans = [(s.start_index + offset, s.start_index + w + offset)
                      for s in segs]
@@ -269,12 +238,9 @@ def load_dataset_from_config(ds_cfg):
     metas = []
     for rec, _peaks in generate_recordings(spec, ds_cfg.seed):
         recordings[rec.key] = rec
-        metas.append(RecordMeta(
-            subject_id=rec.subject_id, session_id=rec.session_id,
-            day_index=rec.day_index, record_index=rec.record_index,
-            path=f"synthetic://{ds_cfg.preset}", format="f32le", fs=rec.fs))
-    metas.sort(key=lambda m: (m.subject_id, m.day_index, m.record_index, m.session_id))
-    return DatasetIndex(records=tuple(metas)), recordings
+        metas.append(RecordMeta(key=rec.key, path=f"synthetic://{ds_cfg.preset}",
+                                format="f32le", fs=rec.fs))
+    return sorted_index(metas), recordings
 
 
 # --- realization ------------------------------------------------------------------
@@ -333,7 +299,7 @@ def _realize_plan(plan: SplitPlan, cell: RegimeCell, store: SegmentStore,
                     data.enroll_segments.extend(segs)
                     data.enroll_spans.extend(
                         (source.record_key, lo, hi) for lo, hi in spans)
-                    sessions.extend(s.session_id for s in segs)
+                    sessions.extend(s.key.session_id for s in segs)
                 else:
                     if segs:
                         data.probe_groups.append(segs)
@@ -347,8 +313,8 @@ def _realize_plan(plan: SplitPlan, cell: RegimeCell, store: SegmentStore,
             continue
         overlap = _span_overlaps(data.enroll_spans, data.probe_spans)
         if overlap:
-            raise RuntimeError(
-                f"leakage: enrollment/probe sample overlap for {subject}: {overlap[:3]}")
+            raise SampleLeakage(
+                f"enrollment/probe sample overlap for {subject}: {overlap[:3]}")
         realized[subject] = data
     return realized, dropped
 
@@ -367,13 +333,12 @@ def _span_overlaps(enroll_spans, probe_spans):
 
 
 def _feature_rows(segments, target_len: int, normalization: str):
-    """Resample each segment to target_len and normalize; drop constants."""
+    """Morphology feature of each segment; constant segments are dropped."""
     rows = []
     kept = []
     for seg in segments:
         try:
-            rows.append(dsp.normalize(
-                dsp.resample_fourier(seg.samples, target_len), normalization))
+            rows.append(morphology_embed(seg.samples, target_len, normalization))
             kept.append(seg)
         except ZeroVariance:
             continue
@@ -411,7 +376,7 @@ def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
                 stable_seed(seed, "augment", cell.name, cell.setting))
         label_of = {s: i for i, s in enumerate(train_subjects)}
         rows, kept = _feature_rows(train_segments, target_len, norm)
-        labels = [label_of[s.subject_id] for s in kept]
+        labels = [label_of[s.key.subject_id] for s in kept]
         model, _losses = mlp_train(
             np.stack(rows), np.asarray(labels), hidden_dim=cfg.embedder.hidden_dim,
             lr=cfg.embedder.lr, epochs=cfg.embedder.epochs, batch=cfg.embedder.batch,

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import RecordKey
 from .errors import WindowLongerThanSignal
 
 
@@ -18,10 +19,7 @@ class BeatSegment:
     peak_index: int
     fs: float
     position: int
-    subject_id: str = ""
-    session_id: str = ""
-    day_index: int = 0
-    record_index: int = 0
+    key: RecordKey | None = None
 
 
 @dataclass(frozen=True)
@@ -30,10 +28,7 @@ class WindowSegment:
     start_index: int
     fs: float
     position: int
-    subject_id: str = ""
-    session_id: str = ""
-    day_index: int = 0
-    record_index: int = 0
+    key: RecordKey | None = None
 
 
 def align_peak(x, peak: int, fs: float, half_window_s: float = 0.05) -> int:
@@ -52,7 +47,7 @@ def align_peak(x, peak: int, fs: float, half_window_s: float = 0.05) -> int:
 
 
 def segment_beats(x, fs: float, peaks, pre_s: float, post_s: float,
-                  align: bool = True, provenance: dict | None = None) -> list[BeatSegment]:
+                  align: bool = True, key: RecordKey | None = None) -> list[BeatSegment]:
     """One segment per peak whose window fits inside the signal.
 
     Out-of-bounds beats are dropped, never padded; position indices are
@@ -64,7 +59,6 @@ def segment_beats(x, fs: float, peaks, pre_s: float, post_s: float,
     indices = peaks.indices if hasattr(peaks, "indices") else np.asarray(peaks, dtype=int)
     pre = int(round(pre_s * fs))
     length = int(round((pre_s + post_s) * fs))
-    prov = provenance or {}
     segments = []
     for peak in indices:
         peak = align_peak(x, int(peak), fs) if align else int(peak)
@@ -76,13 +70,13 @@ def segment_beats(x, fs: float, peaks, pre_s: float, post_s: float,
             peak_index=peak,
             fs=fs,
             position=len(segments),
-            **prov,
+            key=key,
         ))
     return segments
 
 
 def segment_blind(x, fs: float, window_s: float, stride_s: float,
-                  provenance: dict | None = None) -> list[WindowSegment]:
+                  key: RecordKey | None = None) -> list[WindowSegment]:
     """Sliding windows at starts 0, stride, 2*stride, ... while they fit."""
     if not 0 < stride_s <= window_s:
         raise ValueError("need 0 < stride_s <= window_s")
@@ -91,10 +85,9 @@ def segment_blind(x, fs: float, window_s: float, stride_s: float,
     s = int(round(stride_s * fs))
     if w > len(x):
         raise WindowLongerThanSignal(f"window of {w} samples on {len(x)}-sample signal")
-    prov = provenance or {}
     count = (len(x) - w) // s + 1
     return [
         WindowSegment(samples=x[i * s: i * s + w].copy(), start_index=i * s,
-                      fs=fs, position=i, **prov)
+                      fs=fs, position=i, key=key)
         for i in range(count)
     ]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Recording
+from .core import RecordKey, Recording
 from .util import stable_seed, sub_rng
 
 WAVE_NAMES = ("p", "q", "r", "s", "t")
@@ -221,15 +221,8 @@ def synthesize_record(
     x = effects.amplitude_scale * x
     if effects.noise_sigma > 0.0:
         x = x + sub_rng(seed, "noise").normal(0.0, effects.noise_sigma, size=n_total)
-    rec = Recording(
-        subject_id=subject_id,
-        session_id=effects.session_id,
-        day_index=effects.day_index,
-        record_index=record_index,
-        fs=fs,
-        channels=(x,),
-    )
-    return rec, peaks
+    key = RecordKey(subject_id, effects.session_id, effects.day_index, record_index)
+    return Recording(key=key, fs=fs, channels=(x,)), peaks
 
 
 def generate_recordings(spec: SynthSpec, seed: int):
@@ -268,17 +261,18 @@ def generate_dataset(spec: SynthSpec, seed: int, out_dir: str):
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for rec, peaks in generate_recordings(spec, seed):
-        stem = f"{rec.subject_id}_{rec.session_id}_d{rec.day_index:03d}_r{rec.record_index}"
+        key = rec.key
+        stem = f"{key.subject_id}_{key.session_id}_d{key.day_index:03d}_r{key.record_index}"
         sig_path = os.path.join(out_dir, stem + ".f32")
         rec.channels[0].astype("<f4").tofile(sig_path)
         with open(os.path.join(out_dir, stem + ".peaks.json"), "w", encoding="utf-8") as fh:
             json.dump({"peaks": [int(p) for p in peaks]}, fh)
             fh.write("\n")
         entries.append({
-            "subject": rec.subject_id,
-            "session": rec.session_id,
-            "day": rec.day_index,
-            "record_index": rec.record_index,
+            "subject": key.subject_id,
+            "session": key.session_id,
+            "day": key.day_index,
+            "record_index": key.record_index,
             "path": stem + ".f32",
             "format": "f32le",
             "fs": spec.fs,

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from ecgbench.augment import apply_augmentation, augment_training_set
-from ecgbench.core import AugmentConfig, AugmentOpConfig
+from ecgbench.core import AugmentConfig, AugmentOpConfig, RecordKey
 from ecgbench.segment import BeatSegment
 
 
 def _seg(samples, position=0, subject="a"):
     return BeatSegment(samples=np.asarray(samples, dtype=float), peak_index=50,
-                       fs=250.0, position=position, subject_id=subject,
-                       session_id="s0", day_index=0, record_index=0)
+                       fs=250.0, position=position, key=RecordKey(subject, "s0", 0, 0))
 
 
 def test_amplitude_scale_fixed_factor():

@@ -3,6 +3,7 @@ import pytest
 
 from ecgbench.core import (
     MetricsReport,
+    RecordKey,
     Recording,
     RunConfig,
     config_digest,
@@ -117,14 +118,14 @@ def test_digest_stable_across_key_order_and_defaults():
 
 
 def test_recording_invariants():
-    rec = Recording("s1", "a", 0, 0, 250.0, (np.zeros(10),))
+    rec = Recording(RecordKey("s1", "a", 0, 0), 250.0, (np.zeros(10),))
     assert rec.duration_s == pytest.approx(0.04)
     with pytest.raises(ValueError):
-        Recording("s1", "a", 0, 0, -1.0, (np.zeros(10),))
+        Recording(RecordKey("s1", "a", 0, 0), -1.0, (np.zeros(10),))
     with pytest.raises(ValueError):
-        Recording("s1", "a", 0, 0, 250.0, (np.zeros(10), np.zeros(9)))
+        Recording(RecordKey("s1", "a", 0, 0), 250.0, (np.zeros(10), np.zeros(9)))
     with pytest.raises(ValueError):
-        Recording("s1", "a", 0, 0, 250.0, ())
+        Recording(RecordKey("s1", "a", 0, 0), 250.0, ())
 
 
 def test_metrics_report_rejects_out_of_range_values():

@@ -196,8 +196,8 @@ def test_zscore_moments_property(rng):
 # --- preprocess orchestrator ---------------------------------------------------
 
 def _record(samples, fs=FS):
-    from ecgbench.core import Recording
-    return Recording("subA", "s0", 0, 0, fs, (np.asarray(samples, dtype=float),))
+    from ecgbench.core import RecordKey, Recording
+    return Recording(RecordKey("subA", "s0", 0, 0), fs, (np.asarray(samples, dtype=float),))
 
 
 def test_preprocess_preserves_length():
@@ -205,7 +205,7 @@ def test_preprocess_preserves_length():
     rec = _record(np.random.default_rng(2).normal(size=int(8 * FS)))
     out = dsp.preprocess(rec, PreprocessConfig())
     assert len(out.samples) == len(rec.channels[0])
-    assert out.subject_id == "subA"
+    assert out.key == rec.key
     assert any(step.startswith("filter:") for step in out.steps)
 
 

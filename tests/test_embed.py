@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ecgbench import embed, synth
-from ecgbench.errors import DimensionMismatch, FormatMismatch, SingleClass
+from ecgbench.errors import DimensionMismatch, SingleClass
 from ecgbench.segment import segment_beats
 
 
@@ -144,14 +144,3 @@ def test_gradient_check_step_sensitivity():
     large = embed.gradient_check(model, x, label=0, fd_step=1e-1)
     assert large > small
 
-
-def test_save_load_round_trip(tmp_path):
-    model = embed.mlp_init(12, 9, 5, np.random.default_rng(2))
-    path = tmp_path / "model.bin"
-    embed.save_model(model, str(path))
-    loaded = embed.load_model(str(path))
-    for name in ("w1", "b1", "w2", "b2"):
-        assert np.array_equal(getattr(model, name), getattr(loaded, name))
-    (tmp_path / "junk.bin").write_bytes(b"not a model")
-    with pytest.raises(FormatMismatch):
-        embed.load_model(str(tmp_path / "junk.bin"))

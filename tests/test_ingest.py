@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ecgbench import ingest
+from ecgbench.core import RecordKey
 from ecgbench.errors import (
     DuplicateRecordKey,
     FormatMismatch,
@@ -31,7 +32,7 @@ def test_manifest_sorted_and_counted():
     ]
     index = ingest.parse_manifest(_manifest(entries))
     assert len(index.records) == 4
-    keys = [(m.subject_id, m.day_index, m.record_index) for m in index.records]
+    keys = [(m.key.subject_id, m.key.day_index, m.key.record_index) for m in index.records]
     assert keys == [("a", 0, 0), ("a", 0, 1), ("b", 0, 0), ("b", 1, 0)]
 
 
@@ -52,7 +53,7 @@ def test_manifest_day_rebased_per_subject():
         dict(BASE_ENTRY, subject="a", day=8, record_index=1, path="a1.f32"),
     ]
     index = ingest.parse_manifest(_manifest(entries))
-    assert [m.day_index for m in index.records] == [0, 3]
+    assert [m.key.day_index for m in index.records] == [0, 3]
 
 
 def test_manifest_duplicate_key():
@@ -188,7 +189,7 @@ def test_load_f32le(tmp_path):
     samples = np.linspace(-1, 1, 5000).astype("<f4")
     path = tmp_path / "rec.f32"
     samples.tofile(path)
-    meta = ingest.RecordMeta("a", "s0", 0, 0, str(path), "f32le", fs=500.0)
+    meta = ingest.RecordMeta(RecordKey("a", "s0", 0, 0), str(path), "f32le", fs=500.0)
     rec = ingest.load_record(meta)
     assert len(rec.channels) == 1
     assert len(rec.channels[0]) == 5000
@@ -199,13 +200,13 @@ def test_load_f32le(tmp_path):
 def test_load_csv_and_mismatch(tmp_path):
     good = tmp_path / "ok.csv"
     good.write_text("1.0\n2.5\n-3.25\n")
-    meta = ingest.RecordMeta("a", "s0", 0, 0, str(good), "csv", fs=100.0)
+    meta = ingest.RecordMeta(RecordKey("a", "s0", 0, 0), str(good), "csv", fs=100.0)
     rec = ingest.load_record(meta)
     assert rec.channels[0].tolist() == [1.0, 2.5, -3.25]
 
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0\npotato\n")
-    meta = ingest.RecordMeta("a", "s0", 0, 0, str(bad), "csv", fs=100.0)
+    meta = ingest.RecordMeta(RecordKey("a", "s0", 0, 0), str(bad), "csv", fs=100.0)
     with pytest.raises(FormatMismatch):
         ingest.load_record(meta)
 
@@ -230,7 +231,7 @@ def _write_wfdb_fixture(tmp_path, name="demo"):
 
 def test_load_wfdb_with_selector(tmp_path):
     _, sig1_mv = _write_wfdb_fixture(tmp_path)
-    meta = ingest.RecordMeta("a", "s0", 0, 0, str(tmp_path / "demo.hea"),
+    meta = ingest.RecordMeta(RecordKey("a", "s0", 0, 0), str(tmp_path / "demo.hea"),
                              "wfdb", channel_selector=1)
     rec = ingest.load_record(meta)
     assert rec.fs == 360.0
@@ -240,7 +241,7 @@ def test_load_wfdb_with_selector(tmp_path):
 
 def test_load_wfdb_all_channels(tmp_path):
     sig0_mv, sig1_mv = _write_wfdb_fixture(tmp_path)
-    meta = ingest.RecordMeta("a", "s0", 0, 0, str(tmp_path / "demo.hea"), "wfdb")
+    meta = ingest.RecordMeta(RecordKey("a", "s0", 0, 0), str(tmp_path / "demo.hea"), "wfdb")
     rec = ingest.load_record(meta)
     assert len(rec.channels) == 2
     assert np.allclose(rec.channels[0], sig0_mv)

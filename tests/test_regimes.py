@@ -1,30 +1,30 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ecgbench import regimes, synth
-from ecgbench.core import RegimeCell, validate_config
-from ecgbench.dsp import CleanSignal
+from ecgbench.core import RecordKey, RegimeCell, validate_config
 from ecgbench.errors import (
     KeyMismatch,
-    OverlappingRanges,
     RangeOutOfBounds,
     RegimeUnsatisfiable,
+    SampleLeakage,
     TooFewSubjects,
 )
 from ecgbench.ingest import DatasetIndex, RecordMeta
 
 
 def _meta(subject, session, day, rec):
-    return RecordMeta(subject_id=subject, session_id=session, day_index=day,
-                      record_index=rec, path="x", format="f32le", fs=250.0)
+    return RecordMeta(RecordKey(subject, session, day, rec), path="x", format="f32le",
+                      fs=250.0)
 
 
 def _index(entries):
     metas = tuple(_meta(*e) for e in entries)
     return DatasetIndex(records=tuple(sorted(
-        metas, key=lambda m: (m.subject_id, m.day_index, m.record_index))))
+        metas, key=lambda m: (m.key.subject_id, m.key.day_index, m.key.record_index))))
 
 
 THREE_RECORD_INDEX = _index([
@@ -109,27 +109,6 @@ def test_subject_partition_properties():
         regimes.subject_partition(["only"], 0.5, seed=1)
 
 
-def _clean(n_seconds=1800.0, fs=1.0):
-    return CleanSignal(samples=np.arange(int(n_seconds * fs), dtype=float), fs=fs)
-
-
-def test_temporal_windows():
-    enroll, probe = regimes.temporal_windows(_clean(), (0.0, 300.0), (600.0, 900.0))
-    assert len(enroll.samples) == 300
-    assert len(probe.samples) == 300
-    assert probe.samples[0] == 600.0
-
-
-def test_temporal_windows_overlap():
-    with pytest.raises(OverlappingRanges):
-        regimes.temporal_windows(_clean(), (0.0, 300.0), (200.0, 500.0))
-
-
-def test_temporal_windows_out_of_bounds():
-    with pytest.raises(RangeOutOfBounds):
-        regimes.temporal_windows(_clean(), (0.0, 300.0), (1790.0, 1810.0))
-
-
 def test_span_overlap_detection():
     enroll = [(("a",), 0, 100), (("a",), 200, 300)]
     probe_ok = [(("a",), 100, 200), (("b",), 0, 100)]
@@ -157,11 +136,8 @@ def _store(cfg, spec, seed=1):
     metas = []
     for rec, _ in synth.generate_recordings(spec, seed):
         recordings[rec.key] = rec
-        metas.append(RecordMeta(
-            subject_id=rec.subject_id, session_id=rec.session_id,
-            day_index=rec.day_index, record_index=rec.record_index,
-            path="mem", format="f32le", fs=rec.fs))
-    metas.sort(key=lambda m: (m.subject_id, m.day_index, m.record_index))
+        metas.append(RecordMeta(rec.key, path="mem", format="f32le", fs=rec.fs))
+    metas.sort(key=lambda m: (m.key.subject_id, m.key.day_index, m.key.record_index))
     index = DatasetIndex(records=tuple(metas))
     return regimes.SegmentStore(cfg, index, recordings)
 
@@ -268,6 +244,29 @@ def test_custom_split_evaluation():
     cell = out["custom_split|closed"]
     assert cell["counts"]["subjects_used"] == 4
     assert cell["rank1"] > 0.5
+
+
+def test_custom_split_probe_range_past_record_end():
+    cfg = validate_config({
+        "dataset": {"kind": "synthetic", "preset": "fallacy30", "seed": 1},
+        "regime": {"name": "custom_split", "enroll_range": [0.0, 8.0],
+                   "probe_range": [10.0, 25.0]},
+        "seeds": [0],
+    })
+    store = _store(cfg, _tiny_spec(n_subjects=4))
+    with pytest.raises(RangeOutOfBounds):
+        regimes.evaluate_cell(cfg, cfg.regimes[0], store, seed=0)
+
+
+def test_leakage_guard_raises_named_error():
+    cfg = validate_config(BASE_CONFIG)
+    store = _store(cfg, _tiny_spec(n_subjects=2))
+    cell = RegimeCell("single_cross_session")
+    plan = regimes.map_regime(store.index, cell)
+    leaky = {s: regimes.SubjectSplit(s, split.enroll, split.enroll)
+             for s, split in plan.subjects.items()}
+    with pytest.raises(SampleLeakage):
+        regimes._realize_plan(replace(plan, subjects=leaky), cell, store, seed=0)
 
 
 def test_aggregate_runs_mean_and_std():

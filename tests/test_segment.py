@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ecgbench.core import RecordKey
 from ecgbench.errors import WindowLongerThanSignal
 from ecgbench.segment import align_peak, segment_beats, segment_blind
 
@@ -68,10 +69,8 @@ def test_positions_sequential():
 def test_provenance_carried():
     x = np.zeros(1000)
     segs = segment_beats(x, FS, [500], 0.2, 0.4, align=False,
-                         provenance={"subject_id": "a", "session_id": "s1",
-                                     "day_index": 2, "record_index": 1})
-    assert segs[0].subject_id == "a"
-    assert segs[0].day_index == 2
+                         key=RecordKey("a", "s1", 2, 1))
+    assert segs[0].key == RecordKey("a", "s1", 2, 1)
 
 
 def test_blind_window_counts():

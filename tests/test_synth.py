@@ -140,8 +140,7 @@ def test_generate_dataset_counts_and_determinism(tmp_path):
     parsed = ingest.parse_manifest(Path(manifest_path).read_text())
     assert len(parsed.records) == 8
     rec = ingest.load_record(
-        ingest.RecordMeta(*[getattr(index.records[0], f) for f in
-                            ("subject_id", "session_id", "day_index", "record_index")],
+        ingest.RecordMeta(index.records[0].key,
                           path=str(tmp_path / "a" / index.records[0].path),
                           format="f32le", fs=250.0))
     assert len(rec.channels[0]) == 2500
@@ -157,7 +156,8 @@ def test_truth_files_match_generated_peaks(tmp_path):
     synth.generate_dataset(spec, seed=6, out_dir=str(tmp_path))
     in_memory = synth.generate_recordings(spec, seed=6)
     for rec, peaks in in_memory:
-        stem = f"{rec.subject_id}_{rec.session_id}_d{rec.day_index:03d}_r{rec.record_index}"
+        k = rec.key
+        stem = f"{k.subject_id}_{k.session_id}_d{k.day_index:03d}_r{k.record_index}"
         on_disk = json.loads((tmp_path / f"{stem}.peaks.json").read_text())
         assert on_disk["peaks"] == [int(p) for p in peaks]
 
