@@ -171,4 +171,3 @@ def gradient_check(model: MlpModel, sample, label: int, fd_step: float = 1e-5) -
             denom = max(abs(gflat[j]) + abs(numeric), 1e-12)
             worst = max(worst, abs(gflat[j] - numeric) / denom)
     return worst
-

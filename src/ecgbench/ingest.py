@@ -135,9 +135,8 @@ def parse_manifest(text: str) -> DatasetIndex:
         ))
 
     first_day = {}
-    for m in metas:
-        subject, day = m.key.subject_id, m.key.day_index
-        first_day[subject] = min(first_day.get(subject, day), day)
+    for k in (m.key for m in metas):
+        first_day[k.subject_id] = min(first_day.get(k.subject_id, k.day_index), k.day_index)
     metas = [replace(m, key=m.key._replace(
         day_index=m.key.day_index - first_day[m.key.subject_id])) for m in metas]
 

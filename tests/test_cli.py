@@ -92,7 +92,7 @@ def test_bad_seed_override_exits_2(dataset, monkeypatch, capsys, override):
     {"schema_version": 1, "results": {"single_session|closed": {"counts": {}}}},
     {"schema_version": 1, "results": {"single_session": {"metrics": {}}}},
     [1, 2],
-])
+], ids=["no_results", "no_metrics", "key_without_setting", "not_an_object"])
 def test_report_on_malformed_results_exits_2(tmp_path, capsys, payload):
     path = _write_json(tmp_path / "results.json", payload)
     _assert_clean_failure(capsys, cli.main(["report", path]), 2)
@@ -103,7 +103,7 @@ def test_report_on_malformed_results_exits_2(tmp_path, capsys, payload):
     {"embedder": {"kind": "mlp", "target_len": 7}},
     {"bogus": 1},
     {"evaluation": {"metric": "cosine", "bogus": True}},
-])
+], ids=["target_len_1", "mlp_target_len_7", "unknown_key", "unknown_nested_key"])
 def test_bad_config_exits_2(dataset, capsys, overrides):
     config = _config(dataset, "bad", **overrides)
     _assert_clean_failure(capsys, cli.main(["validate", "--config", config]), 2)

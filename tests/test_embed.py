@@ -143,4 +143,3 @@ def test_gradient_check_step_sensitivity():
     small = embed.gradient_check(model, x, label=0, fd_step=1e-5)
     large = embed.gradient_check(model, x, label=0, fd_step=1e-1)
     assert large > small
-

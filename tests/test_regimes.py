@@ -1,5 +1,4 @@
 import hashlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from ecgbench.errors import (
     KeyMismatch,
     RangeOutOfBounds,
     RegimeUnsatisfiable,
-    SampleLeakage,
     TooFewSubjects,
 )
 from ecgbench.ingest import DatasetIndex, RecordMeta
@@ -256,17 +254,6 @@ def test_custom_split_probe_range_past_record_end():
     store = _store(cfg, _tiny_spec(n_subjects=4))
     with pytest.raises(RangeOutOfBounds):
         regimes.evaluate_cell(cfg, cfg.regimes[0], store, seed=0)
-
-
-def test_leakage_guard_raises_named_error():
-    cfg = validate_config(BASE_CONFIG)
-    store = _store(cfg, _tiny_spec(n_subjects=2))
-    cell = RegimeCell("single_cross_session")
-    plan = regimes.map_regime(store.index, cell)
-    leaky = {s: regimes.SubjectSplit(s, split.enroll, split.enroll)
-             for s, split in plan.subjects.items()}
-    with pytest.raises(SampleLeakage):
-        regimes._realize_plan(replace(plan, subjects=leaky), cell, store, seed=0)
 
 
 def test_aggregate_runs_mean_and_std():
