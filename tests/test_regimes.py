@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -269,3 +270,64 @@ def test_aggregate_runs_mean_and_std():
     with pytest.raises(KeyMismatch):
         other = {"other|closed": make(0.1)["k|closed"]}
         regimes.aggregate_runs([make(0.1), other])
+
+
+# --- outputs pinned before the per-beat feature cache ------------------------------
+# No benchmark workload reaches augmentation, blind mode or custom_split time
+# ranges; these digests of the per-seed records were computed before each
+# beat's feature was cached on the SegmentStore and must not move.
+
+_PIN_SPEC = {
+    "n_subjects": 6,
+    "sessions": [
+        {"session_id": "s0", "day_index": 0, "morphology_drift": 0.1,
+         "noise_sigma": 0.03, "baseline_amp": 0.05},
+        {"session_id": "s1", "day_index": 1, "morphology_drift": 0.1,
+         "noise_sigma": 0.03, "baseline_amp": 0.05},
+    ],
+    "duration_s": 20.0,
+    "fs": 250.0,
+}
+_PIN_DATASET = {"kind": "synthetic", "preset": "fallacy30", "seed": 1}
+_PINNED_RUNS = {
+    "mlp_augment": (
+        {"dataset": _PIN_DATASET,
+         "regime": {"names": ["single_session", "single_cross_session"],
+                    "settings": ["closed", "open"], "open_ratio": 0.5},
+         "embedder": {"kind": "mlp", "hidden_dim": 16, "epochs": 5, "batch": 16,
+                      "augment": {"multiplier": 2, "ops": [
+                          {"kind": "amplitude_scale", "scale_low": 0.9, "scale_high": 1.1},
+                          {"kind": "gaussian_noise", "sigma": 0.02},
+                          {"kind": "time_shift", "max_shift_s": 0.02},
+                          {"kind": "random_crop", "crop_fraction": 0.8}]}},
+         "seeds": [0, 1]},
+        "523c84202a01cea0992fcf15ee0a8a565ed5b00b13f046a659cd788696214ddd"),
+    "blind": (
+        {"dataset": _PIN_DATASET,
+         "regime": {"names": ["single_session", "single_cross_session"],
+                    "settings": ["closed", "open"], "open_ratio": 0.5},
+         "segmentation": {"mode": "blind", "window_s": 2.0, "stride_s": 2.0},
+         "embedder": {"kind": "mlp", "hidden_dim": 16, "epochs": 5, "batch": 16},
+         "evaluation": {"probe_fusion_k": 1},
+         "seeds": [0, 1]},
+        "c1aeea5cb212ff5b9296f16fb5b83e36b4e274a30ad62a6350c3774fd8cbdfa6"),
+    "custom_split": (
+        {"dataset": _PIN_DATASET,
+         "regime": [{"name": "custom_split", "enroll_range": [0.0, 8.0],
+                     "probe_range": [10.0, 18.0]},
+                    {"name": "single_session", "setting": "open"}],
+         "evaluation": {"template_fusion": "representative", "template_size": 20,
+                        "probe_fusion_k": 1},
+         "seeds": [0, 1]},
+        "3cc0964a798e53379b74f42fc2fb82a4ebccb6172586a77f67a7a83c856926ac"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_RUNS))
+def test_per_seed_records_pinned(name):
+    raw, digest = _PINNED_RUNS[name]
+    cfg = validate_config(raw)
+    store = _store(cfg, synth.spec_from_dict(_PIN_SPEC))
+    records = [regimes.run_evaluation(cfg, seed, store=store) for seed in cfg.seeds]
+    text = json.dumps(records, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

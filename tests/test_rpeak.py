@@ -1,9 +1,12 @@
+import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ecgbench import synth
+from ecgbench import dsp, synth
+from ecgbench.core import validate_config
 from ecgbench.errors import NoPeaksDetected
 from ecgbench.rpeak import pan_tompkins
 
@@ -79,3 +82,61 @@ def test_translation_covariance():
     expect = {p + shift for p in base if p >= warm}
     got = {p for p in moved if p >= shift + warm}
     assert expect == got
+
+
+# --- the three presets through the run path -----------------------------------------
+
+PRESETS = ("ablation", "aging4", "fallacy30")
+PEAK_TOLERANCE_S = 0.05
+# Digests of every record's detected peak indices at dataset seed 0, computed
+# before running_rr became O(1); detection must not move by one sample.
+PINNED_PEAKS = {
+    "ablation": "529ee61a4ea70e258f4b3ee81d71de1c40592cfcb4d93dc43f2b69e61fba8dff",
+    "aging4": "c4fc40ccacf6a251b778aa767c53ec26cfc413349e88de5e6a8c33445ac7c834",
+    "fallacy30": "49423b9576190d953219f2fa34a443e44fa8f05661c1448d1320797a38200954",
+}
+
+
+@pytest.fixture(scope="module")
+def preset_detections():
+    """{preset: [(record key, detected peaks, ground truth peaks), ...]} at seed 0,
+    detected on the default preprocessing as the SegmentStore does."""
+    preprocess = validate_config({"dataset": {"kind": "synthetic", "preset": "aging4"},
+                                  "regime": "single_session"}).preprocess
+    out = {}
+    for preset in PRESETS:
+        rows = []
+        for rec, truth in synth.generate_recordings(synth.preset_spec(preset), 0):
+            clean = dsp.preprocess(rec, preprocess)
+            found = pan_tompkins(clean.samples, clean.fs).indices
+            rows.append((rec.key, found, np.asarray(truth), rec.fs))
+        out[preset] = rows
+    return out
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_preset_peaks_pinned(preset_detections, preset):
+    text = json.dumps([[list(key), [int(i) for i in found]]
+                       for key, found, _, _ in preset_detections[preset]])
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_PEAKS[preset]
+
+
+def _within(reference, found, tol) -> int:
+    """How many of ``reference`` have an entry of ``found`` within tol samples."""
+    found = np.sort(found)
+    i = np.clip(np.searchsorted(found, reference - tol), 0, len(found) - 1)
+    return int(np.sum(np.abs(found[i] - reference) <= tol))
+
+
+@pytest.mark.acceptance
+@pytest.mark.parametrize("preset", PRESETS)
+def test_preset_detector_quality(preset_detections, preset):
+    se_hit = se_all = ppv_hit = ppv_all = 0
+    for _, found, truth, fs in preset_detections[preset]:
+        tol = PEAK_TOLERANCE_S * fs
+        se_hit += _within(truth, found, tol)
+        se_all += len(truth)
+        ppv_hit += _within(found, truth, tol)
+        ppv_all += len(found)
+    assert se_hit / se_all >= 0.999
+    assert ppv_hit / ppv_all >= 0.999
