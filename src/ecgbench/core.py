@@ -305,9 +305,13 @@ def _validate_segmentation(raw) -> SegmentationConfig:
         if not isinstance(align, bool):
             raise ConfigError("align_peak must be a boolean")
         return SegmentationConfig(mode="beat", pre_s=pre, post_s=post, align_peak=align)
-    for bad in ("pre_s", "post_s", "align_peak"):
-        if bad in raw:
-            raise InconsistentSettings(f"blind mode does not take {bad}")
+    # Blind mode stores these placeholders for the beat keys and takes them back,
+    # so a validated config round-trips through to_dict; other values are errors.
+    placeholders = {"pre_s": 0.0, "post_s": 0.0, "align_peak": False}
+    for key, stored in placeholders.items():
+        value = raw.get(key, stored)
+        if value != stored or isinstance(value, bool) != isinstance(stored, bool):
+            raise InconsistentSettings(f"blind mode does not take {key}")
     window = float(_as_number(raw.get("window_s", 5.0), "window_s", positive=True))
     stride_raw = raw.get("stride_s", window / 2.0)
     if not isinstance(stride_raw, (int, float)) or isinstance(stride_raw, bool):
@@ -315,8 +319,8 @@ def _validate_segmentation(raw) -> SegmentationConfig:
     stride = float(stride_raw)
     if not 0.0 < stride <= window:
         raise InconsistentSettings(f"blind mode needs 0 < stride_s <= window_s, got {stride}/{window}")
-    return SegmentationConfig(mode="blind", pre_s=0.0, post_s=0.0, align_peak=False,
-                              window_s=window, stride_s=stride)
+    return SegmentationConfig(mode="blind", window_s=window, stride_s=stride,
+                              **placeholders)
 
 
 def _validate_augment(raw) -> AugmentConfig:

@@ -5,13 +5,16 @@ transform with frequency pre-warping and realized as second-order sections.
 Zero-phase application evaluates the squared magnitude response on the DFT
 grid (forward-backward filtering in circular convolution semantics), which
 keeps it exactly linear, length-preserving, and time-reversal symmetric.
+
+scipy.signal is imported only by the Savitzky-Golay and causal branches of
+apply_filter, the only code that uses it, so the default pipeline never loads
+scipy.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.signal
 
 from .errors import BandOutOfRange, ConfigError, SignalTooShort, ZeroVariance
 
@@ -245,6 +248,8 @@ def apply_filter(spec: FilterSpec, x, fs: float) -> np.ndarray:
             p = spec.poly_order if spec.poly_order is not None else 2
             if p >= w:
                 raise ConfigError(f"poly_order {p} must be < window_len {w}")
+            import scipy.signal
+
             return scipy.signal.savgol_filter(x, w, p, mode="interp")
         half = w // 2
         padded = np.pad(x, half, mode="edge")
@@ -266,6 +271,8 @@ def apply_filter(spec: FilterSpec, x, fs: float) -> np.ndarray:
             h = np.fft.rfft(taps, n=len(x))
         return np.fft.irfft(np.fft.rfft(x) * (h * np.conj(h)).real, n=len(x))
     if spec.phase_mode == "causal":
+        import scipy.signal
+
         if cascade is not None:
             return scipy.signal.sosfilt(cascade.sos(), x)
         return scipy.signal.lfilter(taps, [1.0], x)

@@ -166,14 +166,31 @@ def _slice_clean(clean: dsp.CleanSignal, time_range) -> dsp.CleanSignal:
 
 @dataclass
 class PreparedSource:
-    """Segments of one SegmentSource plus their sample spans in record space."""
+    """Segments of one SegmentSource, their sample spans in record space and
+    their morphology features."""
     segments: list
     spans: list  # (lo, hi) in original-record sample indices
+    features: list  # read-only row per segment; None for a constant segment
     source: SegmentSource
 
 
+def _feature_of(segment, cfg: RunConfig):
+    """Read-only morphology feature of one segment, or None if it is constant.
+
+    The row is shared by every cell and seed that selects the segment, so an
+    in-place write raises instead of corrupting a later evaluation."""
+    try:
+        row = morphology_embed(segment.samples, cfg.embedder.target_len,
+                               cfg.preprocess.normalization)
+    except ZeroVariance:
+        return None
+    row.flags.writeable = False
+    return row
+
+
 class SegmentStore:
-    """Caches preprocess + detection + segmentation per (record, time range)."""
+    """Caches preprocess + detection + segmentation + each segment's feature
+    per (record, time range)."""
 
     def __init__(self, cfg: RunConfig, index: DatasetIndex, recordings: dict):
         self.cfg = cfg
@@ -195,8 +212,7 @@ class SegmentStore:
         else:
             prepared = self._segment(source)
             self._prepared[cache_key] = prepared
-        return PreparedSource(segments=prepared.segments, spans=prepared.spans,
-                              source=source)
+        return replace(prepared, source=source)
 
     def _segment(self, source: SegmentSource) -> PreparedSource:
         clean = self.clean(source.record_key)
@@ -209,7 +225,7 @@ class SegmentStore:
             try:
                 peaks = rpeak.pan_tompkins(clean.samples, clean.fs)
             except NoPeaksDetected:
-                return PreparedSource(segments=[], spans=[], source=source)
+                return PreparedSource(segments=[], spans=[], features=[], source=source)
             segs = segment.segment_beats(
                 clean.samples, clean.fs, peaks, seg_cfg.pre_s, seg_cfg.post_s,
                 align=seg_cfg.align_peak, key=clean.key)
@@ -224,7 +240,9 @@ class SegmentStore:
             w = int(round(seg_cfg.window_s * clean.fs))
             spans = [(s.start_index + offset, s.start_index + w + offset)
                      for s in segs]
-        return PreparedSource(segments=segs, spans=spans, source=source)
+        return PreparedSource(segments=segs, spans=spans,
+                              features=[_feature_of(s, self.cfg) for s in segs],
+                              source=source)
 
 
 def load_dataset_from_config(ds_cfg):
@@ -250,8 +268,10 @@ def load_dataset_from_config(ds_cfg):
 class _SubjectData:
     subject_id: str
     enroll_segments: list = field(default_factory=list)
+    enroll_features: list = field(default_factory=list)  # aligned with segments
     enroll_spans: list = field(default_factory=list)
     probe_groups: list = field(default_factory=list)  # list of segment lists
+    probe_features: list = field(default_factory=list)  # aligned with probe_groups
     probe_spans: list = field(default_factory=list)
     sessions: tuple = ()
 
@@ -292,17 +312,21 @@ def _realize_plan(plan: SplitPlan, cell: RegimeCell, store: SegmentStore,
                     idx = picked[0] if source.beat_role == "enroll" else picked[1]
                     segs = [prepared.segments[i] for i in idx]
                     spans = [prepared.spans[i] for i in idx]
+                    feats = [prepared.features[i] for i in idx]
                 else:
                     segs = prepared.segments
                     spans = prepared.spans
+                    feats = prepared.features
                 if side == "enroll":
                     data.enroll_segments.extend(segs)
+                    data.enroll_features.extend(feats)
                     data.enroll_spans.extend(
                         (source.record_key, lo, hi) for lo, hi in spans)
                     sessions.extend(s.key.session_id for s in segs)
                 else:
                     if segs:
                         data.probe_groups.append(segs)
+                        data.probe_features.append(feats)
                         data.probe_spans.extend(
                             (source.record_key, lo, hi) for lo, hi in spans)
             if not ok:
@@ -332,17 +356,9 @@ def _span_overlaps(enroll_spans, probe_spans):
     return out
 
 
-def _feature_rows(segments, target_len: int, normalization: str):
-    """Morphology feature of each segment; constant segments are dropped."""
-    rows = []
-    kept = []
-    for seg in segments:
-        try:
-            rows.append(morphology_embed(seg.samples, target_len, normalization))
-            kept.append(seg)
-        except ZeroVariance:
-            continue
-    return rows, kept
+def _present(features) -> list:
+    """The features of the non-constant segments, in order."""
+    return [f for f in features if f is not None]
 
 
 def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
@@ -363,20 +379,25 @@ def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
     else:
         train_subjects = eval_subjects = subjects_used
 
-    target_len = cfg.embedder.target_len
-    norm = cfg.preprocess.normalization
-
     if cfg.embedder.kind == "mlp":
-        train_segments = []
-        for subject in train_subjects:
-            train_segments.extend(realized[subject].enroll_segments)
-        if cfg.embedder.augment.multiplier > 0:
-            train_segments = augment_training_set(
-                train_segments, cfg.embedder.augment,
-                stable_seed(seed, "augment", cell.name, cell.setting))
         label_of = {s: i for i, s in enumerate(train_subjects)}
-        rows, kept = _feature_rows(train_segments, target_len, norm)
-        labels = [label_of[s.key.subject_id] for s in kept]
+        rows, labels, originals = [], [], []
+        for subject in train_subjects:
+            data = realized[subject]
+            present = _present(data.enroll_features)
+            rows.extend(present)
+            labels.extend([label_of[subject]] * len(present))
+            originals.extend(data.enroll_segments)
+        if cfg.embedder.augment.multiplier > 0:
+            # Augmented copies are new segments, so only they need new features.
+            augmented = augment_training_set(
+                originals, cfg.embedder.augment,
+                stable_seed(seed, "augment", cell.name, cell.setting))
+            for seg in augmented[len(originals):]:
+                row = _feature_of(seg, cfg)
+                if row is not None:
+                    rows.append(row)
+                    labels.append(label_of[seg.key.subject_id])
         model, _losses = mlp_train(
             np.stack(rows), np.asarray(labels), hidden_dim=cfg.embedder.hidden_dim,
             lr=cfg.embedder.lr, epochs=cfg.embedder.epochs, batch=cfg.embedder.batch,
@@ -391,12 +412,9 @@ def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
     final_eval = []
     for subject in eval_subjects:
         data = realized[subject]
-        enroll_rows, _ = _feature_rows(data.enroll_segments, target_len, norm)
-        probe_rows_by_group = []
-        for group in data.probe_groups:
-            rows, _ = _feature_rows(group, target_len, norm)
-            if rows:
-                probe_rows_by_group.append(rows)
+        enroll_rows = _present(data.enroll_features)
+        probe_rows_by_group = [rows for rows in map(_present, data.probe_features)
+                               if rows]
         if not enroll_rows or not probe_rows_by_group:
             dropped.append(subject)
             continue

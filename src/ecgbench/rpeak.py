@@ -55,10 +55,13 @@ class _Thresholds:
         return self.npki + 0.25 * (self.spki - self.npki)
 
     def running_rr(self) -> float | None:
-        if len(self.history) < 2:
+        """Mean of the last RR_HISTORY intervals. The interval sum telescopes, and
+        the history holds ints, so this equals the mean of the diffs exactly."""
+        h = self.history
+        if len(h) < 2:
             return None
-        diffs = np.diff(self.history[-(RR_HISTORY + 1):])
-        return float(np.mean(diffs))
+        k = min(len(h), RR_HISTORY + 1)
+        return (h[-1] - h[-k]) / (k - 1)
 
     def accept(self, value: float, index: int):
         self.spki = (1.0 - LEVEL_KEEP) * value + LEVEL_KEEP * self.spki

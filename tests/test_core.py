@@ -227,3 +227,23 @@ _PINNED_CONFIGS = {
 def test_config_digest_pinned(name):
     raw, digest = _PINNED_CONFIGS[name]
     assert config_digest(validate_config(raw)) == digest
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_CONFIGS))
+def test_pinned_config_round_trips(name):
+    raw, digest = _PINNED_CONFIGS[name]
+    cfg = validate_config(raw)
+    again = validate_config(cfg.to_dict())
+    assert again == cfg
+    assert config_digest(again) == digest
+
+
+def test_blind_mode_takes_back_only_its_placeholders():
+    blind = {"mode": "blind", "window_s": 4.0, "stride_s": 1.0}
+    stored = validate_config(dict(MINIMAL, segmentation=blind)).segmentation
+    echoed = dict(blind, pre_s=0.0, post_s=0, align_peak=False)
+    assert validate_config(dict(MINIMAL, segmentation=echoed)).segmentation == stored
+    for key, value in (("pre_s", 0.1), ("post_s", False), ("align_peak", 0),
+                       ("align_peak", True), ("pre_s", None)):
+        with pytest.raises(InconsistentSettings):
+            validate_config(dict(MINIMAL, segmentation=dict(blind, **{key: value})))

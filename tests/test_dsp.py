@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -225,3 +229,14 @@ def test_preprocess_band_edge_out_of_range():
                                              low_hz=0.5, high_hz=FS / 2))
     with pytest.raises(BandOutOfRange):
         dsp.preprocess(rec, cfg)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is loaded only by the Savitzky-Golay and causal filter branches.
+    code = "import sys, ecgbench.cli; print('scipy' in sys.modules)"
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(dsp.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

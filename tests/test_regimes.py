@@ -1,11 +1,13 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ecgbench import regimes, synth
 from ecgbench.core import RecordKey, RegimeCell, validate_config
+from ecgbench.embed import morphology_embed
 from ecgbench.errors import (
     KeyMismatch,
     RangeOutOfBounds,
@@ -187,6 +189,25 @@ def test_open_setting_disjoint_pools():
     assert set(diag["train_subjects"]).isdisjoint(diag["eval_subjects"])
     assert len(diag["train_subjects"]) >= 1
     assert out["single_session|open"]["counts"]["gallery_size"] == len(diag["eval_subjects"])
+
+
+def test_prepared_features_are_shared_read_only_morphology_rows():
+    cfg = validate_config(BASE_CONFIG)
+    store = _store(cfg, _tiny_spec(n_subjects=2))
+    key = store.index.records[0].key
+    whole = store.prepare(regimes.SegmentSource(key))
+    enroll = store.prepare(regimes.SegmentSource(key, beat_role="enroll"))
+    assert enroll.features is whole.features
+    assert len(whole.features) == len(whole.segments) > 0
+    for seg, row in zip(whole.segments, whole.features):
+        expect = morphology_embed(seg.samples, cfg.embedder.target_len,
+                                  cfg.preprocess.normalization)
+        assert row.tobytes() == expect.tobytes()
+        assert not row.flags.writeable
+    with pytest.raises(ValueError):
+        whole.features[0][0] = 0.0
+    flat = replace(whole.segments[0], samples=np.ones(len(whole.segments[0].samples)))
+    assert regimes._feature_of(flat, cfg) is None
 
 
 def _hash_probe_data(store, cfg, cell, seed):

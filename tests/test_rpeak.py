@@ -8,7 +8,7 @@ import pytest
 from ecgbench import dsp, synth
 from ecgbench.core import validate_config
 from ecgbench.errors import NoPeaksDetected
-from ecgbench.rpeak import pan_tompkins
+from ecgbench.rpeak import RR_HISTORY, _Thresholds, pan_tompkins
 
 
 def match_counts(detected, truth, fs, tol_s=0.05):
@@ -40,6 +40,19 @@ def test_clean_sensitivity_and_precision(hr):
     hits = match_counts(peaks.indices, truth, rec.fs)
     assert hits / len(truth) >= 0.99
     assert hits / len(peaks) >= 0.99
+
+
+def test_running_rr_equals_mean_of_diffs_bitwise(rng):
+    for length in range(2, 21):
+        for _ in range(20):
+            history = [int(v) for v in np.cumsum(rng.integers(1, 5000, size=length))]
+            levels = _Thresholds(spki=1.0, npki=0.0, history=history)
+            expect = float(np.mean(np.diff(history[-(RR_HISTORY + 1):])))
+            got = levels.running_rr()
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(expect).tobytes()
+    assert _Thresholds(1.0, 0.0, history=[]).running_rr() is None
+    assert _Thresholds(1.0, 0.0, history=[17]).running_rr() is None
 
 
 def test_all_zero_signal():
