@@ -11,11 +11,11 @@ from dataclasses import replace
 import numpy as np
 
 from .dsp import resample_fourier
-from .segment import BeatSegment
+from .segment import Segment
 from .util import sub_rng
 
 
-def apply_augmentation(seg: BeatSegment, op, seed: int) -> BeatSegment:
+def apply_augmentation(seg: Segment, op, seed: int) -> Segment:
     """One augmentation op on one segment; op is AugmentOpConfig-shaped."""
     rng = sub_rng(seed, op.kind)
     x = np.asarray(seg.samples, dtype=float)
@@ -42,12 +42,12 @@ def apply_augmentation(seg: BeatSegment, op, seed: int) -> BeatSegment:
     return replace(seg, samples=out)
 
 
-def _provenance_key(seg: BeatSegment) -> tuple:
+def _provenance_key(seg: Segment) -> tuple:
     # Flat, not (RecordKey(...), position): stable_seed hashes the repr.
     return (*seg.key, seg.position)
 
 
-def augment_training_set(segments, spec, seed: int) -> list[BeatSegment]:
+def augment_training_set(segments, spec, seed: int) -> list[Segment]:
     """Originals plus spec.multiplier augmented copies per original.
 
     Each copy applies spec.ops in order, seeded independently per

@@ -36,8 +36,8 @@ def cmd_synth(args) -> int:
         else:
             spec = preset_spec(args.preset)
         index, manifest_path = generate_dataset(spec, args.seed, args.out)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        return _fail(f"IoError: {exc}", 2)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        return _fail(f"{type(exc).__name__}: {exc}", 2)
     print(f"wrote {len(index.records)} records and {manifest_path}")
     return 0
 

@@ -503,7 +503,7 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigError("config needs a dataset")
     if "regime" not in raw:
         raise ConfigError("config needs a regime")
-    return RunConfig(
+    cfg = RunConfig(
         dataset=_validate_dataset(raw["dataset"]),
         preprocess=_validate_preprocess(raw.get("preprocess", {})),
         segmentation=_validate_segmentation(raw.get("segmentation", {})),
@@ -512,6 +512,14 @@ def validate_config(raw: dict) -> RunConfig:
         evaluation=_validate_evaluation(raw.get("evaluation", {})),
         seeds=_validate_seeds(raw.get("seeds")),
     )
+    seg = cfg.segmentation
+    if (seg.mode == "blind" and seg.stride_s < seg.window_s
+            and any(cell.name == "single_session" for cell in cfg.regimes)):
+        # Overlapping windows of one record always land on both sides of the split.
+        raise InconsistentSettings(
+            f"single_session needs blind windows that do not overlap: stride_s "
+            f"{seg.stride_s} is shorter than window_s {seg.window_s}")
+    return cfg
 
 
 # --- aggregated metrics -------------------------------------------------------

@@ -12,7 +12,7 @@ scipy.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -334,7 +334,6 @@ class CleanSignal:
     samples: np.ndarray
     fs: float
     key: tuple | None = None  # core.RecordKey; core imports this module
-    steps: tuple[str, ...] = field(default=())
 
 
 def preprocess(rec, cfg) -> CleanSignal:
@@ -344,10 +343,5 @@ def preprocess(rec, cfg) -> CleanSignal:
     ``cfg`` needs a PreprocessConfig-shaped ``filter`` attribute.
     """
     channel = np.asarray(rec.channels[0], dtype=float)
-    spec = cfg.filter
-    filtered = apply_filter(spec, channel, rec.fs)
-    steps = (
-        "select_channel:0",
-        f"filter:{spec.kind}:{spec.phase_mode}",
-    )
-    return CleanSignal(samples=filtered, fs=rec.fs, key=rec.key, steps=steps)
+    return CleanSignal(samples=apply_filter(cfg.filter, channel, rec.fs),
+                       fs=rec.fs, key=rec.key)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp
-from .errors import DimensionMismatch, SingleClass
+from .errors import DimensionMismatch, NonFiniteModel, SingleClass
 
 
 def morphology_embed(samples, target_len: int = 128, method: str = "zscore") -> np.ndarray:
@@ -23,8 +23,6 @@ def morphology_embed(samples, target_len: int = 128, method: str = "zscore") -> 
     """
     if target_len < 8:
         raise ValueError(f"target_len must be >= 8, got {target_len}")
-    samples = np.asarray(
-        samples.samples if hasattr(samples, "samples") else samples, dtype=float)
     return dsp.normalize(dsp.resample_fourier(samples, target_len), method)
 
 
@@ -39,14 +37,19 @@ class MlpModel:
     def input_dim(self) -> int:
         return self.w1.shape[1]
 
+    @property
+    def params(self) -> tuple:
+        return self.w1, self.b1, self.w2, self.b2
+
     def __post_init__(self):
         h, d = self.w1.shape
         c = self.w2.shape[0]
         if self.w2.shape != (c, h) or self.b1.shape != (h,) or self.b2.shape != (c,):
             raise DimensionMismatch("inconsistent parameter shapes")
-        for p in (self.w1, self.b1, self.w2, self.b2):
+        for p in self.params:
             if not np.all(np.isfinite(p)):
-                raise ValueError("non-finite model parameters")
+                raise NonFiniteModel(
+                    "non-finite model parameters (did training diverge?)")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -64,17 +67,19 @@ def mlp_init(input_dim: int, hidden_dim: int, n_classes: int,
     return MlpModel(w1=w1, b1=np.zeros(hidden_dim), w2=w2, b2=np.zeros(n_classes))
 
 
-def _forward(model: MlpModel, x: np.ndarray):
-    z1 = x @ model.w1.T + model.b1
+def _forward(params, x: np.ndarray):
+    """Pre-activation, hidden activation and logits for params (w1, b1, w2, b2)."""
+    w1, b1, w2, b2 = params
+    z1 = x @ w1.T + b1
     hidden = np.maximum(z1, 0.0)
-    logits = hidden @ model.w2.T + model.b2
+    logits = hidden @ w2.T + b2
     return z1, hidden, logits
 
 
-def _loss_and_grads(model: MlpModel, x: np.ndarray, labels: np.ndarray):
+def _loss_and_grads(params, x: np.ndarray, labels: np.ndarray):
     """Mean softmax cross-entropy over the batch plus hand-written gradients."""
     n = len(x)
-    z1, hidden, logits = _forward(model, x)
+    z1, hidden, logits = _forward(params, x)
     probs = softmax(logits)
     loss = float(-np.mean(np.log(probs[np.arange(n), labels] + 1e-300)))
     delta2 = probs
@@ -82,7 +87,7 @@ def _loss_and_grads(model: MlpModel, x: np.ndarray, labels: np.ndarray):
     delta2 /= n
     gw2 = delta2.T @ hidden
     gb2 = delta2.sum(axis=0)
-    delta1 = (delta2 @ model.w2) * (z1 > 0.0)
+    delta1 = (delta2 @ params[2]) * (z1 > 0.0)
     gw1 = delta1.T @ x
     gb1 = delta1.sum(axis=0)
     return loss, (gw1, gb1, gw2, gb2)
@@ -93,7 +98,8 @@ def mlp_train(x, labels, hidden_dim: int = 64, lr: float = 0.05,
     """Train the classifier; returns (model, per-epoch mean batch loss).
 
     Deterministic: fixed (data, hyperparameters, seed) gives a bit-identical
-    model. epochs=0 returns the He-initialized model untouched.
+    model. epochs=0 returns the He-initialized model untouched. The model is
+    built, and its parameters checked finite, once, after the last step.
     """
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels, dtype=int)
@@ -105,17 +111,15 @@ def mlp_train(x, labels, hidden_dim: int = 64, lr: float = 0.05,
     if np.any(classes != np.arange(len(classes))):
         raise ValueError("labels must be 0..C-1")
     rng = np.random.default_rng(seed)
-    model = mlp_init(x.shape[1], hidden_dim, len(classes), rng)
-    w1, b1, w2, b2 = (model.w1.copy(), model.b1.copy(),
-                      model.w2.copy(), model.b2.copy())
+    w1, b1, w2, b2 = mlp_init(x.shape[1], hidden_dim, len(classes), rng).params
     losses = []
     for _ in range(epochs):
         order = rng.permutation(len(x))
         batch_losses = []
         for start in range(0, len(x), batch):
             sel = order[start: start + batch]
-            current = MlpModel(w1=w1, b1=b1, w2=w2, b2=b2)
-            loss, (gw1, gb1, gw2, gb2) = _loss_and_grads(current, x[sel], labels[sel])
+            loss, (gw1, gb1, gw2, gb2) = _loss_and_grads(
+                (w1, b1, w2, b2), x[sel], labels[sel])
             batch_losses.append(loss)
             w1 = w1 - lr * gw1
             b1 = b1 - lr * gb1
@@ -135,7 +139,7 @@ def mlp_embed(model: MlpModel, samples) -> np.ndarray:
 
 
 def mlp_predict(model: MlpModel, x) -> np.ndarray:
-    _, _, logits = _forward(model, np.asarray(x, dtype=float))
+    _, _, logits = _forward(model.params, np.asarray(x, dtype=float))
     return np.argmax(logits, axis=-1)
 
 
@@ -148,12 +152,11 @@ def gradient_check(model: MlpModel, sample, label: int, fd_step: float = 1e-5) -
         raise ValueError("fd_step must be positive")
     x = np.asarray(sample, dtype=float).reshape(1, -1)
     y = np.asarray([label], dtype=int)
-    _, grads = _loss_and_grads(model, x, y)
-    params = [model.w1.copy(), model.b1.copy(), model.w2.copy(), model.b2.copy()]
+    _, grads = _loss_and_grads(model.params, x, y)
+    params = [p.copy() for p in model.params]
 
     def loss_at(ps):
-        m = MlpModel(w1=ps[0], b1=ps[1], w2=ps[2], b2=ps[3])
-        loss, _ = _loss_and_grads(m, x, y)
+        loss, _ = _loss_and_grads(ps, x, y)
         return loss
 
     worst = 0.0

@@ -93,6 +93,10 @@ class DimensionMismatch(EcgBenchError):
     """Vector dimension differs from what the model expects."""
 
 
+class NonFiniteModel(EcgBenchError):
+    """Model parameters hold NaN or infinity, e.g. after training diverged."""
+
+
 # --- matching ----------------------------------------------------------------
 
 class EmptyEnrollment(EcgBenchError):

@@ -9,7 +9,7 @@ regardless of worker scheduling.
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -152,26 +152,16 @@ def subject_partition(subjects, ratio: float, seed: int):
     return train, evaluate
 
 
-def _slice_clean(clean: dsp.CleanSignal, time_range) -> dsp.CleanSignal:
-    lo = int(round(time_range[0] * clean.fs))
-    hi = int(round(time_range[1] * clean.fs))
-    if lo < 0 or hi > len(clean.samples) or hi <= lo:
-        raise RangeOutOfBounds(f"range {time_range} outside record")
-    return replace(clean, samples=clean.samples[lo:hi],
-                   steps=clean.steps + (f"slice:{time_range[0]}-{time_range[1]}",))
-
-
 # --- prepared segments -----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreparedSource:
-    """Segments of one SegmentSource, their sample spans in record space and
-    their morphology features."""
+    """Segments of one (record, time range), their sample spans in record space
+    and their morphology features."""
     segments: list
     spans: list  # (lo, hi) in original-record sample indices
     features: list  # read-only row per segment; None for a constant segment
-    source: SegmentSource
 
 
 def _feature_of(segment, cfg: RunConfig):
@@ -206,43 +196,38 @@ class SegmentStore:
         return self._clean[record_key]
 
     def prepare(self, source: SegmentSource) -> PreparedSource:
+        """The cached preparation of the source's (record, time range); its
+        beat_role is applied later, by _realize_plan."""
         cache_key = (source.record_key, source.time_range)
-        if cache_key in self._prepared:
-            prepared = self._prepared[cache_key]
-        else:
-            prepared = self._segment(source)
-            self._prepared[cache_key] = prepared
-        return replace(prepared, source=source)
+        if cache_key not in self._prepared:
+            self._prepared[cache_key] = self._segment(*cache_key)
+        return self._prepared[cache_key]
 
-    def _segment(self, source: SegmentSource) -> PreparedSource:
-        clean = self.clean(source.record_key)
-        offset = 0
-        if source.time_range is not None:
-            offset = int(round(source.time_range[0] * clean.fs))
-            clean = _slice_clean(clean, source.time_range)
+    def _segment(self, record_key, time_range) -> PreparedSource:
+        clean = self.clean(record_key)
+        samples, offset = clean.samples, 0
+        if time_range is not None:
+            offset = int(round(time_range[0] * clean.fs))
+            hi = int(round(time_range[1] * clean.fs))
+            if offset < 0 or hi > len(samples) or hi <= offset:
+                raise RangeOutOfBounds(f"range {time_range} outside record")
+            samples = samples[offset:hi]
         seg_cfg = self.cfg.segmentation
         if seg_cfg.mode == "beat":
             try:
-                peaks = rpeak.pan_tompkins(clean.samples, clean.fs)
+                peaks = rpeak.pan_tompkins(samples, clean.fs)
             except NoPeaksDetected:
-                return PreparedSource(segments=[], spans=[], features=[], source=source)
+                return PreparedSource(segments=[], spans=[], features=[])
             segs = segment.segment_beats(
-                clean.samples, clean.fs, peaks, seg_cfg.pre_s, seg_cfg.post_s,
+                samples, clean.fs, peaks.indices, seg_cfg.pre_s, seg_cfg.post_s,
                 align=seg_cfg.align_peak, key=clean.key)
-            pre_n = int(round(seg_cfg.pre_s * clean.fs))
-            length = int(round((seg_cfg.pre_s + seg_cfg.post_s) * clean.fs))
-            spans = [(s.peak_index - pre_n + offset,
-                      s.peak_index - pre_n + length + offset) for s in segs]
         else:
             segs = segment.segment_blind(
-                clean.samples, clean.fs, seg_cfg.window_s, seg_cfg.stride_s,
-                key=clean.key)
-            w = int(round(seg_cfg.window_s * clean.fs))
-            spans = [(s.start_index + offset, s.start_index + w + offset)
-                     for s in segs]
-        return PreparedSource(segments=segs, spans=spans,
-                              features=[_feature_of(s, self.cfg) for s in segs],
-                              source=source)
+                samples, clean.fs, seg_cfg.window_s, seg_cfg.stride_s, key=clean.key)
+        return PreparedSource(
+            segments=segs,
+            spans=[(offset + s.start, offset + s.start + len(s.samples)) for s in segs],
+            features=[_feature_of(s, self.cfg) for s in segs])
 
 
 def load_dataset_from_config(ds_cfg):
@@ -276,10 +261,8 @@ class _SubjectData:
     sessions: tuple = ()
 
 
-def _split_beats(prepared: PreparedSource, subject: str, cell: RegimeCell,
-                 seed: int):
-    """Within-record 70/30 split by beat position, seeded shuffle."""
-    n = len(prepared.segments)
+def _split_beats(n: int, subject: str, cell: RegimeCell, seed: int):
+    """Within-record 70/30 split of n beat positions, seeded shuffle."""
     if n < 2:
         return None
     rng = sub_rng(seed, "beat-split", cell.name, subject)
@@ -304,31 +287,27 @@ def _realize_plan(plan: SplitPlan, cell: RegimeCell, store: SegmentStore,
         for side, sources in (("enroll", split.enroll), ("probe", split.probe)):
             for source in sources:
                 prepared = store.prepare(source)
+                n = len(prepared.segments)
+                idx = range(n)
                 if source.beat_role is not None:
-                    picked = _split_beats(prepared, subject, cell, seed)
+                    picked = _split_beats(n, subject, cell, seed)
                     if picked is None:
                         ok = False
                         break
                     idx = picked[0] if source.beat_role == "enroll" else picked[1]
-                    segs = [prepared.segments[i] for i in idx]
-                    spans = [prepared.spans[i] for i in idx]
-                    feats = [prepared.features[i] for i in idx]
-                else:
-                    segs = prepared.segments
-                    spans = prepared.spans
-                    feats = prepared.features
+                segs = [prepared.segments[i] for i in idx]
+                spans = [(source.record_key, *prepared.spans[i]) for i in idx]
+                feats = [prepared.features[i] for i in idx]
                 if side == "enroll":
                     data.enroll_segments.extend(segs)
                     data.enroll_features.extend(feats)
-                    data.enroll_spans.extend(
-                        (source.record_key, lo, hi) for lo, hi in spans)
+                    data.enroll_spans.extend(spans)
                     sessions.extend(s.key.session_id for s in segs)
                 else:
                     if segs:
                         data.probe_groups.append(segs)
                         data.probe_features.append(feats)
-                        data.probe_spans.extend(
-                            (source.record_key, lo, hi) for lo, hi in spans)
+                        data.probe_spans.extend(spans)
             if not ok:
                 break
         data.sessions = tuple(dict.fromkeys(sessions))

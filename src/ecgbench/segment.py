@@ -9,23 +9,14 @@ from .errors import WindowLongerThanSignal
 
 
 @dataclass(frozen=True)
-class BeatSegment:
-    """Fixed-length window around one R peak.
+class Segment:
+    """A fixed-length window cut from a signal: samples[i] is signal[start + i].
 
-    length = round((pre_s + post_s) * fs) and the R sample sits at
-    round(pre_s * fs); both hold exactly for every emitted segment.
+    A beat's R sample is start + round(pre_s * fs); a blind window starts at a
+    multiple of round(stride_s * fs).
     """
     samples: np.ndarray
-    peak_index: int
-    fs: float
-    position: int
-    key: RecordKey | None = None
-
-
-@dataclass(frozen=True)
-class WindowSegment:
-    samples: np.ndarray
-    start_index: int
+    start: int
     fs: float
     position: int
     key: RecordKey | None = None
@@ -47,8 +38,8 @@ def align_peak(x, peak: int, fs: float, half_window_s: float = 0.05) -> int:
 
 
 def segment_beats(x, fs: float, peaks, pre_s: float, post_s: float,
-                  align: bool = True, key: RecordKey | None = None) -> list[BeatSegment]:
-    """One segment per peak whose window fits inside the signal.
+                  align: bool = True, key: RecordKey | None = None) -> list[Segment]:
+    """One segment per peak index whose window fits inside the signal.
 
     Out-of-bounds beats are dropped, never padded; position indices are
     sequential over the kept beats.
@@ -56,27 +47,21 @@ def segment_beats(x, fs: float, peaks, pre_s: float, post_s: float,
     if pre_s <= 0 or post_s <= 0:
         raise ValueError("pre_s and post_s must be positive")
     x = np.asarray(x, dtype=float)
-    indices = peaks.indices if hasattr(peaks, "indices") else np.asarray(peaks, dtype=int)
     pre = int(round(pre_s * fs))
     length = int(round((pre_s + post_s) * fs))
     segments = []
-    for peak in indices:
+    for peak in np.asarray(peaks, dtype=int):
         peak = align_peak(x, int(peak), fs) if align else int(peak)
         start = peak - pre
         if start < 0 or start + length > len(x):
             continue
-        segments.append(BeatSegment(
-            samples=x[start: start + length].copy(),
-            peak_index=peak,
-            fs=fs,
-            position=len(segments),
-            key=key,
-        ))
+        segments.append(Segment(samples=x[start: start + length].copy(), start=start,
+                                fs=fs, position=len(segments), key=key))
     return segments
 
 
 def segment_blind(x, fs: float, window_s: float, stride_s: float,
-                  key: RecordKey | None = None) -> list[WindowSegment]:
+                  key: RecordKey | None = None) -> list[Segment]:
     """Sliding windows at starts 0, stride, 2*stride, ... while they fit."""
     if not 0 < stride_s <= window_s:
         raise ValueError("need 0 < stride_s <= window_s")
@@ -87,7 +72,6 @@ def segment_blind(x, fs: float, window_s: float, stride_s: float,
         raise WindowLongerThanSignal(f"window of {w} samples on {len(x)}-sample signal")
     count = (len(x) - w) // s + 1
     return [
-        WindowSegment(samples=x[i * s: i * s + w].copy(), start_index=i * s,
-                      fs=fs, position=i, key=key)
+        Segment(samples=x[i * s: i * s + w].copy(), start=i * s, fs=fs, position=i, key=key)
         for i in range(count)
     ]

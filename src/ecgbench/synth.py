@@ -11,7 +11,8 @@ Everything is a pure function of (spec, seed).
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import get_args
 
 import numpy as np
 
@@ -228,8 +229,8 @@ def synthesize_record(
 def generate_recordings(spec: SynthSpec, seed: int):
     """All records of a dataset, in-memory.
 
-    Yields (Recording, true_peaks) in deterministic (subject, day, record)
-    order. record_index counts acquisitions within a day.
+    Returns a list of (Recording, true_peaks) in deterministic (subject, day,
+    record) order. record_index counts acquisitions within a day.
     """
     out = []
     for i in range(spec.n_subjects):
@@ -338,27 +339,44 @@ def preset_spec(name: str) -> SynthSpec:
     raise ValueError(f"unknown preset {name!r} (have fallacy30, aging4, ablation)")
 
 
-def spec_from_dict(raw: dict) -> SynthSpec:
-    """Build a SynthSpec from a parsed JSON description (cmd_synth --spec)."""
-    sessions = tuple(
-        SessionEffects(
-            session_id=str(s["session_id"]),
-            day_index=int(s.get("day_index", 0)),
-            morphology_drift=float(s.get("morphology_drift", 0.0)),
-            noise_sigma=float(s.get("noise_sigma", 0.0)),
-            baseline_amp=float(s.get("baseline_amp", 0.0)),
-            baseline_freq=float(s.get("baseline_freq", 0.3)),
-            amplitude_scale=float(s.get("amplitude_scale", 1.0)),
-            trend_fraction=(float(s["trend_fraction"])
-                            if s.get("trend_fraction") is not None else None),
-        )
-        for s in raw["sessions"]
-    )
-    return SynthSpec(
-        n_subjects=int(raw["n_subjects"]),
-        sessions=sessions,
-        duration_s=float(raw.get("duration_s", 60.0)),
-        fs=float(raw.get("fs", 250.0)),
-        records_per_session=int(raw.get("records_per_session", 1)),
-        drift_trend_weight=float(raw.get("drift_trend_weight", 0.0)),
-    )
+def _from_object(cls, raw, where: str, **built):
+    """Build the dataclass cls from a JSON object.
+
+    Every key must name a field of cls, and a field left out takes its
+    default. Each value is cast to its field's type; None stays None only
+    where the field is optional. ``built`` supplies fields already built.
+    """
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(raw).__name__}")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(raw) - set(types))
+    if unknown:
+        raise ValueError(f"{where}: unknown key(s) {', '.join(unknown)}")
+    values = {}
+    for name, value in raw.items():
+        if name in built:
+            continue
+        kinds = get_args(types[name]) or (types[name],)
+        if value is not None or type(None) not in kinds:
+            try:
+                value = kinds[0](value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{where}.{name}: {exc}") from None
+        values[name] = value
+    try:
+        return cls(**values, **built)
+    except TypeError as exc:  # a field without a default was left out
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def spec_from_dict(raw) -> SynthSpec:
+    """Build a SynthSpec from a parsed JSON description (cmd_synth --spec).
+
+    Raises ValueError for a spec or session that is not an object, for a key
+    that names no field, and for a value of the wrong type.
+    """
+    sessions = raw.get("sessions") if isinstance(raw, dict) else None
+    if not isinstance(sessions, list):
+        raise ValueError("spec must be a JSON object with a list of sessions")
+    return _from_object(SynthSpec, raw, "spec", sessions=tuple(
+        _from_object(SessionEffects, s, f"sessions[{i}]") for i, s in enumerate(sessions)))

@@ -3,12 +3,12 @@ import pytest
 
 from ecgbench.augment import apply_augmentation, augment_training_set
 from ecgbench.core import AugmentConfig, AugmentOpConfig, RecordKey
-from ecgbench.segment import BeatSegment
+from ecgbench.segment import Segment
 
 
 def _seg(samples, position=0, subject="a"):
-    return BeatSegment(samples=np.asarray(samples, dtype=float), peak_index=50,
-                       fs=250.0, position=position, key=RecordKey(subject, "s0", 0, 0))
+    return Segment(samples=np.asarray(samples, dtype=float), start=50,
+                   fs=250.0, position=position, key=RecordKey(subject, "s0", 0, 0))
 
 
 def test_amplitude_scale_fixed_factor():

@@ -6,9 +6,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ecgbench import cli, regimes
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SPEC = {
     "n_subjects": 4,
@@ -92,7 +95,9 @@ def test_bad_seed_override_exits_2(dataset, monkeypatch, capsys, override):
     {"schema_version": 1, "results": {"single_session|closed": {"counts": {}}}},
     {"schema_version": 1, "results": {"single_session": {"metrics": {}}}},
     [1, 2],
-], ids=["no_results", "no_metrics", "key_without_setting", "not_an_object"])
+    {"schema_version": 2, "results": {}},
+], ids=["no_results", "no_metrics", "key_without_setting", "not_an_object",
+        "schema_version_2"])
 def test_report_on_malformed_results_exits_2(tmp_path, capsys, payload):
     path = _write_json(tmp_path / "results.json", payload)
     _assert_clean_failure(capsys, cli.main(["report", path]), 2)
@@ -103,7 +108,9 @@ def test_report_on_malformed_results_exits_2(tmp_path, capsys, payload):
     {"embedder": {"kind": "mlp", "target_len": 7}},
     {"bogus": 1},
     {"evaluation": {"metric": "cosine", "bogus": True}},
-], ids=["target_len_1", "mlp_target_len_7", "unknown_key", "unknown_nested_key"])
+    {"segmentation": {"mode": "blind", "window_s": 4.0, "stride_s": 2.0}},
+], ids=["target_len_1", "mlp_target_len_7", "unknown_key", "unknown_nested_key",
+        "blind_overlap_single_session"])
 def test_bad_config_exits_2(dataset, capsys, overrides):
     config = _config(dataset, "bad", **overrides)
     _assert_clean_failure(capsys, cli.main(["validate", "--config", config]), 2)
@@ -111,6 +118,29 @@ def test_bad_config_exits_2(dataset, capsys, overrides):
     code = cli.main(["run", "--config", config, "--out", str(out)])
     _assert_clean_failure(capsys, code, 2)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", [
+    [SPEC],
+    dict(SPEC, sessions=["s0"]),
+    dict(SPEC, sessions=[{"session_id": "s0", "noise_sgima": 0.03}]),
+], ids=["spec_not_an_object", "session_not_an_object", "unknown_session_key"])
+def test_bad_synth_spec_exits_2(tmp_path, capsys, spec):
+    path = _write_json(tmp_path / "spec.json", spec)
+    code = cli.main(["synth", "--spec", path, "--out", str(tmp_path / "data")])
+    _assert_clean_failure(capsys, code, 2)
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_diverging_mlp_exits_1_without_output(dataset, capsys):
+    config = _config(dataset, "diverge", regime="single_cross_session", seeds=[0],
+                     embedder={"kind": "mlp", "lr": 1e100, "epochs": 2})
+    out = dataset / "diverge"
+    code = cli.main(["run", "--config", config, "--out", str(out)])
+    assert "NonFiniteModel" in _assert_clean_failure(capsys, code, 1)
+    assert os.listdir(out) == []
 
 
 def test_probe_range_past_record_end_exits_1(dataset, capsys):
@@ -139,14 +169,85 @@ def test_leakage_exits_1_without_output(dataset, monkeypatch, capsys):
     assert os.listdir(out) == []
 
 
+def _env(**extra) -> dict:
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                                      env.get("PYTHONPATH")]))
+    return env
+
+
 def test_entry_point_reports_bad_seed_override_without_traceback(dataset):
-    env = dict(os.environ, ECGBENCH_SEED_OVERRIDE="abc")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ecgbench", "run", "--config", _config(dataset, "base"),
          "--out", str(dataset / "entry")],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=_env(ECGBENCH_SEED_OVERRIDE="abc"), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
     assert "ECGBENCH_SEED_OVERRIDE" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# --- the benchmark's tracer --------------------------------------------------------
+# bench/traced.py replaces module attributes by name (cli.load_dataset_from_config,
+# cli.results_payload, rpeak.pan_tompkins, ...) and matches each detection to the
+# record whose preprocessed samples object it was given. A rename or a copied
+# array there leaves the benchmark without spans or detections, so pin both here.
+
+PEAK_TOLERANCE = 0.05 * 250.0  # 50 ms at the 250 Hz of both datasets below
+
+
+def _traced_run(span_dir, config, out, **env):
+    span_dir.mkdir()
+    return subprocess.Popen(
+        [sys.executable, os.path.join(ROOT, "bench", "traced.py"), str(span_dir),
+         "run", "--config", config, "--out", str(out), *env.pop("argv", ())],
+        env=_env(**env), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+
+
+def _matched(reference, found) -> int:
+    """How many of reference lie within PEAK_TOLERANCE of an entry of found."""
+    gaps = np.abs(np.subtract.outer(np.asarray(reference), np.asarray(found)))
+    return int(np.sum(gaps.min(axis=1) <= PEAK_TOLERANCE))
+
+
+def _assert_traced(proc, span_dir, truth=None):
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    spans = [json.loads(p.read_text()) for p in sorted(span_dir.glob("spans-*.json"))]
+    main = [s for s in spans if s["role"] == "main"]
+    assert len(main) == 1
+    assert {"cli.load_dataset_from_config", "cli.results_payload"} <= set(main[0]["totals"])
+    if truth is None:
+        truth = {tuple(k): v for k, v in main[0]["truth"]}
+    detections = {tuple(k): v for s in spans for k, v in s["detections"]}
+    assert truth and set(detections) == set(truth)
+    se = sum(_matched(truth[k], d) for k, d in detections.items()) / sum(
+        len(truth[k]) for k in detections)
+    ppv = sum(_matched(d, truth[k]) for k, d in detections.items()) / sum(
+        len(d) for d in detections.values())
+    assert se >= 0.999 and ppv >= 0.999, (se, ppv)
+
+
+def test_bench_tracer_sees_every_layer(dataset, jobs1, tmp_path, monkeypatch, capsys):
+    preset = _write_json(tmp_path / "preset.json", {
+        "dataset": {"kind": "synthetic", "preset": "fallacy30", "seed": 0},
+        "regime": {"name": "single_cross_session", "setting": "closed"}, "seeds": [0, 1]})
+    manifest = json.loads((dataset / "data" / "manifest.json").read_text())
+    truth = {}
+    for e in manifest["records"]:
+        peaks = (dataset / "data" / e["path"]).with_suffix(".peaks.json")
+        truth[(e["subject"], e["session"], e["day"], e["record_index"])] = \
+            json.loads(peaks.read_text())["peaks"]
+    # Both traced runs go in the background while the untraced reference of the
+    # preset run happens in this process.
+    pool = _traced_run(tmp_path / "pool_spans", _config(dataset, "base"),
+                       tmp_path / "pool", argv=("--jobs", "2"))
+    preset_run = _traced_run(tmp_path / "preset_spans", preset, tmp_path / "preset",
+                             ECGBENCH_SEED_OVERRIDE="0")
+    monkeypatch.setenv(cli.SEED_ENV, "0")
+    assert cli.main(["run", "--config", preset, "--out", str(tmp_path / "plain")]) == 0
+    _assert_traced(pool, tmp_path / "pool_spans", truth)
+    _assert_traced(preset_run, tmp_path / "preset_spans")
+    assert (tmp_path / "pool" / "results.json").read_bytes() == \
+        (jobs1 / "results.json").read_bytes()
+    assert (tmp_path / "preset" / "results.json").read_bytes() == \
+        (tmp_path / "plain" / "results.json").read_bytes()

@@ -239,11 +239,13 @@ def test_pinned_config_round_trips(name):
 
 
 def test_blind_mode_takes_back_only_its_placeholders():
+    # single_session rejects overlapping windows, so take a regime that allows them.
+    base = dict(MINIMAL, regime="single_cross_session")
     blind = {"mode": "blind", "window_s": 4.0, "stride_s": 1.0}
-    stored = validate_config(dict(MINIMAL, segmentation=blind)).segmentation
+    stored = validate_config(dict(base, segmentation=blind)).segmentation
     echoed = dict(blind, pre_s=0.0, post_s=0, align_peak=False)
-    assert validate_config(dict(MINIMAL, segmentation=echoed)).segmentation == stored
+    assert validate_config(dict(base, segmentation=echoed)).segmentation == stored
     for key, value in (("pre_s", 0.1), ("post_s", False), ("align_peak", 0),
                        ("align_peak", True), ("pre_s", None)):
         with pytest.raises(InconsistentSettings):
-            validate_config(dict(MINIMAL, segmentation=dict(blind, **{key: value})))
+            validate_config(dict(base, segmentation=dict(blind, **{key: value})))

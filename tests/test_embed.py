@@ -36,7 +36,7 @@ def _subject_beats(seed, n_records=2, noise=0.01, target=64):
             theta, synth.SessionEffects("s0", noise_sigma=noise),
             35.0, 250.0, seed=1000 * seed + r)
         for seg in segment_beats(rec.channels[0], rec.fs, peaks, 0.2, 0.4, align=False):
-            rows.append(embed.morphology_embed(seg, target))
+            rows.append(embed.morphology_embed(seg.samples, target))
     return np.stack(rows)
 
 

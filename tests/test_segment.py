@@ -54,7 +54,7 @@ def test_out_of_bounds_beats_dropped():
     x = np.zeros(1000)
     segs = segment_beats(x, FS, [10, 500], 0.2, 0.4, align=False)
     assert len(segs) == 1
-    assert segs[0].peak_index == 500
+    assert segs[0].start + round(0.2 * FS) == 500
     tail = segment_beats(x, FS, [500, 900], 0.2, 0.4, align=False)
     assert len(tail) == 1  # 900 + 0.4 s does not fit
 
@@ -77,7 +77,7 @@ def test_blind_window_counts():
     x = np.zeros(int(10 * FS))
     segs = segment_blind(x, FS, 5.0, 2.5)
     assert len(segs) == 3
-    assert [s.start_index for s in segs] == [0, 1250, 2500]
+    assert [s.start for s in segs] == [0, 1250, 2500]
 
 
 def test_blind_single_window():
@@ -95,6 +95,6 @@ def test_blind_overlap_tiling():
     segs = segment_blind(x, FS, 4.0, 1.5)
     w, s = round(4.0 * FS), round(1.5 * FS)
     for a, b in zip(segs, segs[1:]):
-        assert b.start_index - a.start_index == s
+        assert b.start - a.start == s
         overlap = a.samples[s:]
         assert np.array_equal(overlap, b.samples[: w - s])

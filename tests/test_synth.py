@@ -97,7 +97,7 @@ def test_session_drift_changes_signal():
 
 def _session_mean_embedding(rec, peaks):
     segs = segment_beats(rec.channels[0], rec.fs, peaks, 0.2, 0.4, align=False)
-    embs = np.stack([morphology_embed(s, target_len=64) for s in segs])
+    embs = np.stack([morphology_embed(s.samples, target_len=64) for s in segs])
     return embs.mean(axis=0)
 
 
