@@ -195,11 +195,10 @@ def test_entry_point_reports_bad_seed_override_without_traceback(dataset):
 PEAK_TOLERANCE = 0.05 * 250.0  # 50 ms at the 250 Hz of both datasets below
 
 
-def _traced_run(span_dir, config, out, **env):
+def _traced_run(span_dir, argv, **env):
     span_dir.mkdir()
     return subprocess.Popen(
-        [sys.executable, os.path.join(ROOT, "bench", "traced.py"), str(span_dir),
-         "run", "--config", config, "--out", str(out), *env.pop("argv", ())],
+        [sys.executable, os.path.join(ROOT, "bench", "traced.py"), str(span_dir), *argv],
         env=_env(**env), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
 
 
@@ -227,7 +226,7 @@ def _assert_traced(proc, span_dir, truth=None):
     assert se >= 0.999 and ppv >= 0.999, (se, ppv)
 
 
-def test_bench_tracer_sees_every_layer(dataset, jobs1, tmp_path, monkeypatch, capsys):
+def test_bench_tracer_sees_every_layer(dataset, jobs1, tmp_path, monkeypatch):
     preset = _write_json(tmp_path / "preset.json", {
         "dataset": {"kind": "synthetic", "preset": "fallacy30", "seed": 0},
         "regime": {"name": "single_cross_session", "setting": "closed"}, "seeds": [0, 1]})
@@ -239,10 +238,13 @@ def test_bench_tracer_sees_every_layer(dataset, jobs1, tmp_path, monkeypatch, ca
             json.loads(peaks.read_text())["peaks"]
     # Both traced runs go in the background while the untraced reference of the
     # preset run happens in this process.
-    pool = _traced_run(tmp_path / "pool_spans", _config(dataset, "base"),
-                       tmp_path / "pool", argv=("--jobs", "2"))
-    preset_run = _traced_run(tmp_path / "preset_spans", preset, tmp_path / "preset",
-                             ECGBENCH_SEED_OVERRIDE="0")
+    pool = _traced_run(tmp_path / "pool_spans", [
+        "run", "--config", _config(dataset, "base"), "--out", str(tmp_path / "pool"),
+        "--jobs", "2"])
+    preset_run = _traced_run(
+        tmp_path / "preset_spans",
+        ["run", "--config", preset, "--out", str(tmp_path / "preset")],
+        ECGBENCH_SEED_OVERRIDE="0")
     monkeypatch.setenv(cli.SEED_ENV, "0")
     assert cli.main(["run", "--config", preset, "--out", str(tmp_path / "plain")]) == 0
     _assert_traced(pool, tmp_path / "pool_spans", truth)
