@@ -104,16 +104,44 @@ def render_csv(payload: dict) -> str:
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(cfg, store, cells):
-    _WORKER_STATE["cfg"] = cfg
+def _init_worker(store, cells):
     _WORKER_STATE["store"] = store
     _WORKER_STATE["cells"] = cells
 
 
+def _worker_prepare(source):
+    try:
+        return _WORKER_STATE["store"].prepare(source)
+    except EcgBenchError:
+        return None
+
+
 def _worker_seed(seed: int):
-    return seed, run_evaluation(_WORKER_STATE["cfg"], seed,
-                                store=_WORKER_STATE["store"],
+    store = _WORKER_STATE["store"]
+    return seed, run_evaluation(store.cfg, seed, store=store,
                                 cells=_WORKER_STATE["cells"])
+
+
+def _pool(jobs: int, store, cells):
+    # Under the fork start method, Linux's default, workers inherit the store
+    # instead of unpickling it.
+    return concurrent.futures.ProcessPoolExecutor(
+        max_workers=jobs, initializer=_init_worker, initargs=(store, cells))
+
+
+def _warm_store(store, cells, jobs: int):
+    """Prepare each (record, time range) the cells name once, spread over
+    jobs workers, and cache the results in store.
+
+    A source whose preparation fails stays uncached: the seed that needs it
+    raises the error again, so a run reports the same first error as at
+    --jobs 1.
+    """
+    sources = store.sources(cells)
+    with _pool(jobs, store, cells) as pool:
+        for source, prepared in zip(sources, pool.map(_worker_prepare, sources)):
+            if prepared is not None:
+                store.add(source, prepared)
 
 
 def cmd_run(args) -> int:
@@ -140,9 +168,8 @@ def cmd_run(args) -> int:
             for seed in seeds:
                 per_seed[seed] = run_evaluation(cfg, seed, store=store, cells=cells)
         else:
-            with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=args.jobs, initializer=_init_worker,
-                    initargs=(cfg, store, cells)) as pool:
+            _warm_store(store, cells, args.jobs)
+            with _pool(args.jobs, store, cells) as pool:
                 for seed, record in pool.map(_worker_seed, seeds):
                     per_seed[seed] = record
         payload = results_payload(cfg, seeds, per_seed)

@@ -11,6 +11,7 @@ apply_filter, the only code that uses it, so the default pipeline never loads
 scipy.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -229,6 +230,24 @@ def _require_window(spec: FilterSpec) -> int:
     return w
 
 
+@functools.lru_cache(maxsize=2)
+def _zero_phase_gain(spec: FilterSpec, n: int, fs: float) -> np.ndarray:
+    """|H|^2 of an LTI spec on the rfft grid of an n-sample signal.
+
+    Preprocessing and the detector's band-pass alternate on records of one
+    length, so two entries serve both. The array is read-only because every
+    caller shares it.
+    """
+    cascade, taps, _ = _lti_realization(spec, fs)
+    if cascade is not None:
+        h = cascade.response(np.fft.rfftfreq(n, d=1.0 / fs), fs)
+    else:
+        h = np.fft.rfft(taps, n=n)
+    gain = (h * np.conj(h)).real
+    gain.flags.writeable = False
+    return gain
+
+
 def apply_filter(spec: FilterSpec, x, fs: float) -> np.ndarray:
     """Apply one filter; output has the same length as the input.
 
@@ -264,12 +283,8 @@ def apply_filter(spec: FilterSpec, x, fs: float) -> np.ndarray:
             raise SignalTooShort(
                 f"zero_phase needs more than {3 * flen} samples, got {len(x)}"
             )
-        freqs = np.fft.rfftfreq(len(x), d=1.0 / fs)
-        if cascade is not None:
-            h = cascade.response(freqs, fs)
-        else:
-            h = np.fft.rfft(taps, n=len(x))
-        return np.fft.irfft(np.fft.rfft(x) * (h * np.conj(h)).real, n=len(x))
+        gain = _zero_phase_gain(spec, len(x), fs)
+        return np.fft.irfft(np.fft.rfft(x) * gain, n=len(x))
     if spec.phase_mode == "causal":
         import scipy.signal
 

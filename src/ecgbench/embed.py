@@ -113,19 +113,21 @@ def mlp_train(x, labels, hidden_dim: int = 64, lr: float = 0.05,
     rng = np.random.default_rng(seed)
     w1, b1, w2, b2 = mlp_init(x.shape[1], hidden_dim, len(classes), rng).params
     losses = []
-    for _ in range(epochs):
-        order = rng.permutation(len(x))
-        batch_losses = []
-        for start in range(0, len(x), batch):
-            sel = order[start: start + batch]
-            loss, (gw1, gb1, gw2, gb2) = _loss_and_grads(
-                (w1, b1, w2, b2), x[sel], labels[sel])
-            batch_losses.append(loss)
-            w1 = w1 - lr * gw1
-            b1 = b1 - lr * gb1
-            w2 = w2 - lr * gw2
-            b2 = b2 - lr * gb2
-        losses.append(float(np.mean(batch_losses)))
+    # A diverging run overflows to inf and nan; MlpModel rejects those below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            order = rng.permutation(len(x))
+            batch_losses = []
+            for start in range(0, len(x), batch):
+                sel = order[start: start + batch]
+                loss, (gw1, gb1, gw2, gb2) = _loss_and_grads(
+                    (w1, b1, w2, b2), x[sel], labels[sel])
+                batch_losses.append(loss)
+                w1 = w1 - lr * gw1
+                b1 = b1 - lr * gb1
+                w2 = w2 - lr * gw2
+                b2 = b2 - lr * gb2
+            losses.append(float(np.mean(batch_losses)))
     return MlpModel(w1=w1, b1=b1, w2=w2, b2=b2), losses
 
 

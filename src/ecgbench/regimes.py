@@ -203,6 +203,29 @@ class SegmentStore:
             self._prepared[cache_key] = self._segment(*cache_key)
         return self._prepared[cache_key]
 
+    def sources(self, cells) -> list:
+        """Each distinct (record, time range) that the cells' plans name, in
+        plan order, as a SegmentSource without a beat role. A cell with no
+        plan names none; evaluating it raises the error."""
+        pairs = {}
+        for cell in cells:
+            try:
+                plan = map_regime(self.index, cell)
+            except RegimeUnsatisfiable:
+                continue
+            for split in plan.subjects.values():
+                for source in split.enroll + split.probe:
+                    pairs[(source.record_key, source.time_range)] = None
+        return [SegmentSource(key, time_range) for key, time_range in pairs]
+
+    def add(self, source: SegmentSource, prepared: PreparedSource):
+        """Cache a preparation made by another process's store. Pickling drops
+        the read-only flag of every feature row, so it is set again here."""
+        for row in prepared.features:
+            if row is not None:
+                row.flags.writeable = False
+        self._prepared[(source.record_key, source.time_range)] = prepared
+
     def _segment(self, record_key, time_range) -> PreparedSource:
         clean = self.clean(record_key)
         samples, offset = clean.samples, 0

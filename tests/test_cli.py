@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ecgbench import cli, regimes
+from ecgbench.core import validate_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -132,24 +133,63 @@ def test_bad_synth_spec_exits_2(tmp_path, capsys, spec):
     assert not (tmp_path / "data").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+def _diverging_config(dataset) -> str:
+    return _config(dataset, "diverge", regime="single_cross_session", seeds=[0],
+                   embedder={"kind": "mlp", "lr": 1e100, "epochs": 2})
+
+
 def test_diverging_mlp_exits_1_without_output(dataset, capsys):
-    config = _config(dataset, "diverge", regime="single_cross_session", seeds=[0],
-                     embedder={"kind": "mlp", "lr": 1e100, "epochs": 2})
     out = dataset / "diverge"
-    code = cli.main(["run", "--config", config, "--out", str(out)])
+    code = cli.main(["run", "--config", _diverging_config(dataset), "--out", str(out)])
     assert "NonFiniteModel" in _assert_clean_failure(capsys, code, 1)
     assert os.listdir(out) == []
 
 
-def test_probe_range_past_record_end_exits_1(dataset, capsys):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_probe_range_past_record_end_exits_1(dataset, capsys, jobs):
     config = _config(dataset, "range", regime={
         "name": "custom_split", "enroll_range": [0.0, 8.0], "probe_range": [10.0, 25.0]})
-    out = dataset / "range"
-    code = cli.main(["run", "--config", config, "--out", str(out)])
-    assert "RangeOutOfBounds" in _assert_clean_failure(capsys, code, 1)
+    out = dataset / f"range_jobs{jobs}"
+    code = cli.main(["run", "--config", config, "--out", str(out), "--jobs", jobs])
+    assert _assert_clean_failure(capsys, code, 1) == (
+        "ecgbench: error: evaluation: RangeOutOfBounds: range (10.0, 25.0) outside record\n")
     assert os.listdir(out) == []
+
+
+def test_first_failing_cell_reported_at_any_jobs(dataset, capsys):
+    # The diverging cell comes first. The warm-up at --jobs 2 meets the errors
+    # of the later cells first, and must not report them in its place.
+    config = _config(dataset, "failures", regime=[
+        "single_cross_session", "ss_short_term",
+        {"name": "custom_split", "enroll_range": [0.0, 8.0], "probe_range": [10.0, 25.0]}],
+        embedder={"kind": "mlp", "lr": 1e100, "epochs": 2})
+    errors = []
+    for jobs in ("1", "2"):
+        out = dataset / f"failures_jobs{jobs}"
+        code = cli.main(["run", "--config", config, "--out", str(out), "--jobs", jobs])
+        errors.append(_assert_clean_failure(capsys, code, 1))
+    assert "NonFiniteModel" in errors[0]
+    assert errors[1] == errors[0]
+
+
+def test_pool_warm_up_prepares_every_source_once_read_only(dataset, jobs1, monkeypatch):
+    cfg = validate_config(json.loads((dataset / "base.json").read_text()))
+    store = regimes.SegmentStore(cfg, *regimes.load_dataset_from_config(cfg.dataset))
+    cli._warm_store(store, cfg.regimes, 2)
+    sources = store.sources(cfg.regimes)
+    assert len(sources) == len(store.index.records)
+    rows = [row for s in sources for row in store.prepare(s).features if row is not None]
+    assert rows and not any(row.flags.writeable for row in rows)
+    with pytest.raises(ValueError):
+        rows[0][0] = 0.0
+
+    def no_second_preparation(*args):
+        raise AssertionError(f"prepared again: {args}")
+
+    monkeypatch.setattr(store, "_segment", no_second_preparation)
+    record = regimes.run_evaluation(cfg, 0, store=store)
+    expected = json.loads((jobs1 / "results.json").read_text())["per_seed"]["0"]
+    assert json.loads(json.dumps(record)) == expected
 
 
 def test_leakage_exits_1_without_output(dataset, monkeypatch, capsys):
@@ -186,6 +226,16 @@ def test_entry_point_reports_bad_seed_override_without_traceback(dataset):
     assert "Traceback" not in proc.stderr
 
 
+def test_entry_point_reports_diverging_mlp_in_one_line(dataset):
+    proc = subprocess.run(
+        [sys.executable, "-m", "ecgbench", "run", "--config", _diverging_config(dataset),
+         "--out", str(dataset / "entry_diverge")],
+        env=_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == ("ecgbench: error: evaluation: NonFiniteModel: "
+                           "non-finite model parameters (did training diverge?)\n")
+
+
 # --- the benchmark's tracer --------------------------------------------------------
 # bench/traced.py replaces module attributes by name (cli.load_dataset_from_config,
 # cli.results_payload, rpeak.pan_tompkins, ...) and matches each detection to the
@@ -209,6 +259,7 @@ def _matched(reference, found) -> int:
 
 
 def _assert_traced(proc, span_dir, truth=None):
+    """Check a traced run and return its span files."""
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
     spans = [json.loads(p.read_text()) for p in sorted(span_dir.glob("spans-*.json"))]
@@ -224,6 +275,11 @@ def _assert_traced(proc, span_dir, truth=None):
     ppv = sum(_matched(d, truth[k]) for k, d in detections.items()) / sum(
         len(d) for d in detections.values())
     assert se >= 0.999 and ppv >= 0.999, (se, ppv)
+    return spans
+
+
+def _calls(spans, name) -> int:
+    return sum(s["totals"][name][0] for s in spans if name in s["totals"])
 
 
 def test_bench_tracer_sees_every_layer(dataset, jobs1, tmp_path, monkeypatch):
@@ -247,7 +303,10 @@ def test_bench_tracer_sees_every_layer(dataset, jobs1, tmp_path, monkeypatch):
         ECGBENCH_SEED_OVERRIDE="0")
     monkeypatch.setenv(cli.SEED_ENV, "0")
     assert cli.main(["run", "--config", preset, "--out", str(tmp_path / "plain")]) == 0
-    _assert_traced(pool, tmp_path / "pool_spans", truth)
+    pool_spans = _assert_traced(pool, tmp_path / "pool_spans", truth)
+    # The pool prepares each record once across all its processes.
+    assert _calls(pool_spans, "rpeak.pan_tompkins") == len(truth)
+    assert _calls(pool_spans, "dsp.preprocess") == len(truth)
     _assert_traced(preset_run, tmp_path / "preset_spans")
     assert (tmp_path / "pool" / "results.json").read_bytes() == \
         (jobs1 / "results.json").read_bytes()

@@ -101,6 +101,18 @@ def test_zero_phase_signal_too_short():
         apply_filter(spec, np.zeros(10), FS)
 
 
+def test_cached_zero_phase_gain_matches_direct_response(rng):
+    # Three (length, rate) keys cycle through the two-entry cache.
+    spec = FilterSpec(kind="butterworth_bandpass", order=3, low_hz=0.5, high_hz=40.0)
+    x = rng.normal(size=4000)
+    for n, fs in [(4000, FS), (4000, 250.0), (3000, FS), (4000, FS)]:
+        h = design_butterworth(3, fs, low_hz=0.5, high_hz=40.0).response(
+            np.fft.rfftfreq(n, d=1.0 / fs), fs)
+        expect = np.fft.irfft(np.fft.rfft(x[:n]) * (h * np.conj(h)).real, n=n)
+        assert apply_filter(spec, x[:n], fs).tobytes() == expect.tobytes()
+    assert not dsp._zero_phase_gain(spec, 4000, FS).flags.writeable
+
+
 def test_linearity_of_linear_filters(rng):
     x = rng.normal(size=4000)
     y = rng.normal(size=4000)
