@@ -145,7 +145,7 @@ def test_diverging_mlp_exits_1_without_output(dataset, capsys):
     assert os.listdir(out) == []
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("jobs", ["1", "2"], ids=["jobs1", "jobs2"])
 def test_probe_range_past_record_end_exits_1(dataset, capsys, jobs):
     config = _config(dataset, "range", regime={
         "name": "custom_split", "enroll_range": [0.0, 8.0], "probe_range": [10.0, 25.0]})
