@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import __version__
-from .core import METRIC_FIELDS, RunConfig, validate_config
+from .core import METRIC_FIELDS, PRESET_NAMES, RunConfig, validate_config
 from .errors import ConfigError, EcgBenchError, SchemaError, SchemaVersionMismatch
 from .regimes import SegmentStore, aggregate_runs, load_dataset_from_config, run_evaluation
 from .synth import generate_dataset, preset_spec, spec_from_dict
@@ -122,11 +122,13 @@ def _worker_seed(seed: int):
                                 cells=_WORKER_STATE["cells"])
 
 
-def _pool(jobs: int, store, cells):
+def _pool(jobs: int, tasks: int, store, cells):
     # Under the fork start method, Linux's default, workers inherit the store
-    # instead of unpickling it.
+    # instead of unpickling it. The executor forks all of its workers at the
+    # first submit, so it gets no more of them than there are tasks.
     return concurrent.futures.ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(store, cells))
+        max_workers=max(1, min(jobs, tasks)), initializer=_init_worker,
+        initargs=(store, cells))
 
 
 def _warm_store(store, cells, jobs: int):
@@ -138,13 +140,15 @@ def _warm_store(store, cells, jobs: int):
     --jobs 1.
     """
     sources = store.sources(cells)
-    with _pool(jobs, store, cells) as pool:
+    with _pool(jobs, len(sources), store, cells) as pool:
         for source, prepared in zip(sources, pool.map(_worker_prepare, sources)):
             if prepared is not None:
                 store.add(source, prepared)
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        return _fail(f"--jobs must be at least 1, got {args.jobs}", 2)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -169,7 +173,7 @@ def cmd_run(args) -> int:
                 per_seed[seed] = run_evaluation(cfg, seed, store=store, cells=cells)
         else:
             _warm_store(store, cells, args.jobs)
-            with _pool(args.jobs, store, cells) as pool:
+            with _pool(args.jobs, len(seeds), store, cells) as pool:
                 for seed, record in pool.map(_worker_seed, seeds):
                     per_seed[seed] = record
         payload = results_payload(cfg, seeds, per_seed)
@@ -211,23 +215,25 @@ def _load_results(path: str) -> dict:
     return payload
 
 
-def _print_table(payloads: dict):
-    header = f"{'file':24} {'regime':22} {'setting':8} " + " ".join(
+def _print_table(payloads):
+    """One block of rows per (path, payload), in the order given."""
+    width = max(len(path) for path, _ in payloads)
+    header = f"{'file':{width}} {'regime':22} {'setting':8} " + " ".join(
         f"{name:>18}" for name in METRIC_FIELDS)
     print(header)
-    for name, payload in payloads.items():
+    for path, payload in payloads:
         for key in sorted(payload["results"]):
             regime, setting = key.split("|")
             cells = payload["results"][key]["metrics"]
             row = " ".join(
                 f"{cells[m]['mean']:10.4f}±{cells[m]['std']:<7.4f}"
                 for m in METRIC_FIELDS)
-            print(f"{name[:24]:24} {regime:22} {setting:8} {row}")
+            print(f"{path:{width}} {regime:22} {setting:8} {row}")
 
 
 def cmd_report(args) -> int:
     try:
-        payloads = {os.path.basename(p): _load_results(p) for p in args.results}
+        payloads = [(path, _load_results(path)) for path in args.results]
     except (OSError, json.JSONDecodeError, SchemaError, SchemaVersionMismatch) as exc:
         return _fail(str(exc), 2)
     _print_table(payloads)
@@ -273,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     group = p_synth.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset", choices=["fallacy30", "aging4", "ablation"])
+    group.add_argument("--preset", choices=PRESET_NAMES)
     group.add_argument("--spec", help="JSON file describing a custom SynthSpec")
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", required=True)

@@ -34,6 +34,7 @@ REGIME_NAMES = (
     "cross_session",
     "custom_split",
 )
+PRESET_NAMES = ("fallacy30", "aging4", "ablation")  # synth.preset_spec
 METRIC_NAMES = ("cosine", "euclidean", "pearson")
 FUSION_NAMES = ("mean", "representative")
 AUGMENT_KINDS = ("amplitude_scale", "gaussian_noise", "time_shift", "random_crop")
@@ -231,6 +232,8 @@ def _validate_dataset(raw) -> DatasetConfig:
         preset = raw.get("preset")
         if not isinstance(preset, str) or not preset:
             raise ConfigError("synthetic dataset needs a preset name")
+        if preset not in PRESET_NAMES:
+            raise ConfigError(f"unknown preset {preset!r} (have {', '.join(PRESET_NAMES)})")
         if "path" in raw:
             raise InconsistentSettings("synthetic dataset does not take a path")
         seed = _as_number(raw.get("seed", 0), "dataset.seed", integer=True, nonneg=True)
@@ -271,6 +274,8 @@ def _validate_filter(raw) -> FilterSpec:
             if p >= w:
                 raise InconsistentSettings(f"poly_order {p} must be < window_len {w}")
     spec = FilterSpec(**kwargs)
+    if spec.kind.startswith("butterworth") and not 1 <= spec.order <= 8:
+        raise ConfigError(f"filter.order must be in [1, 8] for {spec.kind}, got {spec.order}")
     if spec.kind in ("butterworth_bandpass", "fir_bandpass"):
         if spec.low_hz is None or spec.high_hz is None or spec.low_hz >= spec.high_hz:
             raise InconsistentSettings(
@@ -427,8 +432,16 @@ def _validate_one_regime(raw) -> list[RegimeCell]:
                 open_ratio=ratio,
                 split_seed=split_seed,
             )
-            if uses_sessions and (cell.enroll_session is None or cell.probe_session is None):
-                raise InconsistentSettings("cross_session needs enroll_session and probe_session")
+            if uses_sessions:
+                # Manifest session names are strings, so any other value never matches.
+                sessions = (cell.enroll_session, cell.probe_session)
+                if not all(isinstance(s, str) for s in sessions):
+                    raise InconsistentSettings(
+                        f"cross_session needs enroll_session and probe_session "
+                        f"names (strings), got {sessions}")
+                if sessions[0] == sessions[1]:
+                    raise InconsistentSettings(
+                        f"cross_session enrolls and probes on one session {sessions[0]!r}")
             if uses_ranges:
                 if cell.enroll_range is None or cell.probe_range is None:
                     raise InconsistentSettings("custom_split needs enroll_range and probe_range")

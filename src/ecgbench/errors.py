@@ -83,6 +83,14 @@ class WindowLongerThanSignal(EcgBenchError):
     """Blind window exceeds the signal duration."""
 
 
+class SamplingRateTooLow(EcgBenchError):
+    """Record sampled below the rate the R-peak detector needs."""
+
+
+class WindowTooShort(EcgBenchError):
+    """A segment window or stride spans too few samples at the record's rate."""
+
+
 # --- embedding ---------------------------------------------------------------
 
 class SingleClass(EcgBenchError):

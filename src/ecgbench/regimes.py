@@ -9,7 +9,7 @@ regardless of worker scheduling.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,50 +157,46 @@ def subject_partition(subjects, ratio: float, seed: int):
 
 @dataclass(frozen=True)
 class PreparedSource:
-    """Segments of one (record, time range), their sample spans in record space
-    and their morphology features."""
+    """Segments of one (record, time range) and, row i for segment i, their
+    sample spans in record space and their morphology features. A constant
+    segment's feature row is NaN and its present entry False."""
     segments: list
-    spans: list  # (lo, hi) in original-record sample indices
-    features: list  # read-only row per segment; None for a constant segment
+    spans: np.ndarray  # (n, 2) int: (lo, hi) in original-record sample indices
+    features: np.ndarray  # (n, embedder.target_len)
+    present: np.ndarray  # (n,) bool: the segment is not constant
 
 
-def _feature_of(segment, cfg: RunConfig):
-    """Read-only morphology feature of one segment, or None if it is constant.
-
-    The row is shared by every cell and seed that selects the segment, so an
-    in-place write raises instead of corrupting a later evaluation."""
-    try:
-        row = morphology_embed(segment.samples, cfg.embedder.target_len,
-                               cfg.preprocess.normalization)
-    except ZeroVariance:
-        return None
-    row.flags.writeable = False
-    return row
+def _features(segments, cfg: RunConfig):
+    """Morphology feature matrix of segments and the mask of its rows that
+    exist: a constant segment has no feature, and its row is NaN."""
+    matrix = np.full((len(segments), cfg.embedder.target_len), np.nan)
+    present = np.ones(len(segments), dtype=bool)
+    for i, seg in enumerate(segments):
+        try:
+            matrix[i] = morphology_embed(seg.samples, cfg.embedder.target_len,
+                                         cfg.preprocess.normalization)
+        except ZeroVariance:
+            present[i] = False
+    return matrix, present
 
 
 class SegmentStore:
-    """Caches preprocess + detection + segmentation + each segment's feature
-    per (record, time range)."""
+    """Caches, per (record, time range), the segments that preprocessing,
+    detection and segmentation give, with their features. The filtered record
+    is not kept: each time range of a record filters it again."""
 
     def __init__(self, cfg: RunConfig, index: DatasetIndex, recordings: dict):
         self.cfg = cfg
         self.index = index
         self.recordings = recordings
-        self._clean: dict = {}
         self._prepared: dict = {}
-
-    def clean(self, record_key) -> dsp.CleanSignal:
-        if record_key not in self._clean:
-            self._clean[record_key] = dsp.preprocess(
-                self.recordings[record_key], self.cfg.preprocess)
-        return self._clean[record_key]
 
     def prepare(self, source: SegmentSource) -> PreparedSource:
         """The cached preparation of the source's (record, time range); its
         beat_role is applied later, by _realize_plan."""
         cache_key = (source.record_key, source.time_range)
         if cache_key not in self._prepared:
-            self._prepared[cache_key] = self._segment(*cache_key)
+            self.add(source, self._segment(*cache_key))
         return self._prepared[cache_key]
 
     def sources(self, cells) -> list:
@@ -219,15 +215,16 @@ class SegmentStore:
         return [SegmentSource(key, time_range) for key, time_range in pairs]
 
     def add(self, source: SegmentSource, prepared: PreparedSource):
-        """Cache a preparation made by another process's store. Pickling drops
-        the read-only flag of every feature row, so it is set again here."""
-        for row in prepared.features:
-            if row is not None:
-                row.flags.writeable = False
+        """Cache a preparation, made here or by another process's store, with
+        its arrays read-only: every cell and seed that selects a segment shares
+        them, so an in-place write raises instead of corrupting a later
+        evaluation. Pickling drops the flag, so it is set here."""
+        for array in (prepared.spans, prepared.features, prepared.present):
+            array.flags.writeable = False
         self._prepared[(source.record_key, source.time_range)] = prepared
 
     def _segment(self, record_key, time_range) -> PreparedSource:
-        clean = self.clean(record_key)
+        clean = dsp.preprocess(self.recordings[record_key], self.cfg.preprocess)
         samples, offset = clean.samples, 0
         if time_range is not None:
             offset = int(round(time_range[0] * clean.fs))
@@ -240,17 +237,17 @@ class SegmentStore:
             try:
                 peaks = rpeak.pan_tompkins(samples, clean.fs)
             except NoPeaksDetected:
-                return PreparedSource(segments=[], spans=[], features=[])
-            segs = segment.segment_beats(
-                samples, clean.fs, peaks.indices, seg_cfg.pre_s, seg_cfg.post_s,
-                align=seg_cfg.align_peak, key=clean.key)
+                segs = []
+            else:
+                segs = segment.segment_beats(
+                    samples, clean.fs, peaks.indices, seg_cfg.pre_s, seg_cfg.post_s,
+                    align=seg_cfg.align_peak, key=clean.key)
         else:
             segs = segment.segment_blind(
                 samples, clean.fs, seg_cfg.window_s, seg_cfg.stride_s, key=clean.key)
-        return PreparedSource(
-            segments=segs,
-            spans=[(offset + s.start, offset + s.start + len(s.samples)) for s in segs],
-            features=[_feature_of(s, self.cfg) for s in segs])
+        spans = np.array([(offset + s.start, offset + s.start + len(s.samples))
+                          for s in segs], dtype=int).reshape(-1, 2)
+        return PreparedSource(segs, spans, *_features(segs, self.cfg))
 
 
 def load_dataset_from_config(ds_cfg):
@@ -272,16 +269,13 @@ def load_dataset_from_config(ds_cfg):
 # --- realization ------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class _SubjectData:
-    subject_id: str
-    enroll_segments: list = field(default_factory=list)
-    enroll_features: list = field(default_factory=list)  # aligned with segments
-    enroll_spans: list = field(default_factory=list)
-    probe_groups: list = field(default_factory=list)  # list of segment lists
-    probe_features: list = field(default_factory=list)  # aligned with probe_groups
-    probe_spans: list = field(default_factory=list)
-    sessions: tuple = ()
+    """One subject's (prepared source, segment indices) selections per side,
+    one for each source that kept segments, and its enrollment sessions."""
+    enroll: list
+    probe: list
+    sessions: tuple
 
 
 def _split_beats(n: int, subject: str, cell: RegimeCell, seed: int):
@@ -292,56 +286,49 @@ def _split_beats(n: int, subject: str, cell: RegimeCell, seed: int):
     order = rng.permutation(n)
     cut = int(round(SINGLE_SESSION_ENROLL_FRACTION * n))
     cut = min(max(cut, 1), n - 1)
-    enroll_idx = sorted(int(i) for i in order[:cut])
-    probe_idx = sorted(int(i) for i in order[cut:])
-    return enroll_idx, probe_idx
+    return np.sort(order[:cut]), np.sort(order[cut:])
+
+
+def _select(split: SubjectSplit, cell: RegimeCell, store: SegmentStore, seed: int):
+    """(source, prepared, indices) for each source of the split that keeps
+    segments, per side; None when a beat split has fewer than two beats."""
+    sides = ([], [])
+    for side, sources in zip(sides, (split.enroll, split.probe)):
+        for source in sources:
+            prepared = store.prepare(source)
+            idx = np.arange(len(prepared.segments))
+            if source.beat_role is not None:
+                halves = _split_beats(len(idx), split.subject_id, cell, seed)
+                if halves is None:
+                    return None
+                idx = halves[0] if source.beat_role == "enroll" else halves[1]
+            if len(idx):
+                side.append((source, prepared, idx))
+    return sides
 
 
 def _realize_plan(plan: SplitPlan, cell: RegimeCell, store: SegmentStore,
                   seed: int):
-    """Turn SegmentSources into concrete segments, enforcing no sample overlap
-    between the enrollment and probe sides of any record."""
+    """Select each subject's segments, enforcing no sample overlap between the
+    enrollment and probe sides of any record."""
     realized = {}
     dropped = []
     for subject, split in plan.subjects.items():
-        data = _SubjectData(subject_id=subject)
-        sessions = []
-        ok = True
-        for side, sources in (("enroll", split.enroll), ("probe", split.probe)):
-            for source in sources:
-                prepared = store.prepare(source)
-                n = len(prepared.segments)
-                idx = range(n)
-                if source.beat_role is not None:
-                    picked = _split_beats(n, subject, cell, seed)
-                    if picked is None:
-                        ok = False
-                        break
-                    idx = picked[0] if source.beat_role == "enroll" else picked[1]
-                segs = [prepared.segments[i] for i in idx]
-                spans = [(source.record_key, *prepared.spans[i]) for i in idx]
-                feats = [prepared.features[i] for i in idx]
-                if side == "enroll":
-                    data.enroll_segments.extend(segs)
-                    data.enroll_features.extend(feats)
-                    data.enroll_spans.extend(spans)
-                    sessions.extend(s.key.session_id for s in segs)
-                else:
-                    if segs:
-                        data.probe_groups.append(segs)
-                        data.probe_features.append(feats)
-                        data.probe_spans.extend(spans)
-            if not ok:
-                break
-        data.sessions = tuple(dict.fromkeys(sessions))
-        if not ok or not data.enroll_segments or not data.probe_groups:
+        sides = _select(split, cell, store, seed)
+        if sides is None or not all(sides):
             dropped.append(subject)
             continue
-        overlap = _span_overlaps(data.enroll_spans, data.probe_spans)
+        enroll_spans, probe_spans = (
+            [(source.record_key, *span) for source, prepared, idx in side
+             for span in prepared.spans[idx].tolist()] for side in sides)
+        overlap = _span_overlaps(enroll_spans, probe_spans)
         if overlap:
             raise SampleLeakage(
                 f"enrollment/probe sample overlap for {subject}: {overlap[:3]}")
-        realized[subject] = data
+        enroll, probe = ([(prepared, idx) for _, prepared, idx in side]
+                         for side in sides)
+        sessions = (source.record_key.session_id for source, _, _ in sides[0])
+        realized[subject] = _SubjectData(enroll, probe, tuple(dict.fromkeys(sessions)))
     return realized, dropped
 
 
@@ -358,9 +345,9 @@ def _span_overlaps(enroll_spans, probe_spans):
     return out
 
 
-def _present(features) -> list:
-    """The features of the non-constant segments, in order."""
-    return [f for f in features if f is not None]
+def _rows(prepared: PreparedSource, idx) -> np.ndarray:
+    """Feature rows of the selected non-constant segments, in order."""
+    return prepared.features[idx[prepared.present[idx]]]
 
 
 def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
@@ -383,30 +370,30 @@ def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
 
     if cfg.embedder.kind == "mlp":
         label_of = {s: i for i, s in enumerate(train_subjects)}
-        rows, labels, originals = [], [], []
+        blocks, labels, originals = [], [], []
         for subject in train_subjects:
-            data = realized[subject]
-            present = _present(data.enroll_features)
-            rows.extend(present)
-            labels.extend([label_of[subject]] * len(present))
-            originals.extend(data.enroll_segments)
+            for prepared, idx in realized[subject].enroll:
+                rows = _rows(prepared, idx)
+                blocks.append(rows)
+                labels.append(np.full(len(rows), label_of[subject]))
+                originals.extend(prepared.segments[i] for i in idx)
         if cfg.embedder.augment.multiplier > 0:
             # Augmented copies are new segments, so only they need new features.
             augmented = augment_training_set(
                 originals, cfg.embedder.augment,
-                stable_seed(seed, "augment", cell.name, cell.setting))
-            for seg in augmented[len(originals):]:
-                row = _feature_of(seg, cfg)
-                if row is not None:
-                    rows.append(row)
-                    labels.append(label_of[seg.key.subject_id])
+                stable_seed(seed, "augment", cell.name, cell.setting))[len(originals):]
+            rows, present = _features(augmented, cfg)
+            blocks.append(rows[present])
+            labels.append(np.array([label_of[seg.key.subject_id] for seg in augmented],
+                                   dtype=int)[present])
         model, _losses = mlp_train(
-            np.stack(rows), np.asarray(labels), hidden_dim=cfg.embedder.hidden_dim,
-            lr=cfg.embedder.lr, epochs=cfg.embedder.epochs, batch=cfg.embedder.batch,
+            np.concatenate(blocks), np.concatenate(labels),
+            hidden_dim=cfg.embedder.hidden_dim, lr=cfg.embedder.lr,
+            epochs=cfg.embedder.epochs, batch=cfg.embedder.batch,
             seed=stable_seed(seed, "mlp", cell.name, cell.setting))
-        embed_rows = lambda feats: list(mlp_embed(model, np.stack(feats)))
+        embed_rows = lambda rows: mlp_embed(model, rows)
     else:
-        embed_rows = lambda feats: [np.asarray(f, dtype=float) for f in feats]
+        embed_rows = lambda rows: rows
 
     gallery = []
     probe_vectors = []
@@ -414,19 +401,18 @@ def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
     final_eval = []
     for subject in eval_subjects:
         data = realized[subject]
-        enroll_rows = _present(data.enroll_features)
-        probe_rows_by_group = [rows for rows in map(_present, data.probe_features)
-                               if rows]
-        if not enroll_rows or not probe_rows_by_group:
+        enroll_rows = np.concatenate([_rows(*pick) for pick in data.enroll])
+        probe_groups = [rows for rows in (_rows(*pick) for pick in data.probe)
+                        if len(rows)]
+        if not len(enroll_rows) or not probe_groups:
             dropped.append(subject)
             continue
         final_eval.append(subject)
-        enroll_emb = embed_rows(enroll_rows)
         gallery.append(biometric.build_template(
-            enroll_emb, subject, fusion=cfg.evaluation.template_fusion,
+            embed_rows(enroll_rows), subject, fusion=cfg.evaluation.template_fusion,
             size=cfg.evaluation.template_size, metric=cfg.evaluation.metric,
             source_sessions=data.sessions))
-        for rows in probe_rows_by_group:
+        for rows in probe_groups:
             fused = biometric.fuse_probes(embed_rows(rows),
                                           cfg.evaluation.probe_fusion_k)
             probe_vectors.extend(fused)
@@ -477,16 +463,10 @@ def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
     return record
 
 
-def run_evaluation(cfg: RunConfig, seed: int, store: SegmentStore | None = None,
+def run_evaluation(cfg: RunConfig, seed: int, store: SegmentStore,
                    cells=None) -> dict:
-    """All requested (regime, setting) cells for one seed.
-
-    The optional store lets callers share preprocessing across seeds; results
-    are identical either way.
-    """
-    if store is None:
-        index, recordings = load_dataset_from_config(cfg.dataset)
-        store = SegmentStore(cfg, index, recordings)
+    """All requested (regime, setting) cells for one seed; the store shares
+    preprocessing across cells and seeds."""
     out = {}
     for cell in (cells if cells is not None else cfg.regimes):
         out[cell.key] = evaluate_cell(cfg, cell, store, seed)

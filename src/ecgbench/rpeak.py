@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dsp import FilterSpec, apply_filter
-from .errors import NoPeaksDetected, SignalTooShort
+from .errors import NoPeaksDetected, SamplingRateTooLow, SignalTooShort
 
 REFRACTORY_S = 0.2
 INTEGRATION_S = 0.15
@@ -87,7 +87,7 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
 def pan_tompkins(x, fs: float) -> PeakList:
     """Detect R peaks; raises NoPeaksDetected when fewer than two are found."""
     if fs < 100:
-        raise ValueError(f"detector needs fs >= 100 Hz, got {fs}")
+        raise SamplingRateTooLow(f"detector needs fs >= 100 Hz, got {fs}")
     x = np.asarray(x, dtype=float)
     if len(x) < 2 * fs:
         raise SignalTooShort("detector needs at least 2 s of signal")

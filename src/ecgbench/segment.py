@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RecordKey
-from .errors import WindowLongerThanSignal
+from .errors import WindowLongerThanSignal, WindowTooShort
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,9 @@ def segment_beats(x, fs: float, peaks, pre_s: float, post_s: float,
     x = np.asarray(x, dtype=float)
     pre = int(round(pre_s * fs))
     length = int(round((pre_s + post_s) * fs))
+    if length < 2:
+        raise WindowTooShort(f"beat window of {length} sample(s) at {fs} Hz; "
+                             f"a segment needs at least 2")
     segments = []
     for peak in np.asarray(peaks, dtype=int):
         peak = align_peak(x, int(peak), fs) if align else int(peak)
@@ -68,6 +71,9 @@ def segment_blind(x, fs: float, window_s: float, stride_s: float,
     x = np.asarray(x, dtype=float)
     w = int(round(window_s * fs))
     s = int(round(stride_s * fs))
+    if w < 2 or s < 1:
+        raise WindowTooShort(f"blind window of {w} and stride of {s} sample(s) at "
+                             f"{fs} Hz; need a window of at least 2 and a stride of 1")
     if w > len(x):
         raise WindowLongerThanSignal(f"window of {w} samples on {len(x)}-sample signal")
     count = (len(x) - w) // s + 1

@@ -16,7 +16,7 @@ from typing import get_args
 
 import numpy as np
 
-from .core import RecordKey, Recording
+from .core import PRESET_NAMES, RecordKey, Recording
 from .util import stable_seed, sub_rng
 
 WAVE_NAMES = ("p", "q", "r", "s", "t")
@@ -336,7 +336,7 @@ def preset_spec(name: str) -> SynthSpec:
             duration_s=120.0,
             fs=250.0,
         )
-    raise ValueError(f"unknown preset {name!r} (have fallacy30, aging4, ablation)")
+    raise ValueError(f"unknown preset {name!r} (have {', '.join(PRESET_NAMES)})")
 
 
 def _from_object(cls, raw, where: str, **built):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ecgbench import cli, regimes
-from ecgbench.core import validate_config
+from ecgbench.core import METRIC_FIELDS, validate_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -39,11 +39,11 @@ def dataset(tmp_path_factory):
     return root
 
 
-def _config(dataset, name, **overrides) -> str:
-    raw = {"dataset": str(dataset / "data" / "manifest.json"), "regime": REGIMES,
+def _config(root, name, **overrides) -> str:
+    raw = {"dataset": str(root / "data" / "manifest.json"), "regime": REGIMES,
            "seeds": [0, 1]}
     raw.update(overrides)
-    return _write_json(dataset / f"{name}.json", raw)
+    return _write_json(root / f"{name}.json", raw)
 
 
 @pytest.fixture(scope="module")
@@ -110,8 +110,13 @@ def test_report_on_malformed_results_exits_2(tmp_path, capsys, payload):
     {"bogus": 1},
     {"evaluation": {"metric": "cosine", "bogus": True}},
     {"segmentation": {"mode": "blind", "window_s": 4.0, "stride_s": 2.0}},
+    {"dataset": {"kind": "synthetic", "preset": "nope"}},
+    {"preprocess": {"filter": {"order": 9}}},
+    {"regime": {"name": "cross_session", "enroll_session": "s0", "probe_session": "s0"}},
+    {"regime": {"name": "cross_session", "enroll_session": 0, "probe_session": "s1"}},
 ], ids=["target_len_1", "mlp_target_len_7", "unknown_key", "unknown_nested_key",
-        "blind_overlap_single_session"])
+        "blind_overlap_single_session", "unknown_preset", "filter_order_9",
+        "cross_session_one_session", "session_not_a_string"])
 def test_bad_config_exits_2(dataset, capsys, overrides):
     config = _config(dataset, "bad", **overrides)
     _assert_clean_failure(capsys, cli.main(["validate", "--config", config]), 2)
@@ -131,6 +136,65 @@ def test_bad_synth_spec_exits_2(tmp_path, capsys, spec):
     code = cli.main(["synth", "--spec", path, "--out", str(tmp_path / "data")])
     _assert_clean_failure(capsys, code, 2)
     assert not (tmp_path / "data").exists()
+
+
+def _results_file(path, means) -> str:
+    """A results file whose cells (key -> mean) hold that mean for every metric."""
+    path.parent.mkdir(exist_ok=True)
+    return _write_json(path, {"schema_version": cli.SCHEMA_VERSION, "results": {
+        key: {"metrics": {m: {"mean": mean, "std": 0.0} for m in METRIC_FIELDS}}
+        for key, mean in means.items()}})
+
+
+def test_report_prints_each_file_given_even_with_one_basename(tmp_path, capsys):
+    a = _results_file(tmp_path / "A" / "results.json", {"single_session|closed": 0.25})
+    b = _results_file(tmp_path / "B" / "results.json",
+                      {"single_cross_session|closed": 0.5})
+    assert cli.main(["report", a, b, a]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[:3] for row in rows] == [
+        [a, "single_session", "closed"], [b, "single_cross_session", "closed"],
+        [a, "single_session", "closed"]]
+
+
+def _delta_lines(capsys, a, b) -> list:
+    assert cli.main(["report", a, b, "--delta", a, b]) == 0
+    out = capsys.readouterr().out
+    return out[out.index("\ndelta"):].splitlines()[1:]
+
+
+def _deltas(value: str) -> str:
+    return " ".join(f"{m}={value}" for m in METRIC_FIELDS)
+
+
+def test_report_delta_pairs_shared_cells(tmp_path, capsys):
+    a = _results_file(tmp_path / "a.json", {
+        "single_session|closed": 0.25, "single_session|open": 0.5,
+        "ss_long_term|closed": 0.0})
+    b = _results_file(tmp_path / "b.json", {
+        "single_session|closed": 0.75, "single_session|open": 0.25})
+    assert _delta_lines(capsys, a, b) == [
+        f"delta ({b} - {a}):",
+        f"  single_session|closed vs single_session|closed: {_deltas('+0.5000')}",
+        f"  single_session|open vs single_session|open: {_deltas('-0.2500')}"]
+
+
+def test_report_delta_pairs_the_one_cell_of_each_file(tmp_path, capsys):
+    # How the Random Split Fallacy comparison is printed: one regime per run.
+    a = _results_file(tmp_path / "a.json", {"single_session|closed": 0.75})
+    b = _results_file(tmp_path / "b.json", {"single_cross_session|closed": 0.5})
+    assert _delta_lines(capsys, a, b) == [
+        f"delta ({b} - {a}):",
+        f"  single_session|closed vs single_cross_session|closed: {_deltas('-0.2500')}"]
+
+
+def test_report_delta_without_comparable_cells_exits_2(tmp_path, capsys):
+    a = _results_file(tmp_path / "a.json", {"single_session|closed": 0.5,
+                                            "single_session|open": 0.5})
+    b = _results_file(tmp_path / "b.json", {"single_cross_session|closed": 0.5})
+    code = cli.main(["report", a, b, "--delta", a, b])
+    assert _assert_clean_failure(capsys, code, 2) == (
+        "ecgbench: error: delta: no comparable regime cells\n")
 
 
 def _diverging_config(dataset) -> str:
@@ -156,6 +220,34 @@ def test_probe_range_past_record_end_exits_1(dataset, capsys, jobs):
     assert os.listdir(out) == []
 
 
+def test_detector_below_100_hz_exits_1_without_output(tmp_path, capsys):
+    spec = _write_json(tmp_path / "spec.json", dict(SPEC, fs=90.0))
+    assert cli.main(["synth", "--spec", spec, "--out", str(tmp_path / "data")]) == 0
+    config = _write_json(tmp_path / "config.json", {
+        "dataset": str(tmp_path / "data" / "manifest.json"), "regime": REGIMES,
+        "seeds": [0]})
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", config, "--out", str(out)])
+    assert _assert_clean_failure(capsys, code, 1) == (
+        "ecgbench: error: evaluation: SamplingRateTooLow: "
+        "detector needs fs >= 100 Hz, got 90.0\n")
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("segmentation", [
+    {"pre_s": 0.001, "post_s": 0.001},
+    {"mode": "blind", "window_s": 0.001, "stride_s": 0.001},
+], ids=["beat", "blind"])
+def test_window_under_two_samples_exits_1_without_output(dataset, capsys, segmentation):
+    config = _config(dataset, "short", segmentation=segmentation)
+    out = dataset / f"short_{segmentation.get('mode', 'beat')}"
+    code = cli.main(["run", "--config", config, "--out", str(out)])
+    err = _assert_clean_failure(capsys, code, 1)
+    assert err.startswith("ecgbench: error: evaluation: WindowTooShort: ")
+    assert err.count("\n") == 1
+    assert os.listdir(out) == []
+
+
 def test_first_failing_cell_reported_at_any_jobs(dataset, capsys):
     # The diverging cell comes first. The warm-up at --jobs 2 meets the errors
     # of the later cells first, and must not report them in its place.
@@ -170,6 +262,54 @@ def test_first_failing_cell_reported_at_any_jobs(dataset, capsys):
         errors.append(_assert_clean_failure(capsys, code, 1))
     assert "NonFiniteModel" in errors[0]
     assert errors[1] == errors[0]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_1_exits_2(dataset, capsys, jobs):
+    out = dataset / f"jobs_{jobs}"
+    code = cli.main(["run", "--config", _config(dataset, "base"), "--out", str(out),
+                     "--jobs", jobs])
+    _assert_clean_failure(capsys, code, 2)
+    assert not out.exists()
+
+
+def test_pools_get_no_more_workers_than_tasks(dataset, jobs1, monkeypatch):
+    sizes = []
+
+    class InlineExecutor:
+        """Records the pool size and runs the tasks in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "_WORKER_STATE", {})
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    out = dataset / "jobs16"
+    argv = ["run", "--config", _config(dataset, "base"), "--out", str(out), "--jobs", "16"]
+    assert cli.main(argv) == 0
+    # The warm-up prepares the 8 records of 4 subjects x 2 sessions; then 2 seeds.
+    assert sizes == [8, 2]
+    for name in ("results.json", "results.csv"):
+        assert (out / name).read_bytes() == (jobs1 / name).read_bytes()
+
+
+def test_no_satisfiable_cell_exits_1_at_jobs_2(dataset, capsys):
+    # No plan names a record, so the warm-up pool has no task.
+    out = dataset / "unsatisfiable"
+    code = cli.main(["run", "--config", _config(dataset, "unsat", regime="ss_short_term"),
+                     "--out", str(out), "--jobs", "2"])
+    assert "RegimeUnsatisfiable" in _assert_clean_failure(capsys, code, 1)
+    assert os.listdir(out) == []
 
 
 def test_pool_warm_up_prepares_every_source_once_read_only(dataset, jobs1, monkeypatch):

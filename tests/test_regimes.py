@@ -196,18 +196,24 @@ def test_prepared_features_are_shared_read_only_morphology_rows():
     store = _store(cfg, _tiny_spec(n_subjects=2))
     key = store.index.records[0].key
     whole = store.prepare(regimes.SegmentSource(key))
-    enroll = store.prepare(regimes.SegmentSource(key, beat_role="enroll"))
-    assert enroll.features is whole.features
-    assert len(whole.features) == len(whole.segments) > 0
-    for seg, row in zip(whole.segments, whole.features):
+    assert store.prepare(regimes.SegmentSource(key, beat_role="enroll")) is whole
+    n = len(whole.segments)
+    assert n > 0 and whole.features.shape == (n, cfg.embedder.target_len)
+    assert whole.present.tolist() == [True] * n
+    for seg, span, row in zip(whole.segments, whole.spans, whole.features):
+        assert span.tolist() == [seg.start, seg.start + len(seg.samples)]
         expect = morphology_embed(seg.samples, cfg.embedder.target_len,
                                   cfg.preprocess.normalization)
         assert row.tobytes() == expect.tobytes()
-        assert not row.flags.writeable
-    with pytest.raises(ValueError):
-        whole.features[0][0] = 0.0
+    for array in (whole.spans, whole.features, whole.present):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
     flat = replace(whole.segments[0], samples=np.ones(len(whole.segments[0].samples)))
-    assert regimes._feature_of(flat, cfg) is None
+    features, present = regimes._features([flat, whole.segments[0]], cfg)
+    assert present.tolist() == [False, True]
+    assert np.isnan(features[0]).all()
+    assert features[1].tobytes() == whole.features[0].tobytes()
 
 
 def _hash_probe_data(store, cfg, cell, seed):
@@ -215,9 +221,10 @@ def _hash_probe_data(store, cfg, cell, seed):
     realized, _ = regimes._realize_plan(plan, cell, store, seed)
     digest = hashlib.sha256()
     for subject in sorted(realized):
-        for group in realized[subject].probe_groups:
-            for seg in group:
-                digest.update(np.ascontiguousarray(seg.samples).tobytes())
+        for prepared, idx in realized[subject].probe:
+            for i in idx:
+                digest.update(np.ascontiguousarray(prepared.segments[i].samples).tobytes())
+            digest.update(prepared.features[idx].tobytes())
     return digest.hexdigest()
 
 
@@ -249,7 +256,12 @@ def test_leakage_guard_across_regimes():
         plan = regimes.map_regime(store.index, cell)
         realized, _ = regimes._realize_plan(plan, cell, store, seed=0)
         for data in realized.values():
-            assert regimes._span_overlaps(data.enroll_spans, data.probe_spans) == []
+            enroll, probe = (
+                [(prepared.segments[i].key, *prepared.spans[i].tolist())
+                 for prepared, idx in side for i in idx]
+                for side in (data.enroll, data.probe))
+            assert enroll and probe
+            assert regimes._span_overlaps(enroll, probe) == []
 
 
 def test_custom_split_evaluation():
