@@ -125,15 +125,18 @@ def fuse_probes(embeddings, k: int) -> list[np.ndarray]:
     """
     if k < 1:
         raise ValueError("probe fusion size must be >= 1")
-    embeddings = [np.asarray(e, dtype=float) for e in embeddings]
-    if not embeddings:
+    embeddings = np.asarray(embeddings, dtype=float)
+    if not len(embeddings):
         raise ValueError("fuse_probes needs a non-empty embedding list")
     if k == 1:
-        return [e.copy() for e in embeddings]
+        return list(embeddings.copy())
     if len(embeddings) < k:
-        return [np.mean(embeddings, axis=0)]
+        return [embeddings.mean(axis=0)]
+    # Reducing the middle axis adds each group's rows in order, as a mean over
+    # the group's own (k, d) block does.
     n_groups = len(embeddings) // k
-    return [np.mean(embeddings[i * k: (i + 1) * k], axis=0) for i in range(n_groups)]
+    groups = embeddings[: n_groups * k].reshape(n_groups, k, *embeddings.shape[1:])
+    return list(groups.mean(axis=1))
 
 
 def score_matrix(gallery, probes, probe_subjects, metric: str = "cosine") -> ScoreMatrix:
@@ -161,8 +164,9 @@ def generate_pairs(matrix: ScoreMatrix, mode: str = "balanced",
     balanced samples min(|genuine|, |impostors|) impostor cells uniformly
     without replacement with the given seed; all keeps every impostor cell.
     """
-    genuine_mask = np.array(
-        [[p == g for g in matrix.gallery_subjects] for p in matrix.probe_subjects])
+    column = {g: j for j, g in enumerate(matrix.gallery_subjects)}
+    probe_column = np.array([column.get(p, -1) for p in matrix.probe_subjects])
+    genuine_mask = probe_column[:, None] == np.arange(len(matrix.gallery_subjects))
     genuine = matrix.scores[genuine_mask]
     impostor = matrix.scores[~genuine_mask]
     if genuine.size == 0:

@@ -318,9 +318,8 @@ def _realize_plan(plan: SplitPlan, cell: RegimeCell, store: SegmentStore,
         if sides is None or not all(sides):
             dropped.append(subject)
             continue
-        enroll_spans, probe_spans = (
-            [(source.record_key, *span) for source, prepared, idx in side
-             for span in prepared.spans[idx].tolist()] for side in sides)
+        enroll_spans, probe_spans = ([(source.record_key, prepared.spans[idx])
+                                      for source, prepared, idx in side] for side in sides)
         overlap = _span_overlaps(enroll_spans, probe_spans)
         if overlap:
             raise SampleLeakage(
@@ -332,16 +331,20 @@ def _realize_plan(plan: SplitPlan, cell: RegimeCell, store: SegmentStore,
     return realized, dropped
 
 
-def _span_overlaps(enroll_spans, probe_spans):
-    """Pairs of (record-key, range) that share samples across the two sides."""
-    out = []
+def _span_overlaps(enroll, probe):
+    """(record key, enroll span, probe span) for each pair of spans that share
+    samples across the two sides; each side lists (record key, (n, 2) spans)."""
     by_record: dict = {}
-    for key, lo, hi in enroll_spans:
-        by_record.setdefault(key, []).append((lo, hi))
-    for key, lo, hi in probe_spans:
-        for elo, ehi in by_record.get(key, ()):
-            if lo < ehi and elo < hi:
-                out.append((key, (elo, ehi), (lo, hi)))
+    for key, spans in enroll:
+        by_record.setdefault(key, []).append(spans)
+    out = []
+    for key, spans in probe:
+        if key not in by_record:
+            continue
+        shared = np.concatenate(by_record[key])
+        hits = (spans[:, :1] < shared[:, 1]) & (shared[:, 0] < spans[:, 1:])
+        for i, j in zip(*np.nonzero(hits)):
+            out.append((key, tuple(shared[j].tolist()), tuple(spans[i].tolist())))
     return out
 
 

@@ -110,33 +110,37 @@ def pan_tompkins(x, fs: float) -> PeakList:
     accepted: list[int] = []
     rejected: list[int] = []
 
-    for idx in candidates:
+    # Python floats and ints: the same float64 arithmetic as numpy scalars,
+    # without a numpy scalar per candidate.
+    values = integrated.tolist()
+    for idx in candidates.tolist():
         rr = levels.running_rr()
         if (rr is not None and accepted
                 and idx - accepted[-1] > SEARCHBACK_FACTOR * rr and rejected):
             # Missed-beat search-back: best earlier candidate above half threshold.
             window = [j for j in rejected if accepted[-1] + refr <= j < idx]
             if window:
-                best = max(window, key=lambda j: integrated[j])
-                if integrated[best] > 0.5 * levels.threshold:
-                    levels.accept(float(integrated[best]), int(best))
-                    accepted.append(int(best))
+                best = max(window, key=values.__getitem__)
+                if values[best] > 0.5 * levels.threshold:
+                    levels.accept(values[best], best)
+                    accepted.append(best)
+        value = values[idx]
         if accepted and idx - accepted[-1] < refr:
             # Within the refractory window only a strictly larger event may
             # replace the previous acceptance (e.g. QRS arriving right after a
             # mistakenly accepted P bump); smaller ones are ignored.
-            if integrated[idx] > integrated[accepted[-1]]:
+            if value > values[accepted[-1]]:
                 levels.history.pop()
-                accepted[-1] = int(idx)
-                levels.accept(float(integrated[idx]), int(idx))
+                accepted[-1] = idx
+                levels.accept(value, idx)
             continue
-        if integrated[idx] > levels.threshold:
-            levels.accept(float(integrated[idx]), int(idx))
-            accepted.append(int(idx))
+        if value > levels.threshold:
+            levels.accept(value, idx)
+            accepted.append(idx)
             rejected = [j for j in rejected if j > idx]
         else:
-            levels.reject(float(integrated[idx]))
-            rejected.append(int(idx))
+            levels.reject(value)
+            rejected.append(idx)
 
     if len(accepted) < 2:
         raise NoPeaksDetected(f"only {len(accepted)} events above threshold")

@@ -10,6 +10,7 @@ Everything is a pure function of (spec, seed).
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from typing import get_args
@@ -100,6 +101,14 @@ class SynthSpec:
             raise ValueError("need at least one session")
         if not 0.0 <= self.drift_trend_weight <= 1.0:
             raise ValueError("drift_trend_weight must be in [0, 1]")
+        if not 0.0 < self.duration_s < math.inf:
+            raise ValueError(f"duration_s must be positive and finite, got {self.duration_s}")
+        if not 0.0 < self.fs < math.inf:
+            raise ValueError(f"fs must be positive and finite, got {self.fs}")
+        # The shortest beat the generator can draw must span a sample, or the
+        # beat loop never advances.
+        if round(60.0 / HR_RANGE[1] * (1.0 - RR_JITTER) * self.fs) < 1:
+            raise ValueError(f"fs {self.fs} Hz leaves the shortest beat without a sample")
 
 
 def make_subject_params(seed: int) -> SubjectMorphology:
@@ -164,29 +173,38 @@ def synthesize_beat(theta: SubjectMorphology, fs: float, rr: float) -> np.ndarra
 
 def _render_beats(theta: SubjectMorphology, fs: float, n_total: int,
                   rr_rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Overlap-add all beats onto one timeline; returns (signal, true R indices)."""
+    """Overlap-add all beats onto one timeline; returns (signal, true R indices).
+
+    Each sample receives its Gaussian terms in (beat, wave) order, the order of
+    a per-beat loop: P-T windows overlap within a beat, and a T window overlaps
+    the next beat's P window, so the order fixes the rounding.
+    """
     rr_base = 60.0 / theta.heart_rate_bpm
-    signal = np.zeros(n_total)
-    peaks = []
+    r_idx = []
     start = 0
     while start < n_total:
         rr = rr_base * (1.0 + RR_JITTER * rr_rng.uniform(-1.0, 1.0))
         n_beat = int(round(rr * fs))
-        r_idx = start + int(round(R_FRACTION * n_beat))
-        if r_idx < n_total:
-            peaks.append(r_idx)
-        for w in theta.waves:
-            center = r_idx / fs + w.center_offset
-            span = 5.0 * w.width
-            lo = max(0, int(np.floor((center - span) * fs)))
-            hi = min(n_total, int(np.ceil((center + span) * fs)) + 1)
-            if lo >= hi:
-                continue
-            t = np.arange(lo, hi) / fs
-            signal[lo:hi] += w.amplitude * np.exp(
-                -((t - center) ** 2) / (2.0 * w.width**2))
+        r_idx.append(start + int(round(R_FRACTION * n_beat)))
         start += n_beat
-    return signal, np.asarray(peaks, dtype=int)
+    r_idx = np.asarray(r_idx, dtype=int)
+    waves = theta.waves
+    amplitude = np.array([w.amplitude for w in waves])
+    span = np.array([5.0 * w.width for w in waves])
+    denom = np.array([2.0 * w.width**2 for w in waves])
+    # (beats, waves) window centers and sample bounds; (beats, waves, width) grid.
+    center = r_idx[:, None] / fs + np.array([w.center_offset for w in waves])
+    lo = np.maximum(0, np.floor((center - span) * fs).astype(int))
+    hi = np.minimum(n_total, np.ceil((center + span) * fs).astype(int) + 1)
+    grid = lo[..., None] + np.arange((hi - lo).max(initial=0))
+    keep = grid < hi[..., None]
+    beat, wave, _ = np.nonzero(keep)
+    samples = grid[keep]
+    values = amplitude[wave] * np.exp(
+        -((samples / fs - center[beat, wave]) ** 2) / denom[wave])
+    signal = np.zeros(n_total)
+    np.add.at(signal, samples, values)  # unbuffered, in (beat, wave, sample) order
+    return signal, r_idx[r_idx < n_total]
 
 
 def synthesize_record(
@@ -206,8 +224,6 @@ def synthesize_record(
     all records of one session share the same drifted morphology, while RR
     jitter, wander phase, and noise are keyed by this record's seed.
     """
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
     weight = effects.trend_fraction if effects.trend_fraction is not None else trend_weight
     u = session_drift_vector(drift_seed if drift_seed is not None else seed,
                              subject_id, effects.session_id, weight)

@@ -8,6 +8,10 @@ implementations it checks.
 import cmath
 import statistics
 
+import numpy as np
+
+from ecgbench.synth import R_FRACTION, RR_JITTER
+
 
 def far_frr_at(threshold, genuine, impostor):
     far = sum(1 for s in impostor if s >= threshold) / len(impostor)
@@ -84,3 +88,30 @@ def cascade_magnitude(cascade, freq_hz, fs):
     for s in cascade.sections:
         h *= section_response(s, freq_hz, fs)
     return abs(h)
+
+
+def render_beats_loop(theta, fs, n_total, rr_rng):
+    """Reference for synth._render_beats: a per-beat, per-wave overlap-add of
+    the Gaussian waves; returns (signal, true R indices)."""
+    rr_base = 60.0 / theta.heart_rate_bpm
+    signal = np.zeros(n_total)
+    peaks = []
+    start = 0
+    while start < n_total:
+        rr = rr_base * (1.0 + RR_JITTER * rr_rng.uniform(-1.0, 1.0))
+        n_beat = int(round(rr * fs))
+        r_idx = start + int(round(R_FRACTION * n_beat))
+        if r_idx < n_total:
+            peaks.append(r_idx)
+        for w in theta.waves:
+            center = r_idx / fs + w.center_offset
+            span = 5.0 * w.width
+            lo = max(0, int(np.floor((center - span) * fs)))
+            hi = min(n_total, int(np.ceil((center + span) * fs)) + 1)
+            if lo >= hi:
+                continue
+            t = np.arange(lo, hi) / fs
+            signal[lo:hi] += w.amplitude * np.exp(
+                -((t - center) ** 2) / (2.0 * w.width**2))
+        start += n_beat
+    return signal, np.asarray(peaks, dtype=int)

@@ -102,6 +102,27 @@ def test_fuse_probes_k1_identity(rng):
         assert np.array_equal(orig, out)
 
 
+def _fuse_per_group(embs, k):
+    """fuse_probes as a loop: one np.mean per group of k rows."""
+    if k == 1:
+        return [e.copy() for e in embs]
+    if len(embs) < k:
+        return [np.mean(embs, axis=0)]
+    return [np.mean(embs[i * k: (i + 1) * k], axis=0) for i in range(len(embs) // k)]
+
+
+def test_fuse_probes_bitwise_equals_per_group_mean(rng):
+    for n in range(1, 15):
+        embs = list(rng.normal(size=(n, 128)))
+        for k in range(1, 6):
+            fused = fuse_probes(embs, k)
+            expect = _fuse_per_group(embs, k)
+            assert len(fused) == len(expect)
+            for got, want in zip(fused, expect):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
 def _gallery(vectors, subjects):
     return [Template(vector=np.asarray(v, dtype=float), subject_id=s,
                      fusion="mean", source_count=1, source_sessions=())
@@ -190,6 +211,16 @@ def test_generate_pairs_no_genuine(rng):
     m = score_matrix(gallery, [rng.normal(size=8)], ["z"])
     with pytest.raises(NoGenuinePairs):
         generate_pairs(m, "balanced", seed=0)
+
+
+def test_generate_pairs_probe_outside_gallery_is_all_impostor():
+    scores = np.arange(12.0).reshape(4, 3)
+    m = biometric.ScoreMatrix(scores=scores, probe_subjects=("a", "z", "c", "b"),
+                              gallery_subjects=("a", "b", "c"))
+    pairs = generate_pairs(m, "all")
+    assert pairs.genuine.tolist() == [0.0, 8.0, 10.0]
+    # Row-major: probe "z" (row 1) contributes all three of its cells.
+    assert pairs.impostor.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 9.0, 11.0]
 
 
 def test_pairscores_direct_construction():

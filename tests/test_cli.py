@@ -130,11 +130,29 @@ def test_bad_config_exits_2(dataset, capsys, overrides):
     [SPEC],
     dict(SPEC, sessions=["s0"]),
     dict(SPEC, sessions=[{"session_id": "s0", "noise_sgima": 0.03}]),
-], ids=["spec_not_an_object", "session_not_an_object", "unknown_session_key"])
+    dict(SPEC, fs=float("inf")),
+    dict(SPEC, duration_s=0.0),
+], ids=["spec_not_an_object", "session_not_an_object", "unknown_session_key",
+        "infinite_fs", "zero_duration"])
 def test_bad_synth_spec_exits_2(tmp_path, capsys, spec):
     path = _write_json(tmp_path / "spec.json", spec)
     code = cli.main(["synth", "--spec", path, "--out", str(tmp_path / "data")])
     _assert_clean_failure(capsys, code, 2)
+    assert not (tmp_path / "data").exists()
+
+
+def test_synth_spec_below_one_sample_per_beat_exits_2(tmp_path):
+    # At 0.5 Hz a beat rounds to 0 samples: the generator's beat loop would
+    # never advance, so the timeout turns a hang into a failure.
+    spec = _write_json(tmp_path / "spec.json", {
+        "n_subjects": 2, "sessions": [{"session_id": "s0"}], "duration_s": 60, "fs": 0.5})
+    proc = subprocess.run(
+        [sys.executable, "-m", "ecgbench", "synth", "--spec", spec,
+         "--out", str(tmp_path / "data")],
+        env=_env(), capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr == ("ecgbench: error: ValueError: "
+                           "fs 0.5 Hz leaves the shortest beat without a sample\n")
     assert not (tmp_path / "data").exists()
 
 

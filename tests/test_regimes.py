@@ -110,12 +110,27 @@ def test_subject_partition_properties():
         regimes.subject_partition(["only"], 0.5, seed=1)
 
 
+def _sides(*sources):
+    """(record key, (n, 2) spans) per source, as _realize_plan hands them over."""
+    return [(key, np.array(spans, dtype=int).reshape(-1, 2)) for key, spans in sources]
+
+
 def test_span_overlap_detection():
-    enroll = [(("a",), 0, 100), (("a",), 200, 300)]
-    probe_ok = [(("a",), 100, 200), (("b",), 0, 100)]
-    probe_bad = [(("a",), 250, 350)]
+    enroll = _sides((("a",), [(0, 100), (200, 300)]))
+    probe_ok = _sides((("a",), [(100, 200)]), (("b",), [(0, 100)]))
+    probe_bad = _sides((("a",), [(250, 350)]))
     assert regimes._span_overlaps(enroll, probe_ok) == []
-    assert len(regimes._span_overlaps(enroll, probe_bad)) == 1
+    assert regimes._span_overlaps(enroll, probe_bad) == [
+        (("a",), (200, 300), (250, 350))]
+    # Touching spans (one's hi is the other's lo) share no sample.
+    assert regimes._span_overlaps(enroll, _sides((("a",), [(300, 400)]))) == []
+    assert regimes._span_overlaps(_sides((("a",), [(300, 400)])), enroll) == []
+    # One probe span across two enroll spans, from two sources of one record,
+    # gives both pairs in enroll order; probe spans keep their own order.
+    two_sources = _sides((("a",), [(0, 100)]), (("a",), [(200, 300)]))
+    assert regimes._span_overlaps(two_sources, _sides((("a",), [(50, 250), (90, 95)]))) == [
+        (("a",), (0, 100), (50, 250)), (("a",), (200, 300), (50, 250)),
+        (("a",), (0, 100), (90, 95))]
 
 
 def _tiny_spec(n_subjects=6, drift=0.1, noise=0.03):
@@ -257,7 +272,7 @@ def test_leakage_guard_across_regimes():
         realized, _ = regimes._realize_plan(plan, cell, store, seed=0)
         for data in realized.values():
             enroll, probe = (
-                [(prepared.segments[i].key, *prepared.spans[i].tolist())
+                [(prepared.segments[i].key, prepared.spans[i: i + 1])
                  for prepared, idx in side for i in idx]
                 for side in (data.enroll, data.probe))
             assert enroll and probe

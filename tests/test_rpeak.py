@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ecgbench import dsp, synth
+from ecgbench import dsp, rpeak, synth
 from ecgbench.core import validate_config
 from ecgbench.errors import NoPeaksDetected
 from ecgbench.rpeak import RR_HISTORY, _Thresholds, pan_tompkins
@@ -97,6 +97,50 @@ def test_translation_covariance():
     assert expect == got
 
 
+def _record_with_weak_beat(scale, beat=20, fs=360.0):
+    """A clean 30 s record whose one beat has its Q, R and S amplitudes scaled;
+    returns (signal, ground truth peaks, index of that beat's R)."""
+    theta = replace(synth.make_subject_params(21), heart_rate_bpm=70.0)
+    weak = replace(theta, waves=tuple(
+        replace(w, amplitude=w.amplitude * scale) if name in "qrs" else w
+        for name, w in zip(synth.WAVE_NAMES, theta.waves)))
+    eff = synth.SessionEffects("s0")
+    rec, truth = synth.synthesize_record(theta, eff, 30.0, fs, seed=21)
+    other, _ = synth.synthesize_record(weak, eff, 30.0, fs, seed=21)
+    # Both records share their RR draws, and a wave's window ends exactly, so
+    # between the midpoints to its neighbours only this beat's QRS differs.
+    lo = (truth[beat - 1] + truth[beat]) // 2
+    hi = (truth[beat] + truth[beat + 1]) // 2
+    x = rec.channels[0].copy()
+    x[lo:hi] = other.channels[0][lo:hi]
+    return x, truth, truth[beat]
+
+
+@pytest.mark.parametrize("searchback", [True, False])
+def test_search_back_recovers_a_beat_between_half_and_full_threshold(
+        monkeypatch, searchback):
+    # The integrated QRS energy scales with the square of the amplitude and the
+    # threshold sits near a quarter of the signal level: 0.42^2 = 0.18 lies
+    # between half the threshold and the threshold.
+    fs = 360.0
+    x, truth, weak = _record_with_weak_beat(0.42, fs=fs)
+    if not searchback:
+        monkeypatch.setattr(rpeak, "SEARCHBACK_FACTOR", float("inf"))
+    found = pan_tompkins(x, fs).indices
+    others = truth[truth != weak]
+    assert match_counts(found, others, fs) == len(others)
+    assert match_counts(found, [weak], fs) == int(searchback)
+    assert len(found) == len(others) + int(searchback)
+
+
+def test_search_back_skips_a_beat_below_half_threshold():
+    fs = 360.0
+    x, truth, weak = _record_with_weak_beat(0.3, fs=fs)  # 0.3^2 = 0.09
+    found = pan_tompkins(x, fs).indices
+    assert match_counts(found, [weak], fs) == 0
+    assert len(found) == len(truth) - 1
+
+
 # --- the three presets through the run path -----------------------------------------
 
 PRESETS = ("ablation", "aging4", "fallacy30")
@@ -108,12 +152,20 @@ PINNED_PEAKS = {
     "aging4": "c4fc40ccacf6a251b778aa767c53ec26cfc413349e88de5e6a8c33445ac7c834",
     "fallacy30": "49423b9576190d953219f2fa34a443e44fa8f05661c1448d1320797a38200954",
 }
+# Digests of every record's synthesized signal bytes at dataset seed 0, computed
+# before synthesis was vectorized; the generator must not move by one bit.
+PINNED_SIGNALS = {
+    "ablation": "09555ff664d539eff29a6cbcc7dbdb1cebd69ad801fbdcd8fbccfbb1980db2d3",
+    "aging4": "2c7364c927b43829da0c61e19fa32e933439995158aeb6e5490f3f029af8c283",
+    "fallacy30": "dbde1dd84faee623dd2d0a0ee479c00b1b5c8655ff49a8491564d770ed1917ac",
+}
 
 
 @pytest.fixture(scope="module")
 def preset_detections():
-    """{preset: [(record key, detected peaks, ground truth peaks), ...]} at seed 0,
-    detected on the default preprocessing as the SegmentStore does."""
+    """{preset: [(record key, detected peaks, ground truth peaks, fs, signal
+    sha256), ...]} at seed 0, detected on the default preprocessing as the
+    SegmentStore does."""
     preprocess = validate_config({"dataset": {"kind": "synthetic", "preset": "aging4"},
                                   "regime": "single_session"}).preprocess
     out = {}
@@ -122,7 +174,8 @@ def preset_detections():
         for rec, truth in synth.generate_recordings(synth.preset_spec(preset), 0):
             clean = dsp.preprocess(rec, preprocess)
             found = pan_tompkins(clean.samples, clean.fs).indices
-            rows.append((rec.key, found, np.asarray(truth), rec.fs))
+            signal = hashlib.sha256(rec.channels[0].tobytes()).hexdigest()
+            rows.append((rec.key, found, np.asarray(truth), rec.fs, signal))
         out[preset] = rows
     return out
 
@@ -130,8 +183,15 @@ def preset_detections():
 @pytest.mark.parametrize("preset", PRESETS)
 def test_preset_peaks_pinned(preset_detections, preset):
     text = json.dumps([[list(key), [int(i) for i in found]]
-                       for key, found, _, _ in preset_detections[preset]])
+                       for key, found, *_ in preset_detections[preset]])
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_PEAKS[preset]
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_preset_signals_pinned(preset_detections, preset):
+    text = json.dumps([[list(key), signal]
+                       for key, *_, signal in preset_detections[preset]])
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SIGNALS[preset]
 
 
 def _within(reference, found, tol) -> int:
@@ -145,7 +205,7 @@ def _within(reference, found, tol) -> int:
 @pytest.mark.parametrize("preset", PRESETS)
 def test_preset_detector_quality(preset_detections, preset):
     se_hit = se_all = ppv_hit = ppv_all = 0
-    for _, found, truth, fs in preset_detections[preset]:
+    for _, found, truth, fs, _ in preset_detections[preset]:
         tol = PEAK_TOLERANCE_S * fs
         se_hit += _within(truth, found, tol)
         se_all += len(truth)

@@ -9,6 +9,9 @@ import pytest
 from ecgbench import ingest, synth
 from ecgbench.embed import morphology_embed
 from ecgbench.segment import segment_beats
+from ecgbench.util import sub_rng
+
+from .oracles import render_beats_loop
 
 
 def test_subject_params_deterministic():
@@ -95,6 +98,27 @@ def test_session_drift_changes_signal():
     assert not np.allclose(a.channels[0], b.channels[0])
 
 
+@pytest.mark.parametrize("drift", [0.0, 0.45])
+@pytest.mark.parametrize("fs", [250.0, 360.0])
+def test_record_matches_per_beat_loop_bitwise(fs, drift):
+    """2.3 s records: windows are cut at both ends of the record, and P-T
+    windows overlap within a beat and across neighbouring beats."""
+    starts = ends = 0
+    for seed in range(8):
+        theta = synth.make_subject_params(seed)
+        rec, peaks = synth.synthesize_record(
+            theta, _effects(morphology_drift=drift), 2.3, fs, seed=seed)
+        drifted = synth._drifted(
+            theta, drift, synth.session_drift_vector(seed, "sub00", "s0"))
+        signal, truth = render_beats_loop(drifted, fs, round(2.3 * fs), sub_rng(seed, "rr"))
+        assert rec.channels[0].tobytes() == signal.tobytes()
+        assert peaks.dtype == truth.dtype and np.array_equal(peaks, truth)
+        # A window reaching the first or last sample was cut there.
+        starts += signal[0] != 0.0
+        ends += signal[-1] != 0.0
+    assert starts and ends
+
+
 def _session_mean_embedding(rec, peaks):
     segs = segment_beats(rec.channels[0], rec.fs, peaks, 0.2, 0.4, align=False)
     embs = np.stack([morphology_embed(s.samples, target_len=64) for s in segs])
@@ -165,6 +189,24 @@ def test_truth_files_match_generated_peaks(tmp_path):
 def test_single_subject_rejected():
     with pytest.raises(ValueError):
         synth.SynthSpec(n_subjects=1, sessions=(_effects(),))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("fs", 0.0), ("fs", -250.0), ("fs", float("nan")), ("fs", float("inf")),
+    ("fs", 0.5), ("duration_s", 0.0), ("duration_s", float("inf")),
+])
+def test_spec_rejects_sampling_that_cannot_render(field, value):
+    with pytest.raises(ValueError, match=field):
+        synth.SynthSpec(n_subjects=2, sessions=(_effects(),), **{field: value})
+
+
+def test_lowest_accepted_fs_renders_a_sample_per_beat():
+    # The shortest beat, 60 / 85 * 0.97 s, is 0.514 samples at 0.75 Hz: one sample.
+    spec = synth.SynthSpec(n_subjects=2, sessions=(_effects(),), duration_s=60.0, fs=0.75)
+    (rec, peaks), _ = synth.generate_recordings(spec, 0)
+    assert len(rec.channels[0]) == 45 and len(peaks) >= 1
+    with pytest.raises(ValueError, match="shortest beat"):
+        synth.SynthSpec(n_subjects=2, sessions=(_effects(),), fs=0.7)
 
 
 def test_presets_exist_and_are_valid():
