@@ -379,3 +379,29 @@ def test_per_seed_records_pinned(name):
     records = [regimes.run_evaluation(cfg, seed, store=store) for seed in cfg.seeds]
     text = json.dumps(records, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _mixed_rate_store(cfg, seed=1):
+    """Six in-memory subjects from _PIN_SPEC: the first three recorded at
+    250 Hz, the others at 360 Hz, so their beats differ in length."""
+    store = _store(cfg, synth.spec_from_dict(_PIN_SPEC), seed)
+    fast = synth.spec_from_dict(dict(_PIN_SPEC, fs=360.0))
+    for rec, _ in synth.generate_recordings(fast, seed):
+        if rec.key.subject_id >= "sub003":
+            store.recordings[rec.key] = rec
+    store.index = DatasetIndex(records=tuple(
+        replace(meta, fs=store.recordings[meta.key].fs) for meta in store.index.records))
+    return store
+
+
+def test_mixed_rate_mlp_augment_record_pinned():
+    # Augmented copies of 250 Hz and 360 Hz beats reach one _features call.
+    raw = dict(_PINNED_RUNS["mlp_augment"][0],
+               regime={"name": "single_cross_session", "setting": "closed"})
+    cfg = validate_config(raw)
+    store = _mixed_rate_store(cfg)
+    assert {rec.fs for rec in store.recordings.values()} == {250.0, 360.0}
+    records = [regimes.run_evaluation(cfg, seed, store=store) for seed in cfg.seeds]
+    text = json.dumps(records, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "57a0a028268fa0222133d397d6228692880389f7b02767d6bd11c552a31eedf9")
