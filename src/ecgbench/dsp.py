@@ -295,51 +295,54 @@ def apply_filter(spec: FilterSpec, x, fs: float) -> np.ndarray:
 
 
 def resample_fourier(x, target_len: int) -> np.ndarray:
-    """Fourier-domain resampling to target_len samples.
+    """Fourier-domain resampling of each row (last axis) to target_len samples.
 
     Forward DFT, symmetric truncation/zero-padding of the spectrum (with
     Nyquist-bin splitting so real input stays real), inverse DFT, and
-    target_len/len(x) amplitude correction.
+    target_len/len(row) amplitude correction. A row of a batch gets the same
+    bits as the row on its own.
     """
     x = np.asarray(x, dtype=float)
-    n = len(x)
+    n = x.shape[-1]
     m = int(target_len)
     if n < 2 or m < 2:
-        raise ValueError("resample_fourier needs len(x) >= 2 and target_len >= 2")
+        raise ValueError("resample_fourier needs rows of >= 2 samples and target_len >= 2")
     if m == n:
         return x.copy()
     spec = np.fft.fft(x)
-    out = np.zeros(m, dtype=complex)
+    out = np.zeros(x.shape[:-1] + (m,), dtype=complex)
     keep = min(n, m)
     pos = (keep - 1) // 2  # strictly positive bins kept
-    out[: pos + 1] = spec[: pos + 1]
+    out[..., : pos + 1] = spec[..., : pos + 1]
     if pos > 0:
-        out[m - pos:] = spec[n - pos:]
+        out[..., m - pos:] = spec[..., n - pos:]
     if keep % 2 == 0:
         if m > n:  # split the input Nyquist bin across +/- frequencies
-            out[n // 2] = spec[n // 2] / 2.0
-            out[m - n // 2] = spec[n // 2] / 2.0
+            out[..., n // 2] = spec[..., n // 2] / 2.0
+            out[..., m - n // 2] = spec[..., n // 2] / 2.0
         else:  # fold the two aliasing input bins onto the output Nyquist bin
-            out[m // 2] = (spec[m // 2] + spec[n - m // 2]) / 2.0
+            out[..., m // 2] = (spec[..., m // 2] + spec[..., n - m // 2]) / 2.0
     y = np.fft.ifft(out) * (m / n)
-    residue = float(np.max(np.abs(y.imag))) if m else 0.0
-    scale = float(np.max(np.abs(y.real))) + 1e-30
-    if residue > 1e-9 * max(scale, 1.0):
+    residue = np.max(np.abs(y.imag), axis=-1)
+    scale = np.max(np.abs(y.real), axis=-1) + 1e-30
+    if np.any(residue > 1e-9 * np.maximum(scale, 1.0)):
         raise AssertionError("resample produced a non-negligible imaginary part")
     return y.real
 
 
 def normalize(x, method: str = "zscore") -> np.ndarray:
-    """Per-segment scaling: zscore (population std) or minmax to [0, 1]."""
+    """Per-segment scaling of each row (last axis): zscore (population std) or
+    minmax to [0, 1]. Raises ZeroVariance if any row is constant."""
     x = np.asarray(x, dtype=float)
-    if len(x) < 2:
+    if x.shape[-1] < 2:
         raise ValueError("normalize needs at least 2 samples")
-    if np.ptp(x) == 0.0:
+    span = np.ptp(x, axis=-1, keepdims=True)
+    if np.any(span == 0.0):
         raise ZeroVariance("constant segment cannot be normalized")
     if method == "zscore":
-        return (x - x.mean()) / x.std()
+        return (x - x.mean(axis=-1, keepdims=True)) / x.std(axis=-1, keepdims=True)
     if method == "minmax":
-        return (x - x.min()) / np.ptp(x)
+        return (x - x.min(axis=-1, keepdims=True)) / span
     raise ConfigError(f"unknown normalization {method!r}")
 
 

@@ -12,18 +12,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp
-from .errors import DimensionMismatch, NonFiniteModel, SingleClass
+from .errors import DimensionMismatch, NonFiniteModel, SingleClass, ZeroVariance
 
 
-def morphology_embed(samples, target_len: int = 128, method: str = "zscore") -> np.ndarray:
-    """Training-free embedding: Fourier-resample to target_len, then normalize.
+def morphology_features(rows, target_len: int = 128, method: str = "zscore"):
+    """Training-free embedding of each row of an (n, L) batch: Fourier-resample
+    to target_len, then normalize. z-score (the default) makes the embedding
+    invariant to amplitude scale.
 
-    z-score (the default) makes the embedding invariant to amplitude scale.
-    Raises ZeroVariance for constant segments; callers drop those.
+    Returns (matrix, present). A row that is constant once resampled has no
+    embedding: its present entry is False and its matrix row NaN.
     """
     if target_len < 8:
         raise ValueError(f"target_len must be >= 8, got {target_len}")
-    return dsp.normalize(dsp.resample_fourier(samples, target_len), method)
+    resampled = dsp.resample_fourier(rows, target_len)
+    present = np.ptp(resampled, axis=-1) != 0
+    matrix = np.full(resampled.shape, np.nan)
+    matrix[present] = dsp.normalize(resampled[present], method)
+    return matrix, present
+
+
+def morphology_embed(samples, target_len: int = 128, method: str = "zscore") -> np.ndarray:
+    """morphology_features of one segment. Raises ZeroVariance for a constant
+    segment."""
+    matrix, present = morphology_features(
+        np.asarray(samples, dtype=float)[None], target_len, method)
+    if not present[0]:
+        raise ZeroVariance("constant segment cannot be normalized")
+    return matrix[0]
 
 
 @dataclass(frozen=True)

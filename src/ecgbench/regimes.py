@@ -16,7 +16,7 @@ import numpy as np
 from . import biometric, dsp, metrics, rpeak, segment
 from .augment import augment_training_set
 from .core import METRIC_FIELDS, MetricsReport, RegimeCell, RunConfig
-from .embed import mlp_embed, mlp_train, morphology_embed
+from .embed import mlp_embed, mlp_train, morphology_features
 from .errors import (
     GranularityWarning,
     KeyMismatch,
@@ -25,7 +25,6 @@ from .errors import (
     RegimeUnsatisfiable,
     SampleLeakage,
     TooFewSubjects,
-    ZeroVariance,
 )
 from .ingest import DatasetIndex, RecordMeta, load_dataset, sorted_index
 from .util import stable_seed, sub_rng
@@ -168,15 +167,16 @@ class PreparedSource:
 
 def _features(segments, cfg: RunConfig):
     """Morphology feature matrix of segments and the mask of its rows that
-    exist: a constant segment has no feature, and its row is NaN."""
+    exist: a constant segment has no feature, and its row is NaN. Segments of
+    one length are embedded as one batch."""
     matrix = np.full((len(segments), cfg.embedder.target_len), np.nan)
-    present = np.ones(len(segments), dtype=bool)
-    for i, seg in enumerate(segments):
-        try:
-            matrix[i] = morphology_embed(seg.samples, cfg.embedder.target_len,
-                                         cfg.preprocess.normalization)
-        except ZeroVariance:
-            present[i] = False
+    present = np.zeros(len(segments), dtype=bool)
+    lengths = np.array([len(seg.samples) for seg in segments], dtype=int)
+    for length in np.unique(lengths):
+        rows = np.flatnonzero(lengths == length)
+        matrix[rows], present[rows] = morphology_features(
+            np.stack([segments[i].samples for i in rows]),
+            cfg.embedder.target_len, cfg.preprocess.normalization)
     return matrix, present
 
 

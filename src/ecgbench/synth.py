@@ -105,10 +105,14 @@ class SynthSpec:
             raise ValueError(f"duration_s must be positive and finite, got {self.duration_s}")
         if not 0.0 < self.fs < math.inf:
             raise ValueError(f"fs must be positive and finite, got {self.fs}")
-        # The shortest beat the generator can draw must span a sample, or the
-        # beat loop never advances.
-        if round(60.0 / HR_RANGE[1] * (1.0 - RR_JITTER) * self.fs) < 1:
+        if _shortest_beat(HR_RANGE[1], self.fs) < 1:
             raise ValueError(f"fs {self.fs} Hz leaves the shortest beat without a sample")
+
+
+def _shortest_beat(heart_rate_bpm: float, fs: float) -> int:
+    """Samples in the shortest beat the RR jitter can draw at this heart rate.
+    Below 1 the beat loop of _render_beats would never advance."""
+    return round(60.0 / heart_rate_bpm * (1.0 - RR_JITTER) * fs)
 
 
 def make_subject_params(seed: int) -> SubjectMorphology:
@@ -179,6 +183,9 @@ def _render_beats(theta: SubjectMorphology, fs: float, n_total: int,
     a per-beat loop: P-T windows overlap within a beat, and a T window overlaps
     the next beat's P window, so the order fixes the rounding.
     """
+    if _shortest_beat(theta.heart_rate_bpm, fs) < 1:
+        raise ValueError(f"fs {fs} Hz leaves the shortest beat at "
+                         f"{theta.heart_rate_bpm} bpm without a sample")
     rr_base = 60.0 / theta.heart_rate_bpm
     r_idx = []
     start = 0

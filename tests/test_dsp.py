@@ -185,6 +185,17 @@ def test_resample_round_trip_band_limited():
     assert np.max(np.abs(back - x)) < 1e-9
 
 
+@pytest.mark.parametrize("n, m", [
+    (150, 300), (151, 300), (150, 128), (151, 128), (151, 127), (128, 128),
+], ids=["even-up-split", "odd-up", "even-down-fold", "odd-down-fold", "odd-down",
+        "equal"])
+def test_resample_rows_match_one_row_calls(n, m):
+    rows = np.random.default_rng(n + m).normal(size=(7, n))
+    batch = dsp.resample_fourier(rows, m)
+    assert batch.shape == (7, m)
+    assert batch.tobytes() == np.stack([dsp.resample_fourier(r, m) for r in rows]).tobytes()
+
+
 # --- normalization ------------------------------------------------------------
 
 def test_zscore_population_sigma():
@@ -199,6 +210,15 @@ def test_minmax():
 def test_zero_variance():
     with pytest.raises(ZeroVariance):
         dsp.normalize([3.0, 3.0, 3.0], "zscore")
+    with pytest.raises(ZeroVariance):  # one constant row of a batch
+        dsp.normalize([[1.0, 2.0, 4.0], [3.0, 3.0, 3.0], [0.0, 1.0, 0.0]], "zscore")
+
+
+@pytest.mark.parametrize("method", ["zscore", "minmax"])
+def test_normalize_rows_match_one_row_calls(method, rng):
+    rows = rng.normal(3.0, 2.0, size=(9, 128))
+    batch = dsp.normalize(rows, method)
+    assert batch.tobytes() == np.stack([dsp.normalize(r, method) for r in rows]).tobytes()
 
 
 def test_zscore_moments_property(rng):

@@ -231,6 +231,33 @@ def test_prepared_features_are_shared_read_only_morphology_rows():
     assert features[1].tobytes() == whole.features[0].tobytes()
 
 
+def test_features_resample_once_per_segment_length(monkeypatch):
+    cfg = validate_config(BASE_CONFIG)
+    store = _store(cfg, _tiny_spec(n_subjects=2))
+    whole = store.prepare(regimes.SegmentSource(store.index.records[0].key))
+    beat, other = whole.segments[:2]
+    short = replace(other, samples=other.samples[10:])
+    flat = replace(beat, samples=np.ones(len(beat.samples)))
+    segments = [beat, short, flat, other, short]
+    batches = []
+    resample = regimes.dsp.resample_fourier
+    monkeypatch.setattr(regimes.dsp, "resample_fourier",
+                        lambda x, m: batches.append(x.shape) or resample(x, m))
+    # One batch per length, rows scattered back in segment order; no
+    # segments, no batch.
+    features, present = regimes._features(segments, cfg)
+    assert sorted(batches) == [(2, len(short.samples)), (3, len(beat.samples))]
+    empty, none_present = regimes._features([], cfg)
+    assert len(batches) == 2
+    assert empty.shape == (0, cfg.embedder.target_len) and none_present.shape == (0,)
+    assert present.tolist() == [True, True, False, True, True]
+    assert np.isnan(features[2]).all()
+    expect = [morphology_embed(seg.samples, cfg.embedder.target_len,
+                               cfg.preprocess.normalization)
+              for seg, kept in zip(segments, present) if kept]
+    assert features[present].tobytes() == np.stack(expect).tobytes()
+
+
 def _hash_probe_data(store, cfg, cell, seed):
     plan = regimes.map_regime(store.index, cell)
     realized, _ = regimes._realize_plan(plan, cell, store, seed)

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -207,6 +210,27 @@ def test_lowest_accepted_fs_renders_a_sample_per_beat():
     assert len(rec.channels[0]) == 45 and len(peaks) >= 1
     with pytest.raises(ValueError, match="shortest beat"):
         synth.SynthSpec(n_subjects=2, sessions=(_effects(),), fs=0.7)
+
+
+def test_synthesize_record_rejects_a_beat_of_no_samples():
+    # At 0.5 Hz the shortest beat at 85 bpm rounds to 0 samples, where the
+    # beat loop would never advance; the timeout turns a hang into a failure.
+    code = "\n".join([
+        "from dataclasses import replace",
+        "from ecgbench import synth",
+        "theta = replace(synth.make_subject_params(0), heart_rate_bpm=85.0)",
+        "try:",
+        "    synth.synthesize_record(theta, synth.SessionEffects('s0'), 60.0, 0.5, seed=0)",
+        "except ValueError as exc:",
+        "    print(exc)",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "fs 0.5 Hz leaves the shortest beat at 85.0 bpm without a sample\n"
 
 
 def test_presets_exist_and_are_valid():
