@@ -141,9 +141,9 @@ def _warm_store(store, cells, jobs: int):
     """
     sources = store.sources(cells)
     with _pool(jobs, len(sources), store, cells) as pool:
-        for source, prepared in zip(sources, pool.map(_worker_prepare, sources)):
+        for prepared in pool.map(_worker_prepare, sources):
             if prepared is not None:
-                store.add(source, prepared)
+                store.add(prepared)
 
 
 def cmd_run(args) -> int:
@@ -161,11 +161,15 @@ def cmd_run(args) -> int:
         return _fail(f"no configured regime cell matches "
                      f"--regime {args.regime} --setting {args.setting}", 2)
 
+    try:
+        index, recordings = load_dataset_from_config(cfg.dataset)
+    except (EcgBenchError, OSError, UnicodeDecodeError) as exc:
+        return _fail(f"dataset: {type(exc).__name__}: {exc}", 2)
+
     json_path = os.path.join(args.out, "results.json")
     csv_path = os.path.join(args.out, "results.csv")
     try:
         os.makedirs(args.out, exist_ok=True)
-        index, recordings = load_dataset_from_config(cfg.dataset)
         store = SegmentStore(cfg, index, recordings)
         per_seed = {}
         if args.jobs <= 1 or len(seeds) == 1:

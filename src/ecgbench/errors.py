@@ -59,6 +59,11 @@ class FormatMismatch(EcgBenchError):
     """File contents do not match the declared format."""
 
 
+class NonFiniteSamples(EcgBenchError):
+    """A record holds NaN or infinite samples, which filtering would spread
+    over the whole record."""
+
+
 # --- dsp ---------------------------------------------------------------------
 
 class BandOutOfRange(EcgBenchError):

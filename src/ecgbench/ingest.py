@@ -15,6 +15,7 @@ from .errors import (
     DuplicateRecordKey,
     FormatMismatch,
     MalformedHeaderLine,
+    NonFiniteSamples,
     SchemaError,
     TruncatedData,
     UnsupportedFormat,
@@ -365,6 +366,7 @@ def load_record(meta: RecordMeta) -> Recording:
 
     For wfdb, fs and the digital-to-physical conversion come from the header;
     channel_selector (when set) reduces the output to that single channel.
+    Every kept sample must be finite.
     """
     if meta.format == "f32le":
         channels, fs = [_load_f32le(meta.path)], meta.fs
@@ -379,11 +381,14 @@ def load_record(meta: RecordMeta) -> Recording:
             raise FormatMismatch(
                 f"{meta.path}: channel {meta.channel_selector} of {len(channels)} requested")
         channels = [channels[meta.channel_selector]]
-    return Recording(
-        key=meta.key,
-        fs=float(fs),
-        channels=tuple(np.asarray(c, dtype=float) for c in channels),
-    )
+    channels = tuple(np.asarray(c, dtype=float) for c in channels)
+    for c, samples in enumerate(channels):
+        bad = np.flatnonzero(~np.isfinite(samples))
+        if bad.size:
+            raise NonFiniteSamples(
+                f"{meta.path}: record {'/'.join(map(str, meta.key))}, channel {c}: "
+                f"sample {bad[0]} is {samples[bad[0]]} ({bad.size} non-finite)")
+    return Recording(key=meta.key, fs=float(fs), channels=channels)
 
 
 def load_dataset(manifest_path: str) -> tuple[DatasetIndex, dict]:

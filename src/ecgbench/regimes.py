@@ -156,10 +156,12 @@ def subject_partition(subjects, ratio: float, seed: int):
 
 @dataclass(frozen=True)
 class PreparedSource:
-    """Segments of one (record, time range) and, row i for segment i, their
-    sample spans in record space and their morphology features. A constant
-    segment's feature row is NaN and its present entry False."""
-    segments: list
+    """The segments of one (record, time range), as arrays with row i for
+    segment i: its sample span in record space and its morphology feature. A
+    constant segment's feature row is NaN and its present entry False. The
+    samples are not kept; SegmentStore.segments cuts them again."""
+    record_key: tuple
+    time_range: tuple | None
     spans: np.ndarray  # (n, 2) int: (lo, hi) in original-record sample indices
     features: np.ndarray  # (n, embedder.target_len)
     present: np.ndarray  # (n,) bool: the segment is not constant
@@ -180,10 +182,22 @@ def _features(segments, cfg: RunConfig):
     return matrix, present
 
 
+def _clean_range(clean, time_range):
+    """The clean samples inside time_range (all of them for None) and the
+    record index of the first."""
+    if time_range is None:
+        return clean.samples, 0
+    lo = int(round(time_range[0] * clean.fs))
+    hi = int(round(time_range[1] * clean.fs))
+    if lo < 0 or hi > len(clean.samples) or hi <= lo:
+        raise RangeOutOfBounds(f"range {time_range} outside record")
+    return clean.samples[lo:hi], lo
+
+
 class SegmentStore:
-    """Caches, per (record, time range), the segments that preprocessing,
-    detection and segmentation give, with their features. The filtered record
-    is not kept: each time range of a record filters it again."""
+    """Caches, per (record, time range), the spans and features of the
+    segments that preprocessing, detection and segmentation give. Neither the
+    filtered record nor the segments' samples are kept."""
 
     def __init__(self, cfg: RunConfig, index: DatasetIndex, recordings: dict):
         self.cfg = cfg
@@ -196,7 +210,7 @@ class SegmentStore:
         beat_role is applied later, by _realize_plan."""
         cache_key = (source.record_key, source.time_range)
         if cache_key not in self._prepared:
-            self.add(source, self._segment(*cache_key))
+            self.add(self._segment(*cache_key))
         return self._prepared[cache_key]
 
     def sources(self, cells) -> list:
@@ -214,24 +228,27 @@ class SegmentStore:
                     pairs[(source.record_key, source.time_range)] = None
         return [SegmentSource(key, time_range) for key, time_range in pairs]
 
-    def add(self, source: SegmentSource, prepared: PreparedSource):
+    def add(self, prepared: PreparedSource):
         """Cache a preparation, made here or by another process's store, with
         its arrays read-only: every cell and seed that selects a segment shares
         them, so an in-place write raises instead of corrupting a later
         evaluation. Pickling drops the flag, so it is set here."""
         for array in (prepared.spans, prepared.features, prepared.present):
             array.flags.writeable = False
-        self._prepared[(source.record_key, source.time_range)] = prepared
+        self._prepared[(prepared.record_key, prepared.time_range)] = prepared
+
+    def segments(self, prepared: PreparedSource, idx) -> list:
+        """The segments at rows idx of a preparation, cut again from its
+        record's clean signal with the same samples, fs, key and position."""
+        clean = dsp.preprocess(self.recordings[prepared.record_key], self.cfg.preprocess)
+        offset = _clean_range(clean, prepared.time_range)[1]
+        return [segment.Segment(clean.samples[lo:hi].copy(), lo - offset, clean.fs, i,
+                                clean.key)
+                for i, (lo, hi) in zip(idx.tolist(), prepared.spans[idx].tolist())]
 
     def _segment(self, record_key, time_range) -> PreparedSource:
         clean = dsp.preprocess(self.recordings[record_key], self.cfg.preprocess)
-        samples, offset = clean.samples, 0
-        if time_range is not None:
-            offset = int(round(time_range[0] * clean.fs))
-            hi = int(round(time_range[1] * clean.fs))
-            if offset < 0 or hi > len(samples) or hi <= offset:
-                raise RangeOutOfBounds(f"range {time_range} outside record")
-            samples = samples[offset:hi]
+        samples, offset = _clean_range(clean, time_range)
         seg_cfg = self.cfg.segmentation
         if seg_cfg.mode == "beat":
             try:
@@ -247,7 +264,7 @@ class SegmentStore:
                 samples, clean.fs, seg_cfg.window_s, seg_cfg.stride_s, key=clean.key)
         spans = np.array([(offset + s.start, offset + s.start + len(s.samples))
                           for s in segs], dtype=int).reshape(-1, 2)
-        return PreparedSource(segs, spans, *_features(segs, self.cfg))
+        return PreparedSource(record_key, time_range, spans, *_features(segs, self.cfg))
 
 
 def load_dataset_from_config(ds_cfg):
@@ -290,20 +307,20 @@ def _split_beats(n: int, subject: str, cell: RegimeCell, seed: int):
 
 
 def _select(split: SubjectSplit, cell: RegimeCell, store: SegmentStore, seed: int):
-    """(source, prepared, indices) for each source of the split that keeps
-    segments, per side; None when a beat split has fewer than two beats."""
+    """(prepared, indices) for each source of the split that keeps segments,
+    per side; None when a beat split has fewer than two beats."""
     sides = ([], [])
     for side, sources in zip(sides, (split.enroll, split.probe)):
         for source in sources:
             prepared = store.prepare(source)
-            idx = np.arange(len(prepared.segments))
+            idx = np.arange(len(prepared.spans))
             if source.beat_role is not None:
                 halves = _split_beats(len(idx), split.subject_id, cell, seed)
                 if halves is None:
                     return None
                 idx = halves[0] if source.beat_role == "enroll" else halves[1]
             if len(idx):
-                side.append((source, prepared, idx))
+                side.append((prepared, idx))
     return sides
 
 
@@ -318,15 +335,14 @@ def _realize_plan(plan: SplitPlan, cell: RegimeCell, store: SegmentStore,
         if sides is None or not all(sides):
             dropped.append(subject)
             continue
-        enroll_spans, probe_spans = ([(source.record_key, prepared.spans[idx])
-                                      for source, prepared, idx in side] for side in sides)
+        enroll_spans, probe_spans = ([(prepared.record_key, prepared.spans[idx])
+                                      for prepared, idx in side] for side in sides)
         overlap = _span_overlaps(enroll_spans, probe_spans)
         if overlap:
             raise SampleLeakage(
                 f"enrollment/probe sample overlap for {subject}: {overlap[:3]}")
-        enroll, probe = ([(prepared, idx) for _, prepared, idx in side]
-                         for side in sides)
-        sessions = (source.record_key.session_id for source, _, _ in sides[0])
+        enroll, probe = sides
+        sessions = (prepared.record_key.session_id for prepared, _ in enroll)
         realized[subject] = _SubjectData(enroll, probe, tuple(dict.fromkeys(sessions)))
     return realized, dropped
 
@@ -373,15 +389,16 @@ def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
 
     if cfg.embedder.kind == "mlp":
         label_of = {s: i for i, s in enumerate(train_subjects)}
-        blocks, labels, originals = [], [], []
+        blocks, labels, picks = [], [], []
         for subject in train_subjects:
-            for prepared, idx in realized[subject].enroll:
-                rows = _rows(prepared, idx)
+            for pick in realized[subject].enroll:
+                rows = _rows(*pick)
                 blocks.append(rows)
                 labels.append(np.full(len(rows), label_of[subject]))
-                originals.extend(prepared.segments[i] for i in idx)
+                picks.append(pick)
         if cfg.embedder.augment.multiplier > 0:
             # Augmented copies are new segments, so only they need new features.
+            originals = [seg for pick in picks for seg in store.segments(*pick)]
             augmented = augment_training_set(
                 originals, cfg.embedder.augment,
                 stable_seed(seed, "augment", cell.name, cell.setting))[len(originals):]

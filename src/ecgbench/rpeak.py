@@ -10,7 +10,7 @@ The detector runs at the native sampling rate with millisecond-parameterized
 windows; thresholds are seeded deterministically from the first two seconds.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,31 +44,20 @@ class PeakList:
         return len(self.indices)
 
 
-@dataclass
-class _Thresholds:
-    spki: float
-    npki: float
-    history: list = field(default_factory=list)
+def running_rr(history) -> float | None:
+    """Mean of the last RR_HISTORY intervals of increasing int sample indices,
+    or None before two. The interval sum telescopes, so this equals the mean
+    of the diffs exactly."""
+    if len(history) < 2:
+        return None
+    k = min(len(history), RR_HISTORY + 1)
+    return (history[-1] - history[-k]) / (k - 1)
 
-    @property
-    def threshold(self) -> float:
-        return self.npki + 0.25 * (self.spki - self.npki)
 
-    def running_rr(self) -> float | None:
-        """Mean of the last RR_HISTORY intervals. The interval sum telescopes, and
-        the history holds ints, so this equals the mean of the diffs exactly."""
-        h = self.history
-        if len(h) < 2:
-            return None
-        k = min(len(h), RR_HISTORY + 1)
-        return (h[-1] - h[-k]) / (k - 1)
-
-    def accept(self, value: float, index: int):
-        self.spki = (1.0 - LEVEL_KEEP) * value + LEVEL_KEEP * self.spki
-        self.history.append(index)
-
-    def reject(self, value: float):
-        self.npki = (1.0 - LEVEL_KEEP) * value + LEVEL_KEEP * self.npki
+def _searchback_gap(accepted) -> float | None:
+    """The gap since the last acceptance past which search-back runs."""
+    rr = running_rr(accepted)
+    return None if rr is None else SEARCHBACK_FACTOR * rr
 
 
 def _centered_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -105,41 +94,49 @@ def pan_tompkins(x, fs: float) -> PeakList:
         raise NoPeaksDetected("no candidate maxima in the integrated signal")
 
     init = integrated[: int(2 * fs)]
-    levels = _Thresholds(spki=0.25 * float(init.max()), npki=0.5 * float(init.mean()))
+    # Signal and noise levels; an acceptance moves spki, a rejection npki.
+    spki = 0.25 * float(init.max())
+    npki = 0.5 * float(init.mean())
+    threshold = npki + 0.25 * (spki - npki)
     refr = int(round(REFRACTORY_S * fs))
     accepted: list[int] = []
     rejected: list[int] = []
+    gap = None  # changes only with accepted, so it is recomputed only then
 
     # Python floats and ints: the same float64 arithmetic as numpy scalars,
     # without a numpy scalar per candidate.
     values = integrated.tolist()
     for idx in candidates.tolist():
-        rr = levels.running_rr()
-        if (rr is not None and accepted
-                and idx - accepted[-1] > SEARCHBACK_FACTOR * rr and rejected):
+        if gap is not None and idx - accepted[-1] > gap and rejected:
             # Missed-beat search-back: best earlier candidate above half threshold.
             window = [j for j in rejected if accepted[-1] + refr <= j < idx]
             if window:
                 best = max(window, key=values.__getitem__)
-                if values[best] > 0.5 * levels.threshold:
-                    levels.accept(values[best], best)
+                if values[best] > 0.5 * threshold:
+                    spki = (1.0 - LEVEL_KEEP) * values[best] + LEVEL_KEEP * spki
+                    threshold = npki + 0.25 * (spki - npki)
                     accepted.append(best)
+                    gap = _searchback_gap(accepted)
         value = values[idx]
         if accepted and idx - accepted[-1] < refr:
             # Within the refractory window only a strictly larger event may
             # replace the previous acceptance (e.g. QRS arriving right after a
             # mistakenly accepted P bump); smaller ones are ignored.
             if value > values[accepted[-1]]:
-                levels.history.pop()
                 accepted[-1] = idx
-                levels.accept(value, idx)
+                spki = (1.0 - LEVEL_KEEP) * value + LEVEL_KEEP * spki
+                threshold = npki + 0.25 * (spki - npki)
+                gap = _searchback_gap(accepted)
             continue
-        if value > levels.threshold:
-            levels.accept(value, idx)
+        if value > threshold:
+            spki = (1.0 - LEVEL_KEEP) * value + LEVEL_KEEP * spki
+            threshold = npki + 0.25 * (spki - npki)
             accepted.append(idx)
+            gap = _searchback_gap(accepted)
             rejected = [j for j in rejected if j > idx]
         else:
-            levels.reject(value)
+            npki = (1.0 - LEVEL_KEEP) * value + LEVEL_KEEP * npki
+            threshold = npki + 0.25 * (spki - npki)
             rejected.append(idx)
 
     if len(accepted) < 2:

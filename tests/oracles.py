@@ -10,6 +10,7 @@ import statistics
 
 import numpy as np
 
+from ecgbench.dsp import FilterSpec, apply_filter
 from ecgbench.synth import R_FRACTION, RR_JITTER
 
 
@@ -115,3 +116,59 @@ def render_beats_loop(theta, fs, n_total, rr_rng):
                 -((t - center) ** 2) / (2.0 * w.width**2))
         start += n_beat
     return signal, np.asarray(peaks, dtype=int)
+
+
+def pan_tompkins_per_candidate(x, fs):
+    """Pan-Tompkins with the RR average recomputed from the accepted peaks
+    for every candidate, as the mean of their last eight intervals. Returns
+    the peaks and how often search-back and refractory replacement fired.
+    Only the band-pass filter is the package's."""
+    x = np.asarray(x, dtype=float)
+    band = apply_filter(
+        FilterSpec(kind="butterworth_bandpass", order=2, low_hz=5.0, high_hz=15.0), x, fs)
+    derivative = np.convolve(band, np.array([2.0, 1.0, 0.0, -1.0, -2.0]) / 8.0)[2: 2 + len(x)]
+    win = max(1, int(round(0.15 * fs)))
+    integrated = np.convolve(derivative**2, np.ones(win) / win)[(win - 1) // 2:][:len(x)]
+    values = integrated.tolist()
+    candidates = [i for i in range(1, len(x) - 1)
+                  if values[i - 1] < values[i] >= values[i + 1] and values[i] > 0]
+    spki = 0.25 * float(integrated[: int(2 * fs)].max())
+    npki = 0.5 * float(integrated[: int(2 * fs)].mean())
+    refr = int(round(0.2 * fs))
+    accepted, rejected = [], []
+    fired = {"searchback": 0, "replace": 0}
+    for idx in candidates:
+        threshold = npki + 0.25 * (spki - npki)
+        if len(accepted) >= 2:
+            rr = float(np.mean(np.diff(accepted[-9:])))
+            if idx - accepted[-1] > 1.66 * rr and rejected:
+                window = [j for j in rejected if accepted[-1] + refr <= j < idx]
+                if window:
+                    best = max(window, key=values.__getitem__)
+                    if values[best] > 0.5 * threshold:
+                        spki = 0.125 * values[best] + 0.875 * spki
+                        threshold = npki + 0.25 * (spki - npki)
+                        accepted.append(best)
+                        fired["searchback"] += 1
+        value = values[idx]
+        if accepted and idx - accepted[-1] < refr:
+            if value > values[accepted[-1]]:
+                accepted[-1] = idx
+                spki = 0.125 * value + 0.875 * spki
+                fired["replace"] += 1
+            continue
+        if value > threshold:
+            spki = 0.125 * value + 0.875 * spki
+            accepted.append(idx)
+            rejected = [j for j in rejected if j > idx]
+        else:
+            npki = 0.125 * value + 0.875 * npki
+            rejected.append(idx)
+    snap = int(round(0.05 * fs))
+    snapped = sorted({max(0, i - snap) + int(np.argmax(x[max(0, i - snap): i + snap + 1]))
+                      for i in accepted})
+    final = snapped[:1]
+    for idx in snapped[1:]:
+        if idx - final[-1] >= refr:
+            final.append(idx)
+    return final, fired

@@ -238,6 +238,60 @@ def test_probe_range_past_record_end_exits_1(dataset, capsys, jobs):
     assert os.listdir(out) == []
 
 
+def _broken_manifest(dataset, tmp_path, case) -> str:
+    """The module dataset's manifest with its first record broken as named."""
+    manifest = json.loads((dataset / "data" / "manifest.json").read_text())
+    records = manifest["records"]
+    for record in records:
+        record["path"] = str(dataset / "data" / record["path"])
+    first = records[0]
+    if case == "f32le_without_fs":
+        del first["fs"]
+    elif case == "missing_record":
+        first["path"] = str(tmp_path / "gone.f32")
+    elif case == "non_finite":
+        samples = np.fromfile(first["path"], dtype="<f4")
+        samples[1000:1100] = np.nan
+        first["path"] = str(tmp_path / "nan.f32")
+        samples.tofile(first["path"])
+    else:
+        first.update(format="csv", path=str(tmp_path / "binary.csv"))
+        (tmp_path / "binary.csv").write_bytes(bytes(range(128, 256)))
+    return _write_json(tmp_path / "manifest.json", manifest)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"], ids=["jobs1", "jobs2"])
+@pytest.mark.parametrize("case, error", [
+    ("f32le_without_fs", "SchemaError: records[0]: fs is required for format 'f32le'"),
+    ("missing_record", "FileNotFoundError: "),
+    ("non_finite", "NonFiniteSamples: "),
+    ("csv_not_utf8", "UnicodeDecodeError: "),
+], ids=["f32le_without_fs", "missing_record", "non_finite", "csv_not_utf8"])
+def test_bad_dataset_exits_2_without_output(dataset, tmp_path, capsys, jobs, case, error):
+    config = _write_json(tmp_path / "config.json", {
+        "dataset": _broken_manifest(dataset, tmp_path, case), "regime": REGIMES,
+        "seeds": [0, 1]})
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", config, "--out", str(out), "--jobs", jobs])
+    err = _assert_clean_failure(capsys, code, 2)
+    assert err.startswith(f"ecgbench: error: dataset: {error}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_non_finite_record_names_its_first_bad_sample(dataset, tmp_path, capsys):
+    # Unchecked, the NaNs would spread through the filter over the whole
+    # record, the detector would find no peak, and the run would drop the
+    # subject without a word.
+    config = _write_json(tmp_path / "config.json", {
+        "dataset": _broken_manifest(dataset, tmp_path, "non_finite"),
+        "regime": REGIMES, "seeds": [0]})
+    code = cli.main(["run", "--config", config, "--out", str(tmp_path / "out")])
+    assert _assert_clean_failure(capsys, code, 2) == (
+        f"ecgbench: error: dataset: NonFiniteSamples: {tmp_path / 'nan.f32'}: record "
+        f"sub000/s0/0/0, channel 0: sample 1000 is nan (100 non-finite)\n")
+
+
 def test_detector_below_100_hz_exits_1_without_output(tmp_path, capsys):
     spec = _write_json(tmp_path / "spec.json", dict(SPEC, fs=90.0))
     assert cli.main(["synth", "--spec", spec, "--out", str(tmp_path / "data")]) == 0

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ecgbench.errors import (
     DuplicateRecordKey,
     FormatMismatch,
     MalformedHeaderLine,
+    NonFiniteSamples,
     SchemaError,
     TruncatedData,
     UnsupportedFormat,
@@ -246,6 +248,49 @@ def test_load_wfdb_all_channels(tmp_path):
     assert len(rec.channels) == 2
     assert np.allclose(rec.channels[0], sig0_mv)
     assert np.allclose(rec.channels[1], sig1_mv)
+
+
+def _non_finite_record(tmp_path, fmt):
+    """A record of the format with non-finite samples in the channel it keeps:
+    from sample 700 for f32le (NaN) and csv (one inf), every sample for wfdb."""
+    key = RecordKey("a", "s0", 0, 0)
+    samples = np.sin(np.linspace(0, 20, 2000))
+    if fmt == "f32le":
+        samples[700:800] = np.nan
+        path = tmp_path / "rec.f32"
+        samples.astype("<f4").tofile(path)
+        return ingest.RecordMeta(key, str(path), fmt, fs=250.0)
+    if fmt == "csv":
+        path = tmp_path / "rec.csv"
+        lines = [repr(float(v)) for v in samples]
+        lines[700] = "inf"
+        path.write_text("\n".join(lines) + "\n")
+        return ingest.RecordMeta(key, str(path), fmt, fs=250.0)
+    # The second signal's NaN gain makes every one of its samples NaN.
+    _write_wfdb_fixture(tmp_path)
+    header = (tmp_path / "demo.hea").read_text().splitlines()
+    header[2] = header[2].replace("200(1024)", "nan(1024)")
+    (tmp_path / "demo.hea").write_text("\n".join(header) + "\n")
+    return ingest.RecordMeta(key, str(tmp_path / "demo.hea"), fmt, channel_selector=1)
+
+
+@pytest.mark.parametrize("fmt", ["f32le", "csv", "wfdb"])
+def test_load_record_rejects_non_finite_samples(tmp_path, fmt):
+    meta = _non_finite_record(tmp_path, fmt)
+    with pytest.raises(NonFiniteSamples) as info:
+        ingest.load_record(meta)
+    message = str(info.value)
+    assert meta.path in message and "a/s0/0/0" in message
+    first = 0 if fmt == "wfdb" else 700
+    assert f"sample {first} is " in message
+
+
+def test_non_finite_samples_in_an_unselected_channel_are_ignored(tmp_path):
+    meta = _non_finite_record(tmp_path, "wfdb")
+    rec = ingest.load_record(replace(meta, channel_selector=0))
+    assert np.isfinite(rec.channels[0]).all()
+    with pytest.raises(NonFiniteSamples, match="channel 1: sample 0 is nan"):
+        ingest.load_record(replace(meta, channel_selector=None))
 
 
 def test_load_dataset_resolves_relative_paths(tmp_path):

@@ -1,11 +1,14 @@
+import dataclasses
+import gc
 import hashlib
 import json
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ecgbench import regimes, synth
+from ecgbench import dsp, regimes, rpeak, segment, synth
 from ecgbench.core import RecordKey, RegimeCell, validate_config
 from ecgbench.embed import morphology_embed
 from ecgbench.errors import (
@@ -133,7 +136,7 @@ def test_span_overlap_detection():
         (("a",), (0, 100), (90, 95))]
 
 
-def _tiny_spec(n_subjects=6, drift=0.1, noise=0.03):
+def _tiny_spec(n_subjects=6, drift=0.1, noise=0.03, fs=250.0):
     return synth.SynthSpec(
         n_subjects=n_subjects,
         sessions=(
@@ -143,7 +146,7 @@ def _tiny_spec(n_subjects=6, drift=0.1, noise=0.03):
                                  noise_sigma=noise),
         ),
         duration_s=20.0,
-        fs=250.0,
+        fs=fs,
     )
 
 
@@ -206,16 +209,44 @@ def test_open_setting_disjoint_pools():
     assert out["single_session|open"]["counts"]["gallery_size"] == len(diag["eval_subjects"])
 
 
+def _cut(store, key, time_range=None):
+    """The segments that preprocessing, detection and segmentation give for a
+    (record, time range), and the record index of the range's first sample."""
+    cfg = store.cfg
+    clean = dsp.preprocess(store.recordings[key], cfg.preprocess)
+    offset = 0 if time_range is None else int(round(time_range[0] * clean.fs))
+    hi = len(clean.samples) if time_range is None else int(round(time_range[1] * clean.fs))
+    samples = clean.samples[offset:hi]
+    seg_cfg = cfg.segmentation
+    if seg_cfg.mode == "blind":
+        return segment.segment_blind(samples, clean.fs, seg_cfg.window_s,
+                                     seg_cfg.stride_s, key=clean.key), offset
+    peaks = rpeak.pan_tompkins(samples, clean.fs).indices
+    return segment.segment_beats(samples, clean.fs, peaks, seg_cfg.pre_s, seg_cfg.post_s,
+                                 align=seg_cfg.align_peak, key=clean.key), offset
+
+
+def _assert_same_segments(got, expect):
+    assert len(got) == len(expect)
+    for a, b in zip(got, expect):
+        assert type(a) is type(b)
+        assert a.samples.dtype == b.samples.dtype and a.samples.shape == b.samples.shape
+        assert a.samples.tobytes() == b.samples.tobytes()
+        assert (a.start, a.fs, a.position, a.key) == (b.start, b.fs, b.position, b.key)
+
+
 def test_prepared_features_are_shared_read_only_morphology_rows():
     cfg = validate_config(BASE_CONFIG)
     store = _store(cfg, _tiny_spec(n_subjects=2))
     key = store.index.records[0].key
     whole = store.prepare(regimes.SegmentSource(key))
     assert store.prepare(regimes.SegmentSource(key, beat_role="enroll")) is whole
-    n = len(whole.segments)
+    segments, _ = _cut(store, key)
+    n = len(segments)
     assert n > 0 and whole.features.shape == (n, cfg.embedder.target_len)
+    assert len(whole.spans) == n
     assert whole.present.tolist() == [True] * n
-    for seg, span, row in zip(whole.segments, whole.spans, whole.features):
+    for seg, span, row in zip(segments, whole.spans, whole.features):
         assert span.tolist() == [seg.start, seg.start + len(seg.samples)]
         expect = morphology_embed(seg.samples, cfg.embedder.target_len,
                                   cfg.preprocess.normalization)
@@ -224,8 +255,8 @@ def test_prepared_features_are_shared_read_only_morphology_rows():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
-    flat = replace(whole.segments[0], samples=np.ones(len(whole.segments[0].samples)))
-    features, present = regimes._features([flat, whole.segments[0]], cfg)
+    flat = replace(segments[0], samples=np.ones(len(segments[0].samples)))
+    features, present = regimes._features([flat, segments[0]], cfg)
     assert present.tolist() == [False, True]
     assert np.isnan(features[0]).all()
     assert features[1].tobytes() == whole.features[0].tobytes()
@@ -235,7 +266,7 @@ def test_features_resample_once_per_segment_length(monkeypatch):
     cfg = validate_config(BASE_CONFIG)
     store = _store(cfg, _tiny_spec(n_subjects=2))
     whole = store.prepare(regimes.SegmentSource(store.index.records[0].key))
-    beat, other = whole.segments[:2]
+    beat, other = store.segments(whole, np.arange(2))
     short = replace(other, samples=other.samples[10:])
     flat = replace(beat, samples=np.ones(len(beat.samples)))
     segments = [beat, short, flat, other, short]
@@ -258,14 +289,109 @@ def test_features_resample_once_per_segment_length(monkeypatch):
     assert features[present].tobytes() == np.stack(expect).tobytes()
 
 
+_BLIND = {"mode": "blind", "window_s": 2.0, "stride_s": 1.0}
+
+
+@pytest.mark.parametrize("fs", [250.0, 360.0])
+@pytest.mark.parametrize("segmentation", [{}, _BLIND], ids=["beat", "blind"])
+@pytest.mark.parametrize("time_range", [None, (2.0, 9.5)], ids=["record", "range"])
+def test_segments_are_cut_again_byte_for_byte(fs, segmentation, time_range):
+    cfg = validate_config(dict(BASE_CONFIG, regime="single_cross_session",
+                               segmentation=segmentation))
+    store = _store(cfg, _tiny_spec(n_subjects=2, fs=fs))
+    key = store.index.records[1].key
+    prepared = store.prepare(regimes.SegmentSource(key, time_range))
+    expect, offset = _cut(store, key, time_range)
+    assert len(expect) > 4 and expect[0].fs == fs
+    assert prepared.spans.tolist() == [[offset + seg.start, offset + seg.start + len(seg.samples)]
+                                       for seg in expect]
+    _assert_same_segments(store.segments(prepared, np.arange(len(expect))), expect)
+    # A selection keeps each segment's own position and start.
+    picked = np.array([1, 2, len(expect) - 1])
+    _assert_same_segments(store.segments(prepared, picked), [expect[i] for i in picked])
+    assert store.segments(prepared, np.arange(0)) == []
+
+
+def _segment_count() -> int:
+    gc.collect()
+    return sum(isinstance(obj, segment.Segment) for obj in gc.get_objects())
+
+
+def test_prepared_source_holds_only_its_key_and_read_only_arrays():
+    cfg = validate_config(BASE_CONFIG)
+    store = _store(cfg, _tiny_spec(n_subjects=2))
+    key = store.index.records[0].key
+    before = _segment_count()
+    prepared = store.prepare(regimes.SegmentSource(key, (2.0, 9.5)))
+    # No per-beat object outlives the preparation.
+    assert _segment_count() == before
+    names = [f.name for f in dataclasses.fields(regimes.PreparedSource)]
+    assert names == ["record_key", "time_range", "spans", "features", "present"]
+    assert (prepared.record_key, prepared.time_range) == (key, (2.0, 9.5))
+    assert prepared.spans.dtype == int and prepared.present.dtype == bool
+    assert prepared.features.dtype == float
+    for name in names[2:]:
+        array = getattr(prepared, name)
+        assert type(array) is np.ndarray and not array.flags.writeable
+    # A preparation that crossed a process boundary is cached read-only again
+    # under its own key.
+    copy = pickle.loads(pickle.dumps(prepared))
+    assert copy.spans.flags.writeable
+    other = _store(cfg, _tiny_spec(n_subjects=2))
+    other.add(copy)
+    assert other.prepare(regimes.SegmentSource(key, (2.0, 9.5))) is copy
+    assert not any(getattr(copy, name).flags.writeable for name in names[2:])
+
+
+def _mlp_config(multiplier):
+    return validate_config({
+        "dataset": {"kind": "synthetic", "preset": "fallacy30", "seed": 1},
+        "regime": {"names": ["single_session", "single_cross_session"],
+                   "settings": ["closed", "open"]},
+        "embedder": {"kind": "mlp", "epochs": 2,
+                     "augment": {"multiplier": multiplier,
+                                 "ops": [{"kind": "amplitude_scale"}]}},
+        "seeds": [0],
+    })
+
+
+def test_mlp_without_augmentation_preprocesses_nothing_once_warm(monkeypatch):
+    cfg = _mlp_config(multiplier=0)
+    store = _store(cfg, _tiny_spec(n_subjects=4))
+    for source in store.sources(cfg.regimes):
+        store.prepare(source)
+    calls = []
+    preprocess = regimes.dsp.preprocess
+    monkeypatch.setattr(regimes.dsp, "preprocess",
+                        lambda rec, c: calls.append(rec.key) or preprocess(rec, c))
+    out = regimes.run_evaluation(cfg, 0, store)
+    assert len(out) == 4 and calls == []
+
+
+def test_augmented_mlp_preprocesses_each_training_source_once(monkeypatch):
+    cfg = _mlp_config(multiplier=1)
+    cell = RegimeCell("single_cross_session")
+    store = _store(cfg, _tiny_spec(n_subjects=4))
+    for source in store.sources([cell]):
+        store.prepare(source)
+    calls = []
+    preprocess = regimes.dsp.preprocess
+    monkeypatch.setattr(regimes.dsp, "preprocess",
+                        lambda rec, c: calls.append(rec.key) or preprocess(rec, c))
+    regimes.evaluate_cell(cfg, cell, store, seed=0)
+    # Closed setting: every subject trains, from its s0 record only.
+    assert calls == [meta.key for meta in store.index.records
+                     if meta.key.session_id == "s0"]
+
+
 def _hash_probe_data(store, cfg, cell, seed):
     plan = regimes.map_regime(store.index, cell)
     realized, _ = regimes._realize_plan(plan, cell, store, seed)
     digest = hashlib.sha256()
     for subject in sorted(realized):
         for prepared, idx in realized[subject].probe:
-            for i in idx:
-                digest.update(np.ascontiguousarray(prepared.segments[i].samples).tobytes())
+            for seg in store.segments(prepared, idx):
+                digest.update(np.ascontiguousarray(seg.samples).tobytes())
             digest.update(prepared.features[idx].tobytes())
     return digest.hexdigest()
 
@@ -299,8 +425,9 @@ def test_leakage_guard_across_regimes():
         realized, _ = regimes._realize_plan(plan, cell, store, seed=0)
         for data in realized.values():
             enroll, probe = (
-                [(prepared.segments[i].key, prepared.spans[i: i + 1])
-                 for prepared, idx in side for i in idx]
+                [(seg.key, prepared.spans[i: i + 1])
+                 for prepared, idx in side
+                 for seg, i in zip(store.segments(prepared, idx), idx)]
                 for side in (data.enroll, data.probe))
             assert enroll and probe
             assert regimes._span_overlaps(enroll, probe) == []

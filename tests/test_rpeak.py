@@ -8,7 +8,9 @@ import pytest
 from ecgbench import dsp, rpeak, synth
 from ecgbench.core import validate_config
 from ecgbench.errors import NoPeaksDetected
-from ecgbench.rpeak import RR_HISTORY, _Thresholds, pan_tompkins
+from ecgbench.rpeak import RR_HISTORY, pan_tompkins, running_rr
+
+from .oracles import pan_tompkins_per_candidate
 
 
 def match_counts(detected, truth, fs, tol_s=0.05):
@@ -46,13 +48,43 @@ def test_running_rr_equals_mean_of_diffs_bitwise(rng):
     for length in range(2, 21):
         for _ in range(20):
             history = [int(v) for v in np.cumsum(rng.integers(1, 5000, size=length))]
-            levels = _Thresholds(spki=1.0, npki=0.0, history=history)
             expect = float(np.mean(np.diff(history[-(RR_HISTORY + 1):])))
-            got = levels.running_rr()
+            got = running_rr(history)
             assert type(got) is float
             assert np.float64(got).tobytes() == np.float64(expect).tobytes()
-    assert _Thresholds(1.0, 0.0, history=[]).running_rr() is None
-    assert _Thresholds(1.0, 0.0, history=[17]).running_rr() is None
+    assert running_rr([]) is None
+    assert running_rr([17]) is None
+
+
+def _irregular_record(fs, seed, n_beats=80):
+    """Narrow pulses at irregular intervals (0.25-1.8 s) with uneven heights,
+    plus noise: weak pulses are missed and found again by search-back."""
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(0.25, 1.8, n_beats)) + 0.5
+    heights = rng.uniform(0.15, 1.0, n_beats)
+    t = np.arange(int((times[-1] + 1.0) * fs)) / fs
+    x = np.zeros(len(t))
+    for when, height in zip(times, heights):
+        lo, hi = int((when - 0.05) * fs), int((when + 0.05) * fs)
+        x[lo:hi] += height * np.exp(-0.5 * ((t[lo:hi] - when) / 0.012) ** 2)
+    return x + rng.normal(0.0, 0.03, len(x))
+
+
+def test_detector_matches_per_candidate_rr_oracle():
+    # The detector updates its RR average and threshold only when they
+    # change. The extra seeds hold rare cases: a candidate between the
+    # thresholds before and after a search-back (128, 134 at 250 Hz; 136 at
+    # 360 Hz) or at a gap that only the RR after a search-back exceeds (19 at
+    # 250 Hz; 18 at 360 Hz).
+    fired = {"searchback": 0, "replace": 0}
+    for fs, extra in ((250.0, (19, 128, 134)), (360.0, (18, 136))):
+        for seed in (*range(8), *extra):
+            x = _irregular_record(fs, seed)
+            expect, counts = pan_tompkins_per_candidate(x, fs)
+            assert pan_tompkins(x, fs).indices.tolist() == expect
+            for branch in fired:
+                fired[branch] += counts[branch]
+    assert all(fired.values())
 
 
 def test_all_zero_signal():
