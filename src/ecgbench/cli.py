@@ -7,6 +7,7 @@ produce byte-identical files regardless of --jobs.
 """
 
 import argparse
+import collections
 import concurrent.futures
 import json
 import os
@@ -109,11 +110,15 @@ def _init_worker(store, cells):
     _WORKER_STATE["cells"] = cells
 
 
-def _worker_prepare(source):
+def _prepare_or_none(store, source):
     try:
-        return _WORKER_STATE["store"].prepare(source)
+        return store.prepare(source)
     except EcgBenchError:
         return None
+
+
+def _worker_prepare(source):
+    return _prepare_or_none(_WORKER_STATE["store"], source)
 
 
 def _worker_seed(seed: int):
@@ -132,18 +137,38 @@ def _pool(jobs: int, tasks: int, store, cells):
 
 
 def _warm_store(store, cells, jobs: int):
-    """Prepare each (record, time range) the cells name once, spread over
-    jobs workers, and cache the results in store.
+    """Prepare each (record, time range) the cells name once, in this process
+    at jobs 1, else spread over jobs workers, and cache the results in store.
+    The store releases a record's raw samples once none of its sources is
+    left to prepare, so a record that no cell names goes first.
 
-    A source whose preparation fails stays uncached: the seed that needs it
-    raises the error again, so a run reports the same first error as at
-    --jobs 1.
+    A source whose preparation fails stays uncached and keeps its record: the
+    seed that needs it raises the error again, so a run reports the same first
+    error at any --jobs.
     """
     sources = store.sources(cells)
+    pending = collections.Counter(source.record_key for source in sources)
+    for key in [key for key in store.recordings if not pending[key]]:
+        store.release(key)
+    if jobs == 1:
+        results = (_prepare_or_none(store, source) for source in sources)
+        _cache(store, pending, results)
+        return
+    # The workers fork at the first submit, before the results below arrive.
     with _pool(jobs, len(sources), store, cells) as pool:
-        for prepared in pool.map(_worker_prepare, sources):
-            if prepared is not None:
-                store.add(prepared)
+        _cache(store, pending, pool.map(_worker_prepare, sources))
+
+
+def _cache(store, pending, results):
+    """Add each preparation as it arrives; release its record when pending,
+    the count of its sources still to prepare, reaches zero."""
+    for prepared in results:
+        if prepared is None:
+            continue
+        store.add(prepared)
+        pending[prepared.record_key] -= 1
+        if not pending[prepared.record_key]:
+            store.release(prepared.record_key)
 
 
 def cmd_run(args) -> int:
@@ -163,7 +188,7 @@ def cmd_run(args) -> int:
 
     try:
         index, recordings = load_dataset_from_config(cfg.dataset)
-    except (EcgBenchError, OSError, UnicodeDecodeError) as exc:
+    except (EcgBenchError, OSError) as exc:
         return _fail(f"dataset: {type(exc).__name__}: {exc}", 2)
 
     json_path = os.path.join(args.out, "results.json")
@@ -171,15 +196,14 @@ def cmd_run(args) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
         store = SegmentStore(cfg, index, recordings)
-        per_seed = {}
-        if args.jobs <= 1 or len(seeds) == 1:
-            for seed in seeds:
-                per_seed[seed] = run_evaluation(cfg, seed, store=store, cells=cells)
-        else:
-            _warm_store(store, cells, args.jobs)
+        pooled = args.jobs > 1 and len(seeds) > 1
+        _warm_store(store, cells, args.jobs if pooled else 1)
+        if pooled:
             with _pool(args.jobs, len(seeds), store, cells) as pool:
-                for seed, record in pool.map(_worker_seed, seeds):
-                    per_seed[seed] = record
+                per_seed = dict(pool.map(_worker_seed, seeds))
+        else:
+            per_seed = {seed: run_evaluation(cfg, seed, store=store, cells=cells)
+                        for seed in seeds}
         payload = results_payload(cfg, seeds, per_seed)
         with open(json_path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)

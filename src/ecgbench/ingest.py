@@ -320,17 +320,25 @@ def _load_f32le(path: str) -> np.ndarray:
     return data.astype(float)
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of a file, with newlines translated as open() does."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatMismatch(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def _load_csv(path: str) -> np.ndarray:
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(float(line))
-            except ValueError as exc:
-                raise FormatMismatch(f"{path}:{lineno}: non-numeric cell {line!r}") from exc
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            values.append(float(line))
+        except ValueError as exc:
+            raise FormatMismatch(f"{path}:{lineno}: non-numeric cell {line!r}") from exc
     if not values:
         raise FormatMismatch(f"{path}: no samples")
     return np.asarray(values, dtype=float)
@@ -338,8 +346,7 @@ def _load_csv(path: str) -> np.ndarray:
 
 def _load_wfdb(meta: RecordMeta):
     header_path = meta.path if meta.path.endswith(".hea") else meta.path + ".hea"
-    with open(header_path, "r", encoding="utf-8") as fh:
-        header = parse_wfdb_header(fh.read())
+    header = parse_wfdb_header(_read_text(header_path))
     fmts = {s.format for s in header.signals}
     files = {s.filename for s in header.signals}
     if len(fmts) != 1 or len(files) != 1:
@@ -397,8 +404,7 @@ def load_dataset(manifest_path: str) -> tuple[DatasetIndex, dict]:
     Paths are resolved relative to the manifest location. Returns the index
     and a dict from record key to Recording.
     """
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        index = parse_manifest(fh.read())
+    index = parse_manifest(_read_text(manifest_path))
     base = os.path.dirname(os.path.abspath(manifest_path))
     resolved = tuple(
         m if os.path.isabs(m.path) else replace(m, path=os.path.join(base, m.path))

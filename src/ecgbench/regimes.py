@@ -197,7 +197,8 @@ def _clean_range(clean, time_range):
 class SegmentStore:
     """Caches, per (record, time range), the spans and features of the
     segments that preprocessing, detection and segmentation give. Neither the
-    filtered record nor the segments' samples are kept."""
+    filtered record nor the segments' samples are kept, and a record released
+    after its sources are prepared no longer holds its raw samples either."""
 
     def __init__(self, cfg: RunConfig, index: DatasetIndex, recordings: dict):
         self.cfg = cfg
@@ -236,6 +237,14 @@ class SegmentStore:
         for array in (prepared.spans, prepared.features, prepared.present):
             array.flags.writeable = False
         self._prepared[(prepared.record_key, prepared.time_range)] = prepared
+
+    def release(self, record_key):
+        """Drop a record's raw recording once all its sources are prepared.
+        It is kept when the config augments MLP training data, because
+        segments() cuts the training segments from it again."""
+        embedder = self.cfg.embedder
+        if embedder.kind != "mlp" or not embedder.augment.multiplier:
+            del self.recordings[record_key]
 
     def segments(self, prepared: PreparedSource, idx) -> list:
         """The segments at rows idx of a preparation, cut again from its
@@ -306,13 +315,17 @@ def _split_beats(n: int, subject: str, cell: RegimeCell, seed: int):
     return np.sort(order[:cut]), np.sort(order[cut:])
 
 
-def _select(split: SubjectSplit, cell: RegimeCell, store: SegmentStore, seed: int):
+def _select(split: SubjectSplit, cell: RegimeCell, store: SegmentStore, seed: int,
+            empty: set):
     """(prepared, indices) for each source of the split that keeps segments,
-    per side; None when a beat split has fewer than two beats."""
+    per side; None when a beat split has fewer than two beats. The key of each
+    record that gave no segments at all is added to empty."""
     sides = ([], [])
     for side, sources in zip(sides, (split.enroll, split.probe)):
         for source in sources:
             prepared = store.prepare(source)
+            if not len(prepared.spans):
+                empty.add(prepared.record_key)
             idx = np.arange(len(prepared.spans))
             if source.beat_role is not None:
                 halves = _split_beats(len(idx), split.subject_id, cell, seed)
@@ -327,11 +340,13 @@ def _select(split: SubjectSplit, cell: RegimeCell, store: SegmentStore, seed: in
 def _realize_plan(plan: SplitPlan, cell: RegimeCell, store: SegmentStore,
                   seed: int):
     """Select each subject's segments, enforcing no sample overlap between the
-    enrollment and probe sides of any record."""
+    enrollment and probe sides of any record. Returns the realized subjects,
+    the dropped ones and the keys of the selected records without segments."""
     realized = {}
     dropped = []
+    empty = set()
     for subject, split in plan.subjects.items():
-        sides = _select(split, cell, store, seed)
+        sides = _select(split, cell, store, seed, empty)
         if sides is None or not all(sides):
             dropped.append(subject)
             continue
@@ -344,7 +359,7 @@ def _realize_plan(plan: SplitPlan, cell: RegimeCell, store: SegmentStore,
         enroll, probe = sides
         sessions = (prepared.record_key.session_id for prepared, _ in enroll)
         realized[subject] = _SubjectData(enroll, probe, tuple(dict.fromkeys(sessions)))
-    return realized, dropped
+    return realized, dropped, empty
 
 
 def _span_overlaps(enroll, probe):
@@ -373,11 +388,14 @@ def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
                   seed: int) -> dict:
     """Run one (regime, setting) cell for one seed; returns the metric record."""
     plan = map_regime(store.index, cell)
-    realized, dropped = _realize_plan(plan, cell, store, seed)
+    realized, dropped, empty = _realize_plan(plan, cell, store, seed)
     if not realized:
         raise RegimeUnsatisfiable(f"{cell.name}: no subject survived realization")
     subjects_used = sorted(realized)
-    cell_warnings = set()
+    # A flat or lead-off record has no beat to detect; name it rather than
+    # drop its subject silently.
+    cell_warnings = {f"no segments from record {'/'.join(map(str, key))}"
+                     for key in empty}
 
     if cell.setting == "open":
         part_seed = cell.split_seed if cell.split_seed is not None else \

@@ -104,9 +104,11 @@ def pan_tompkins(x, fs: float) -> PeakList:
     gap = None  # changes only with accepted, so it is recomputed only then
 
     # Python floats and ints: the same float64 arithmetic as numpy scalars,
-    # without a numpy scalar per candidate.
-    values = integrated.tolist()
-    for idx in candidates.tolist():
+    # without a numpy scalar per candidate. Every index the loop reads
+    # (idx, best, accepted[-1]) is a candidate, so only candidates are kept.
+    cands = candidates.tolist()
+    values = dict(zip(cands, integrated[candidates].tolist()))
+    for idx in cands:
         if gap is not None and idx - accepted[-1] > gap and rejected:
             # Missed-beat search-back: best earlier candidate above half threshold.
             window = [j for j in rejected if accepted[-1] + refr <= j < idx]

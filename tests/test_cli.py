@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 from ecgbench import cli, regimes
 from ecgbench.core import METRIC_FIELDS, validate_config
+from ecgbench.errors import RangeOutOfBounds
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -254,9 +256,16 @@ def _broken_manifest(dataset, tmp_path, case) -> str:
         samples[1000:1100] = np.nan
         first["path"] = str(tmp_path / "nan.f32")
         samples.tofile(first["path"])
-    else:
+    elif case == "csv_not_utf8":
         first.update(format="csv", path=str(tmp_path / "binary.csv"))
         (tmp_path / "binary.csv").write_bytes(bytes(range(128, 256)))
+    elif case == "wfdb_header_not_utf8":
+        first.update(format="wfdb", path=str(tmp_path / "binary"))
+        (tmp_path / "binary.hea").write_bytes(bytes(range(128, 256)))
+    else:
+        path = tmp_path / "manifest.json"
+        path.write_bytes(json.dumps(manifest).encode() + bytes(range(128, 256)))
+        return str(path)
     return _write_json(tmp_path / "manifest.json", manifest)
 
 
@@ -265,8 +274,11 @@ def _broken_manifest(dataset, tmp_path, case) -> str:
     ("f32le_without_fs", "SchemaError: records[0]: fs is required for format 'f32le'"),
     ("missing_record", "FileNotFoundError: "),
     ("non_finite", "NonFiniteSamples: "),
-    ("csv_not_utf8", "UnicodeDecodeError: "),
-], ids=["f32le_without_fs", "missing_record", "non_finite", "csv_not_utf8"])
+    ("csv_not_utf8", "FormatMismatch: {tmp}/binary.csv: not UTF-8 text: "),
+    ("wfdb_header_not_utf8", "FormatMismatch: {tmp}/binary.hea: not UTF-8 text: "),
+    ("manifest_not_utf8", "FormatMismatch: {tmp}/manifest.json: not UTF-8 text: "),
+], ids=["f32le_without_fs", "missing_record", "non_finite", "csv_not_utf8",
+        "wfdb_header_not_utf8", "manifest_not_utf8"])
 def test_bad_dataset_exits_2_without_output(dataset, tmp_path, capsys, jobs, case, error):
     config = _write_json(tmp_path / "config.json", {
         "dataset": _broken_manifest(dataset, tmp_path, case), "regime": REGIMES,
@@ -274,7 +286,7 @@ def test_bad_dataset_exits_2_without_output(dataset, tmp_path, capsys, jobs, cas
     out = tmp_path / "out"
     code = cli.main(["run", "--config", config, "--out", str(out), "--jobs", jobs])
     err = _assert_clean_failure(capsys, code, 2)
-    assert err.startswith(f"ecgbench: error: dataset: {error}")
+    assert err.startswith(f"ecgbench: error: dataset: {error.format(tmp=tmp_path)}")
     assert err.count("\n") == 1
     assert not out.exists()
 
@@ -402,6 +414,103 @@ def test_pool_warm_up_prepares_every_source_once_read_only(dataset, jobs1, monke
     record = regimes.run_evaluation(cfg, 0, store=store)
     expected = json.loads((jobs1 / "results.json").read_text())["per_seed"]["0"]
     assert json.loads(json.dumps(record)) == expected
+
+
+def _cfg(dataset, name, **overrides):
+    _config(dataset, name, **overrides)
+    return validate_config(json.loads((dataset / f"{name}.json").read_text()))
+
+
+def _fresh_store(cfg):
+    return regimes.SegmentStore(cfg, *regimes.load_dataset_from_config(cfg.dataset))
+
+
+@pytest.mark.parametrize("jobs", [1, 2], ids=["jobs1", "jobs2"])
+@pytest.mark.parametrize("multiplier", [0, 1], ids=["plain", "augmented"])
+def test_warm_up_frees_recordings_unless_augmenting(dataset, jobs, multiplier):
+    # Augmentation cuts training segments from the raw recording again, so
+    # only then does the store keep it.
+    cfg = _cfg(dataset, f"augment{multiplier}", seeds=[0], embedder={
+        "kind": "mlp", "epochs": 2,
+        "augment": {"multiplier": multiplier, "ops": [{"kind": "amplitude_scale"}]}})
+    store = _fresh_store(cfg)
+    alive = [weakref.ref(rec) for rec in store.recordings.values()]
+    cli._warm_store(store, cfg.regimes, jobs)
+    assert len(store._prepared) == len(store.sources(cfg.regimes)) == len(alive) == 8
+    if multiplier:
+        assert len(store.recordings) == 8
+        assert all(ref() is not None for ref in alive)
+    else:
+        assert store.recordings == {}
+        assert all(ref() is None for ref in alive)
+    assert regimes.run_evaluation(cfg, 0, store=store) == \
+        regimes.run_evaluation(cfg, 0, store=_fresh_store(cfg))
+
+
+@pytest.mark.parametrize("jobs", [1, 2], ids=["jobs1", "jobs2"])
+def test_failed_preparation_keeps_its_record(dataset, jobs):
+    cfg = _cfg(dataset, "range", regime={
+        "name": "custom_split", "enroll_range": [0.0, 8.0], "probe_range": [10.0, 25.0]})
+    store = _fresh_store(cfg)
+    cli._warm_store(store, cfg.regimes, jobs)
+    # Each subject's first record keeps its failed probe range; the s1
+    # records, which no cell names, are gone.
+    first = {meta.key for meta in store.index.records if meta.key.session_id == "s0"}
+    assert set(store.recordings) == first
+    assert sorted(store._prepared) == sorted((key, (0.0, 8.0)) for key in first)
+    with pytest.raises(RangeOutOfBounds, match=r"range \(10.0, 25.0\) outside record"):
+        regimes.run_evaluation(cfg, 0, store=store)
+
+
+def test_jobs_1_warm_up_prepares_each_source_once(dataset, jobs1, monkeypatch):
+    events = []
+    segment, evaluate_cell = regimes.SegmentStore._segment, regimes.evaluate_cell
+
+    def counting_segment(store, record_key, time_range):
+        events.append((record_key, time_range))
+        return segment(store, record_key, time_range)
+
+    def counting_cell(*args):
+        events.append("cell")
+        return evaluate_cell(*args)
+
+    monkeypatch.setattr(regimes.SegmentStore, "_segment", counting_segment)
+    monkeypatch.setattr(regimes, "evaluate_cell", counting_cell)
+    out = dataset / "counted"
+    assert cli.main(["run", "--config", _config(dataset, "base"), "--out", str(out)]) == 0
+    # The 8 records of 4 subjects x 2 sessions, each prepared once before the
+    # first of 4 cells x 2 seeds is evaluated.
+    prepared = events[:8]
+    assert len(set(prepared)) == 8 and all(time_range is None for _, time_range in prepared)
+    assert events[8:] == ["cell"] * 8
+    assert (out / "results.json").read_bytes() == (jobs1 / "results.json").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"], ids=["jobs1", "jobs2"])
+def test_flat_record_is_named_in_the_cells_that_select_it(dataset, tmp_path, jobs):
+    # A lead-off record of zeros has no beat to detect; its subject drops out
+    # of the cells that select it, which say so.
+    manifest = json.loads((dataset / "data" / "manifest.json").read_text())
+    for record in manifest["records"]:
+        record["path"] = str(dataset / "data" / record["path"])
+        if (record["subject"], record["session"]) == ("sub002", "s1"):
+            flat = np.zeros_like(np.fromfile(record["path"], dtype="<f4"))
+            record["path"] = str(tmp_path / "flat.f32")
+            flat.tofile(record["path"])
+    config = _write_json(tmp_path / "config.json", {
+        "dataset": _write_json(tmp_path / "manifest.json", manifest),
+        "regime": {"names": ["single_session", "single_cross_session"],
+                   "settings": ["closed"]},
+        "seeds": [0, 1]})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", config, "--out", str(out), "--jobs", jobs]) == 0
+    results = json.loads((out / "results.json").read_text())["results"]
+    cross = results["single_cross_session|closed"]
+    assert "no segments from record sub002/s1/1/0" in cross["warnings"]
+    assert cross["counts"]["subjects_used"] == 3
+    session = results["single_session|closed"]
+    assert not any(w.startswith("no segments") for w in session["warnings"])
+    assert session["counts"]["subjects_used"] == 4
 
 
 def test_leakage_exits_1_without_output(dataset, monkeypatch, capsys):

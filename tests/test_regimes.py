@@ -386,7 +386,7 @@ def test_augmented_mlp_preprocesses_each_training_source_once(monkeypatch):
 
 def _hash_probe_data(store, cfg, cell, seed):
     plan = regimes.map_regime(store.index, cell)
-    realized, _ = regimes._realize_plan(plan, cell, store, seed)
+    realized = regimes._realize_plan(plan, cell, store, seed)[0]
     digest = hashlib.sha256()
     for subject in sorted(realized):
         for prepared, idx in realized[subject].probe:
@@ -422,7 +422,7 @@ def test_leakage_guard_across_regimes():
     store = _store(cfg, _tiny_spec(n_subjects=4))
     for cell in cfg.regimes:
         plan = regimes.map_regime(store.index, cell)
-        realized, _ = regimes._realize_plan(plan, cell, store, seed=0)
+        realized = regimes._realize_plan(plan, cell, store, seed=0)[0]
         for data in realized.values():
             enroll, probe = (
                 [(seg.key, prepared.spans[i: i + 1])
