@@ -15,13 +15,17 @@ import sys
 
 from . import __version__
 from .core import METRIC_FIELDS, PRESET_NAMES, RunConfig, validate_config
-from .errors import ConfigError, EcgBenchError, SchemaError, SchemaVersionMismatch
+from .errors import (ConfigError, EcgBenchError, FormatMismatch, SchemaError,
+                     SchemaVersionMismatch)
+from .ingest import read_text
 from .regimes import SegmentStore, aggregate_runs, load_dataset_from_config, run_evaluation
 from .synth import generate_dataset, preset_spec, spec_from_dict
 
 SCHEMA_VERSION = 1
 SEED_ENV = "ECGBENCH_SEED_OVERRIDE"
 CSV_HEADER = "regime,setting," + ",".join(METRIC_FIELDS)
+RESULTS_FILE_ERRORS = (OSError, json.JSONDecodeError, FormatMismatch, SchemaError,
+                       SchemaVersionMismatch)
 
 
 def _fail(message: str, code: int) -> int:
@@ -139,12 +143,14 @@ def _pool(jobs: int, tasks: int, store, cells):
 def _warm_store(store, cells, jobs: int):
     """Prepare each (record, time range) the cells name once, in this process
     at jobs 1, else spread over jobs workers, and cache the results in store.
-    The store releases a record's raw samples once none of its sources is
-    left to prepare, so a record that no cell names goes first.
+    A record on disk is read by the process that prepares it, so the parent
+    of a pool never holds its samples. An in-memory record is released once
+    none of its sources is left to prepare, so a record that no cell names
+    goes first.
 
-    A source whose preparation fails stays uncached and keeps its record: the
-    seed that needs it raises the error again, so a run reports the same first
-    error at any --jobs.
+    A source whose preparation fails stays uncached, and an in-memory record
+    keeps its samples for it: the seed that needs it raises the error again,
+    so a run reports the same first error at any --jobs.
     """
     sources = store.sources(cells)
     pending = collections.Counter(source.record_key for source in sources)
@@ -175,11 +181,9 @@ def cmd_run(args) -> int:
     if args.jobs < 1:
         return _fail(f"--jobs must be at least 1, got {args.jobs}", 2)
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        cfg = validate_config(raw)
+        cfg = validate_config(json.loads(read_text(args.config)))
         seeds = _resolve_seeds(cfg)
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+    except (OSError, json.JSONDecodeError, FormatMismatch, ConfigError) as exc:
         return _fail(f"config: {exc}", 2)
     cells = _select_cells(cfg, args.regime, args.setting)
     if not cells:
@@ -221,8 +225,7 @@ def cmd_run(args) -> int:
 
 
 def _load_results(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = json.loads(read_text(path))
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: results file must be a JSON object")
     version = payload.get("schema_version")
@@ -262,14 +265,14 @@ def _print_table(payloads):
 def cmd_report(args) -> int:
     try:
         payloads = [(path, _load_results(path)) for path in args.results]
-    except (OSError, json.JSONDecodeError, SchemaError, SchemaVersionMismatch) as exc:
+    except RESULTS_FILE_ERRORS as exc:
         return _fail(str(exc), 2)
     _print_table(payloads)
     if args.delta:
         try:
             a = _load_results(args.delta[0])
             b = _load_results(args.delta[1])
-        except (OSError, json.JSONDecodeError, SchemaError, SchemaVersionMismatch) as exc:
+        except RESULTS_FILE_ERRORS as exc:
             return _fail(str(exc), 2)
         shared = sorted(set(a["results"]) & set(b["results"]))
         pairs = [(k, k) for k in shared]
@@ -288,9 +291,8 @@ def cmd_report(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = validate_config(json.load(fh))
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+        cfg = validate_config(json.loads(read_text(args.config)))
+    except (OSError, json.JSONDecodeError, FormatMismatch, ConfigError) as exc:
         return _fail(f"config: {exc}", 2)
     print(json.dumps(cfg.to_dict(), sort_keys=True, indent=2))
     print(f"digest: {cfg.digest()}")

@@ -6,6 +6,7 @@ sample formats 212 and 16, bit-exact. Anything else is rejected loudly.
 
 import json
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -320,7 +321,7 @@ def _load_f32le(path: str) -> np.ndarray:
     return data.astype(float)
 
 
-def _read_text(path: str) -> str:
+def read_text(path: str) -> str:
     """The UTF-8 text of a file, with newlines translated as open() does."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -331,7 +332,7 @@ def _read_text(path: str) -> str:
 
 def _load_csv(path: str) -> np.ndarray:
     values = []
-    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
@@ -346,7 +347,7 @@ def _load_csv(path: str) -> np.ndarray:
 
 def _load_wfdb(meta: RecordMeta):
     header_path = meta.path if meta.path.endswith(".hea") else meta.path + ".hea"
-    header = parse_wfdb_header(_read_text(header_path))
+    header = parse_wfdb_header(read_text(header_path))
     fmts = {s.format for s in header.signals}
     files = {s.filename for s in header.signals}
     if len(fmts) != 1 or len(files) != 1:
@@ -398,18 +399,39 @@ def load_record(meta: RecordMeta) -> Recording:
     return Recording(key=meta.key, fs=float(fs), channels=channels)
 
 
-def load_dataset(manifest_path: str) -> tuple[DatasetIndex, dict]:
-    """Parse a manifest file and load every record it references.
+class RecordFiles(Mapping):
+    """Read-only mapping from record key to the Recording that load_record
+    reads from the record's file at each lookup. It holds the index only, so
+    a process that keeps or inherits it holds no samples."""
 
-    Paths are resolved relative to the manifest location. Returns the index
-    and a dict from record key to Recording.
+    def __init__(self, index: DatasetIndex):
+        self._metas = {meta.key: meta for meta in index.records}
+
+    def __getitem__(self, key) -> Recording:
+        return load_record(self._metas[key])
+
+    def __iter__(self):
+        return iter(self._metas)
+
+    def __len__(self) -> int:
+        return len(self._metas)
+
+
+def load_dataset(manifest_path: str) -> tuple[DatasetIndex, RecordFiles]:
+    """Parse a manifest file and read and check every record it references.
+
+    Paths are resolved relative to the manifest location. No record is kept:
+    returns the index and a RecordFiles, which reads a record again at each
+    lookup, so a bad file raises here, before any evaluation, and the process
+    that prepares a record is the one that holds its samples.
     """
-    index = parse_manifest(_read_text(manifest_path))
+    index = parse_manifest(read_text(manifest_path))
     base = os.path.dirname(os.path.abspath(manifest_path))
     resolved = tuple(
         m if os.path.isabs(m.path) else replace(m, path=os.path.join(base, m.path))
         for m in index.records
     )
     index = DatasetIndex(records=resolved)
-    recordings = {m.key: load_record(m) for m in index.records}
-    return index, recordings
+    for meta in index.records:
+        load_record(meta)
+    return index, RecordFiles(index)

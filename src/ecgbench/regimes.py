@@ -9,6 +9,7 @@ regardless of worker scheduling.
 """
 
 import warnings
+from collections.abc import Mapping, MutableMapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,10 +198,12 @@ def _clean_range(clean, time_range):
 class SegmentStore:
     """Caches, per (record, time range), the spans and features of the
     segments that preprocessing, detection and segmentation give. Neither the
-    filtered record nor the segments' samples are kept, and a record released
-    after its sources are prepared no longer holds its raw samples either."""
+    filtered record nor the segments' samples are kept. recordings maps each
+    record key to its Recording: an in-memory dict, whose record is released
+    once its sources are prepared, or an ingest.RecordFiles, which reads the
+    record's file at each lookup, in the process that prepares it."""
 
-    def __init__(self, cfg: RunConfig, index: DatasetIndex, recordings: dict):
+    def __init__(self, cfg: RunConfig, index: DatasetIndex, recordings: Mapping):
         self.cfg = cfg
         self.index = index
         self.recordings = recordings
@@ -239,16 +242,19 @@ class SegmentStore:
         self._prepared[(prepared.record_key, prepared.time_range)] = prepared
 
     def release(self, record_key):
-        """Drop a record's raw recording once all its sources are prepared.
-        It is kept when the config augments MLP training data, because
-        segments() cuts the training segments from it again."""
+        """Drop an in-memory record's raw recording once all its sources are
+        prepared. It is kept when the config augments MLP training data,
+        because segments() cuts the training segments from it again. A
+        file-backed mapping holds no recording, so there is nothing to drop."""
         embedder = self.cfg.embedder
-        if embedder.kind != "mlp" or not embedder.augment.multiplier:
+        if isinstance(self.recordings, MutableMapping) and (
+                embedder.kind != "mlp" or not embedder.augment.multiplier):
             del self.recordings[record_key]
 
     def segments(self, prepared: PreparedSource, idx) -> list:
         """The segments at rows idx of a preparation, cut again from its
-        record's clean signal with the same samples, fs, key and position."""
+        record's clean signal with the same samples, fs, key and position. A
+        file-backed record is read again for it."""
         clean = dsp.preprocess(self.recordings[prepared.record_key], self.cfg.preprocess)
         offset = _clean_range(clean, prepared.time_range)[1]
         return [segment.Segment(clean.samples[lo:hi].copy(), lo - offset, clean.fs, i,
@@ -277,7 +283,8 @@ class SegmentStore:
 
 
 def load_dataset_from_config(ds_cfg):
-    """Resolve the dataset config into (index, {record_key: Recording})."""
+    """Resolve the dataset config into (index, {record_key: Recording}): a
+    dict of synthesized recordings, or a manifest's ingest.RecordFiles."""
     if ds_cfg.kind == "manifest":
         return load_dataset(ds_cfg.path)
     from .synth import generate_recordings, preset_spec

@@ -3,6 +3,7 @@ exit code 2 for bad input and 1 for a failed evaluation, never a traceback."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import weakref
@@ -10,9 +11,10 @@ import weakref
 import numpy as np
 import pytest
 
-from ecgbench import cli, regimes
+from ecgbench import cli, ingest, regimes, synth
 from ecgbench.core import METRIC_FIELDS, validate_config
 from ecgbench.errors import RangeOutOfBounds
+from ecgbench.ingest import RecordMeta, load_record, sorted_index
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -28,8 +30,12 @@ REGIMES = [{"names": ["single_session", "single_cross_session"],
             "settings": ["closed", "open"]}]
 
 
+NOT_UTF8 = b"\x80\x81"
+
+
 def _write_json(path, obj) -> str:
-    path.write_text(json.dumps(obj))
+    """Write obj as JSON, or write it as is when it is bytes."""
+    path.write_bytes(obj if isinstance(obj, bytes) else json.dumps(obj).encode())
     return str(path)
 
 
@@ -99,11 +105,13 @@ def test_bad_seed_override_exits_2(dataset, monkeypatch, capsys, override):
     {"schema_version": 1, "results": {"single_session": {"metrics": {}}}},
     [1, 2],
     {"schema_version": 2, "results": {}},
+    NOT_UTF8,
 ], ids=["no_results", "no_metrics", "key_without_setting", "not_an_object",
-        "schema_version_2"])
+        "schema_version_2", "not_utf8"])
 def test_report_on_malformed_results_exits_2(tmp_path, capsys, payload):
     path = _write_json(tmp_path / "results.json", payload)
-    _assert_clean_failure(capsys, cli.main(["report", path]), 2)
+    err = _assert_clean_failure(capsys, cli.main(["report", path]), 2)
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("overrides", [
@@ -116,15 +124,20 @@ def test_report_on_malformed_results_exits_2(tmp_path, capsys, payload):
     {"preprocess": {"filter": {"order": 9}}},
     {"regime": {"name": "cross_session", "enroll_session": "s0", "probe_session": "s0"}},
     {"regime": {"name": "cross_session", "enroll_session": 0, "probe_session": "s1"}},
+    NOT_UTF8,
 ], ids=["target_len_1", "mlp_target_len_7", "unknown_key", "unknown_nested_key",
         "blind_overlap_single_session", "unknown_preset", "filter_order_9",
-        "cross_session_one_session", "session_not_a_string"])
+        "cross_session_one_session", "session_not_a_string", "not_utf8"])
 def test_bad_config_exits_2(dataset, capsys, overrides):
-    config = _config(dataset, "bad", **overrides)
-    _assert_clean_failure(capsys, cli.main(["validate", "--config", config]), 2)
+    if isinstance(overrides, bytes):
+        config = _write_json(dataset / "bad.json", overrides)
+    else:
+        config = _config(dataset, "bad", **overrides)
+    err = _assert_clean_failure(capsys, cli.main(["validate", "--config", config]), 2)
+    assert err.count("\n") == 1
     out = dataset / "bad_config"
     code = cli.main(["run", "--config", config, "--out", str(out)])
-    _assert_clean_failure(capsys, code, 2)
+    assert _assert_clean_failure(capsys, code, 2) == err
     assert not out.exists()
 
 
@@ -304,6 +317,44 @@ def test_non_finite_record_names_its_first_bad_sample(dataset, tmp_path, capsys)
         f"sub000/s0/0/0, channel 0: sample 1000 is nan (100 non-finite)\n")
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"], ids=["jobs1", "jobs2"])
+@pytest.mark.parametrize("case, error", [
+    ("non_finite", "NonFiniteSamples: {path}: record sub000/s0/0/0, channel 0: "
+                   "sample 0 is nan ("),
+    ("deleted", "FileNotFoundError: [Errno 2] No such file or directory: '{path}'"),
+], ids=["non_finite", "deleted"])
+def test_record_changed_after_the_check_exits_1_without_output(
+        dataset, tmp_path, monkeypatch, capsys, jobs, case, error):
+    # The run reads each record file again where it prepares it, so a file
+    # that changes after loading checked it fails the evaluation.
+    manifest = json.loads((dataset / "data" / "manifest.json").read_text())
+    for record in manifest["records"]:
+        record["path"] = str(dataset / "data" / record["path"])
+    path = tmp_path / "first.f32"
+    shutil.copyfile(manifest["records"][0]["path"], path)
+    manifest["records"][0]["path"] = str(path)
+    load_dataset = regimes.load_dataset
+
+    def change_after_loading(manifest_path):
+        loaded = load_dataset(manifest_path)
+        if case == "deleted":
+            path.unlink()
+        else:
+            np.full(100, np.nan, dtype="<f4").tofile(path)
+        return loaded
+
+    monkeypatch.setattr(regimes, "load_dataset", change_after_loading)
+    config = _write_json(tmp_path / "config.json", {
+        "dataset": _write_json(tmp_path / "manifest.json", manifest), "regime": REGIMES,
+        "seeds": [0, 1]})
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", config, "--out", str(out), "--jobs", jobs])
+    err = _assert_clean_failure(capsys, code, 1)
+    assert err.startswith(f"ecgbench: error: evaluation: {error.format(path=path)}")
+    assert err.count("\n") == 1
+    assert os.listdir(out) == []
+
+
 def test_detector_below_100_hz_exits_1_without_output(tmp_path, capsys):
     spec = _write_json(tmp_path / "spec.json", dict(SPEC, fs=90.0))
     assert cli.main(["synth", "--spec", spec, "--out", str(tmp_path / "data")]) == 0
@@ -425,15 +476,29 @@ def _fresh_store(cfg):
     return regimes.SegmentStore(cfg, *regimes.load_dataset_from_config(cfg.dataset))
 
 
+def _memory_store(cfg):
+    """A store over the module dataset's spec synthesized in memory, as the
+    store of a synthetic preset is: its recordings are a dict it can release."""
+    recordings = {rec.key: rec for rec, _ in synth.generate_recordings(
+        synth.spec_from_dict(SPEC), 3)}
+    index = sorted_index(RecordMeta(key, "memory", "f32le", rec.fs)
+                         for key, rec in recordings.items())
+    return regimes.SegmentStore(cfg, index, recordings)
+
+
+def _augment_cfg(dataset, multiplier):
+    return _cfg(dataset, f"augment{multiplier}", seeds=[0], embedder={
+        "kind": "mlp", "epochs": 2,
+        "augment": {"multiplier": multiplier, "ops": [{"kind": "amplitude_scale"}]}})
+
+
 @pytest.mark.parametrize("jobs", [1, 2], ids=["jobs1", "jobs2"])
 @pytest.mark.parametrize("multiplier", [0, 1], ids=["plain", "augmented"])
 def test_warm_up_frees_recordings_unless_augmenting(dataset, jobs, multiplier):
     # Augmentation cuts training segments from the raw recording again, so
-    # only then does the store keep it.
-    cfg = _cfg(dataset, f"augment{multiplier}", seeds=[0], embedder={
-        "kind": "mlp", "epochs": 2,
-        "augment": {"multiplier": multiplier, "ops": [{"kind": "amplitude_scale"}]}})
-    store = _fresh_store(cfg)
+    # only then does the store keep an in-memory one.
+    cfg = _augment_cfg(dataset, multiplier)
+    store = _memory_store(cfg)
     alive = [weakref.ref(rec) for rec in store.recordings.values()]
     cli._warm_store(store, cfg.regimes, jobs)
     assert len(store._prepared) == len(store.sources(cfg.regimes)) == len(alive) == 8
@@ -444,14 +509,14 @@ def test_warm_up_frees_recordings_unless_augmenting(dataset, jobs, multiplier):
         assert store.recordings == {}
         assert all(ref() is None for ref in alive)
     assert regimes.run_evaluation(cfg, 0, store=store) == \
-        regimes.run_evaluation(cfg, 0, store=_fresh_store(cfg))
+        regimes.run_evaluation(cfg, 0, store=_memory_store(cfg))
 
 
 @pytest.mark.parametrize("jobs", [1, 2], ids=["jobs1", "jobs2"])
 def test_failed_preparation_keeps_its_record(dataset, jobs):
     cfg = _cfg(dataset, "range", regime={
         "name": "custom_split", "enroll_range": [0.0, 8.0], "probe_range": [10.0, 25.0]})
-    store = _fresh_store(cfg)
+    store = _memory_store(cfg)
     cli._warm_store(store, cfg.regimes, jobs)
     # Each subject's first record keeps its failed probe range; the s1
     # records, which no cell names, are gone.
@@ -460,6 +525,35 @@ def test_failed_preparation_keeps_its_record(dataset, jobs):
     assert sorted(store._prepared) == sorted((key, (0.0, 8.0)) for key in first)
     with pytest.raises(RangeOutOfBounds, match=r"range \(10.0, 25.0\) outside record"):
         regimes.run_evaluation(cfg, 0, store=store)
+
+
+@pytest.mark.parametrize("jobs", [1, 2], ids=["jobs1", "jobs2"])
+@pytest.mark.parametrize("multiplier", [0, 1], ids=["plain", "augmented"])
+def test_manifest_records_are_read_where_prepared_and_never_kept(
+        dataset, monkeypatch, jobs, multiplier):
+    reads = []
+
+    def tracked_load_record(meta):
+        recording = load_record(meta)
+        reads.append(weakref.ref(recording))
+        return recording
+
+    monkeypatch.setattr(ingest, "load_record", tracked_load_record)
+    cfg = _augment_cfg(dataset, multiplier)
+    store = _fresh_store(cfg)
+    # Loading reads and checks each of the 8 records, and keeps none.
+    assert len(reads) == len(store.recordings) == 8
+    assert all(ref() is None for ref in reads)
+    cli._warm_store(store, cfg.regimes, jobs)
+    assert len(store._prepared) == len(store.sources(cfg.regimes)) == 8
+    # At jobs 1 this process prepares, and reads, each record once more; a
+    # pool's workers read them in its place.
+    assert len(reads) == (16 if jobs == 1 else 8)
+    assert all(ref() is None for ref in reads)
+    assert len(store.recordings) == 8
+    assert regimes.run_evaluation(cfg, 0, store=store) == \
+        regimes.run_evaluation(cfg, 0, store=_fresh_store(cfg))
+    assert all(ref() is None for ref in reads)
 
 
 def test_jobs_1_warm_up_prepares_each_source_once(dataset, jobs1, monkeypatch):
