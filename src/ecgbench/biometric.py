@@ -117,8 +117,8 @@ def build_template(embeddings, subject_id: str, fusion: str = "mean",
                     source_count=count, source_sessions=tuple(source_sessions))
 
 
-def fuse_probes(embeddings, k: int) -> list[np.ndarray]:
-    """Mean-fuse consecutive non-overlapping groups of k probe embeddings.
+def fuse_probes(embeddings, k: int) -> np.ndarray:
+    """Mean-fuse consecutive non-overlapping groups of k probe embeddings, one row each.
 
     A trailing group smaller than k is dropped, except when the record has
     fewer than k embeddings in total: then all of them fuse into one probe.
@@ -128,28 +128,26 @@ def fuse_probes(embeddings, k: int) -> list[np.ndarray]:
     embeddings = np.asarray(embeddings, dtype=float)
     if not len(embeddings):
         raise ValueError("fuse_probes needs a non-empty embedding list")
-    if k == 1:
-        return list(embeddings.copy())
-    if len(embeddings) < k:
-        return [embeddings.mean(axis=0)]
+    if k == 1:  # a mean of one row would turn -0.0 into 0.0
+        return embeddings.copy()
     # Reducing the middle axis adds each group's rows in order, as a mean over
     # the group's own (k, d) block does.
-    n_groups = len(embeddings) // k
-    groups = embeddings[: n_groups * k].reshape(n_groups, k, *embeddings.shape[1:])
-    return list(groups.mean(axis=1))
+    n_groups = max(1, len(embeddings) // k)
+    groups = embeddings[: n_groups * k].reshape(n_groups, -1, *embeddings.shape[1:])
+    return groups.mean(axis=1)
 
 
 def score_matrix(gallery, probes, probe_subjects, metric: str = "cosine") -> ScoreMatrix:
     """All probe-template similarities; rows in probe order, columns by subject.
 
-    gallery: iterable of Template; probes: iterable of vectors with their true
-    subject ids alongside.
+    gallery: iterable of Template; probes: (n, d) array, or n vectors, with
+    their true subject ids alongside.
     """
     gallery = sorted(gallery, key=lambda t: t.subject_id)
-    probes = [np.asarray(p, dtype=float) for p in probes]
-    if not gallery or not probes:
+    probes = np.asarray(probes, dtype=float)
+    if not gallery or not len(probes):
         raise ValueError("score_matrix needs a non-empty gallery and probes")
-    scores = pairwise(np.stack(probes), np.stack([t.vector for t in gallery]), metric)
+    scores = pairwise(probes, np.stack([t.vector for t in gallery]), metric)
     return ScoreMatrix(
         scores=scores,
         probe_subjects=tuple(probe_subjects),

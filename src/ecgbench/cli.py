@@ -7,8 +7,6 @@ produce byte-identical files regardless of --jobs.
 """
 
 import argparse
-import collections
-import concurrent.futures
 import json
 import os
 import sys
@@ -24,8 +22,7 @@ from .synth import generate_dataset, preset_spec, spec_from_dict
 SCHEMA_VERSION = 1
 SEED_ENV = "ECGBENCH_SEED_OVERRIDE"
 CSV_HEADER = "regime,setting," + ",".join(METRIC_FIELDS)
-RESULTS_FILE_ERRORS = (OSError, json.JSONDecodeError, FormatMismatch, SchemaError,
-                       SchemaVersionMismatch)
+RESULTS_FILE_ERRORS = (OSError, FormatMismatch, SchemaError, SchemaVersionMismatch)
 
 
 def _fail(message: str, code: int) -> int:
@@ -33,15 +30,19 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _read_json(path: str):
+    """The JSON value in a UTF-8 file; FormatMismatch names a file that is not."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise FormatMismatch(f"{path}: {exc}") from None
+
+
 def cmd_synth(args) -> int:
     try:
-        if args.spec:
-            with open(args.spec, "r", encoding="utf-8") as fh:
-                spec = spec_from_dict(json.load(fh))
-        else:
-            spec = preset_spec(args.preset)
+        spec = spec_from_dict(_read_json(args.spec)) if args.spec else preset_spec(args.preset)
         index, manifest_path = generate_dataset(spec, args.seed, args.out)
-    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (OSError, ValueError, FormatMismatch) as exc:
         return _fail(f"{type(exc).__name__}: {exc}", 2)
     print(f"wrote {len(index.records)} records and {manifest_path}")
     return 0
@@ -132,9 +133,12 @@ def _worker_seed(seed: int):
 
 
 def _pool(jobs: int, tasks: int, store, cells):
-    # Under the fork start method, Linux's default, workers inherit the store
-    # instead of unpickling it. The executor forks all of its workers at the
-    # first submit, so it gets no more of them than there are tasks.
+    # Imported here: a run at --jobs 1 loads neither the pool nor its logging.
+    # Under fork, Linux's default, workers inherit the store instead of
+    # unpickling it. The executor forks all of its workers at the first
+    # submit, so it gets no more of them than there are tasks.
+    import concurrent.futures
+
     return concurrent.futures.ProcessPoolExecutor(
         max_workers=max(1, min(jobs, tasks)), initializer=_init_worker,
         initargs=(store, cells))
@@ -143,47 +147,32 @@ def _pool(jobs: int, tasks: int, store, cells):
 def _warm_store(store, cells, jobs: int):
     """Prepare each (record, time range) the cells name once, in this process
     at jobs 1, else spread over jobs workers, and cache the results in store.
-    A record on disk is read by the process that prepares it, so the parent
-    of a pool never holds its samples. An in-memory record is released once
-    none of its sources is left to prepare, so a record that no cell names
-    goes first.
+    store.recordings reads a manifest's record, or renders a preset's, at each
+    lookup, so the record is read or rendered where it is prepared (in the
+    workers at jobs > 1), and no process keeps its samples.
 
-    A source whose preparation fails stays uncached, and an in-memory record
-    keeps its samples for it: the seed that needs it raises the error again,
-    so a run reports the same first error at any --jobs.
+    A source whose preparation fails stays uncached: the seed that needs it
+    reads or renders its record again and raises the error again, so a run
+    reports the same first error at any --jobs.
     """
     sources = store.sources(cells)
-    pending = collections.Counter(source.record_key for source in sources)
-    for key in [key for key in store.recordings if not pending[key]]:
-        store.release(key)
     if jobs == 1:
-        results = (_prepare_or_none(store, source) for source in sources)
-        _cache(store, pending, results)
+        for source in sources:
+            _prepare_or_none(store, source)
         return
-    # The workers fork at the first submit, before the results below arrive.
     with _pool(jobs, len(sources), store, cells) as pool:
-        _cache(store, pending, pool.map(_worker_prepare, sources))
-
-
-def _cache(store, pending, results):
-    """Add each preparation as it arrives; release its record when pending,
-    the count of its sources still to prepare, reaches zero."""
-    for prepared in results:
-        if prepared is None:
-            continue
-        store.add(prepared)
-        pending[prepared.record_key] -= 1
-        if not pending[prepared.record_key]:
-            store.release(prepared.record_key)
+        for prepared in pool.map(_worker_prepare, sources):
+            if prepared is not None:
+                store.add(prepared)
 
 
 def cmd_run(args) -> int:
     if args.jobs < 1:
         return _fail(f"--jobs must be at least 1, got {args.jobs}", 2)
     try:
-        cfg = validate_config(json.loads(read_text(args.config)))
+        cfg = validate_config(_read_json(args.config))
         seeds = _resolve_seeds(cfg)
-    except (OSError, json.JSONDecodeError, FormatMismatch, ConfigError) as exc:
+    except (OSError, FormatMismatch, ConfigError) as exc:
         return _fail(f"config: {exc}", 2)
     cells = _select_cells(cfg, args.regime, args.setting)
     if not cells:
@@ -225,7 +214,7 @@ def cmd_run(args) -> int:
 
 
 def _load_results(path: str) -> dict:
-    payload = json.loads(read_text(path))
+    payload = _read_json(path)
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: results file must be a JSON object")
     version = payload.get("schema_version")
@@ -291,8 +280,8 @@ def cmd_report(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        cfg = validate_config(json.loads(read_text(args.config)))
-    except (OSError, json.JSONDecodeError, FormatMismatch, ConfigError) as exc:
+        cfg = validate_config(_read_json(args.config))
+    except (OSError, FormatMismatch, ConfigError) as exc:
         return _fail(f"config: {exc}", 2)
     print(json.dumps(cfg.to_dict(), sort_keys=True, indent=2))
     print(f"digest: {cfg.digest()}")

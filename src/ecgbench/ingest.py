@@ -400,15 +400,16 @@ def load_record(meta: RecordMeta) -> Recording:
 
 
 class RecordFiles(Mapping):
-    """Read-only mapping from record key to the Recording that load_record
-    reads from the record's file at each lookup. It holds the index only, so
-    a process that keeps or inherits it holds no samples."""
+    """Read-only mapping from record key to the Recording that read(meta)
+    gives at each lookup, such as load_record from the record's file. It holds
+    no samples, so neither does a process that keeps or inherits it."""
 
-    def __init__(self, index: DatasetIndex):
+    def __init__(self, index: DatasetIndex, read):
         self._metas = {meta.key: meta for meta in index.records}
+        self._read = read
 
     def __getitem__(self, key) -> Recording:
-        return load_record(self._metas[key])
+        return self._read(self._metas[key])
 
     def __iter__(self):
         return iter(self._metas)
@@ -434,4 +435,4 @@ def load_dataset(manifest_path: str) -> tuple[DatasetIndex, RecordFiles]:
     index = DatasetIndex(records=resolved)
     for meta in index.records:
         load_record(meta)
-    return index, RecordFiles(index)
+    return index, RecordFiles(index, load_record)

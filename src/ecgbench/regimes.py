@@ -9,12 +9,13 @@ regardless of worker scheduling.
 """
 
 import warnings
-from collections.abc import Mapping, MutableMapping
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import biometric, dsp, metrics, rpeak, segment
+from . import biometric, dsp, metrics, rpeak, segment, synth
 from .augment import augment_training_set
 from .core import METRIC_FIELDS, MetricsReport, RegimeCell, RunConfig
 from .embed import mlp_embed, mlp_train, morphology_features
@@ -27,7 +28,7 @@ from .errors import (
     SampleLeakage,
     TooFewSubjects,
 )
-from .ingest import DatasetIndex, RecordMeta, load_dataset, sorted_index
+from .ingest import DatasetIndex, RecordFiles, RecordMeta, load_dataset, sorted_index
 from .util import stable_seed, sub_rng
 
 SINGLE_SESSION_ENROLL_FRACTION = 0.7
@@ -199,9 +200,9 @@ class SegmentStore:
     """Caches, per (record, time range), the spans and features of the
     segments that preprocessing, detection and segmentation give. Neither the
     filtered record nor the segments' samples are kept. recordings maps each
-    record key to its Recording: an in-memory dict, whose record is released
-    once its sources are prepared, or an ingest.RecordFiles, which reads the
-    record's file at each lookup, in the process that prepares it."""
+    record key to its Recording; an ingest.RecordFiles reads or renders the
+    record at each lookup, so only the process that prepares a record holds
+    its samples, and only while it prepares it."""
 
     def __init__(self, cfg: RunConfig, index: DatasetIndex, recordings: Mapping):
         self.cfg = cfg
@@ -241,20 +242,10 @@ class SegmentStore:
             array.flags.writeable = False
         self._prepared[(prepared.record_key, prepared.time_range)] = prepared
 
-    def release(self, record_key):
-        """Drop an in-memory record's raw recording once all its sources are
-        prepared. It is kept when the config augments MLP training data,
-        because segments() cuts the training segments from it again. A
-        file-backed mapping holds no recording, so there is nothing to drop."""
-        embedder = self.cfg.embedder
-        if isinstance(self.recordings, MutableMapping) and (
-                embedder.kind != "mlp" or not embedder.augment.multiplier):
-            del self.recordings[record_key]
-
     def segments(self, prepared: PreparedSource, idx) -> list:
         """The segments at rows idx of a preparation, cut again from its
-        record's clean signal with the same samples, fs, key and position. A
-        file-backed record is read again for it."""
+        record's clean signal with the same samples, fs, key and position. The
+        record is looked up, and so read or rendered, again for it."""
         clean = dsp.preprocess(self.recordings[prepared.record_key], self.cfg.preprocess)
         offset = _clean_range(clean, prepared.time_range)[1]
         return [segment.Segment(clean.samples[lo:hi].copy(), lo - offset, clean.fs, i,
@@ -282,21 +273,23 @@ class SegmentStore:
         return PreparedSource(record_key, time_range, spans, *_features(segs, self.cfg))
 
 
+def _render(spec, seed: int, meta: RecordMeta):
+    """A preset's record, rendered alone through synth.generate_recordings."""
+    ((recording, _peaks),) = synth.generate_recordings(spec, seed, keys=(meta.key,))
+    return recording
+
+
 def load_dataset_from_config(ds_cfg):
-    """Resolve the dataset config into (index, {record_key: Recording}): a
-    dict of synthesized recordings, or a manifest's ingest.RecordFiles."""
+    """Resolve the dataset config into (index, ingest.RecordFiles), which reads
+    a manifest's record from its file, or renders a preset's, at each lookup.
+    Apart from a manifest's check, no record is read or rendered here."""
     if ds_cfg.kind == "manifest":
         return load_dataset(ds_cfg.path)
-    from .synth import generate_recordings, preset_spec
-
-    spec = preset_spec(ds_cfg.preset)
-    recordings = {}
-    metas = []
-    for rec, _peaks in generate_recordings(spec, ds_cfg.seed):
-        recordings[rec.key] = rec
-        metas.append(RecordMeta(key=rec.key, path=f"synthetic://{ds_cfg.preset}",
-                                format="f32le", fs=rec.fs))
-    return sorted_index(metas), recordings
+    spec = synth.preset_spec(ds_cfg.preset)
+    index = sorted_index(RecordMeta(key=key, path=f"synthetic://{ds_cfg.preset}",
+                                    format="f32le", fs=spec.fs)
+                         for key in synth.record_keys(spec))
+    return index, RecordFiles(index, partial(_render, spec, ds_cfg.seed))
 
 
 # --- realization ------------------------------------------------------------------
@@ -441,7 +434,7 @@ def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
         embed_rows = lambda rows: rows
 
     gallery = []
-    probe_vectors = []
+    probe_blocks = []
     probe_subjects = []
     final_eval = []
     for subject in eval_subjects:
@@ -460,14 +453,14 @@ def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
         for rows in probe_groups:
             fused = biometric.fuse_probes(embed_rows(rows),
                                           cfg.evaluation.probe_fusion_k)
-            probe_vectors.extend(fused)
+            probe_blocks.append(fused)
             probe_subjects.extend([subject] * len(fused))
 
     if len(final_eval) < 2:
         raise RegimeUnsatisfiable(
             f"{cell.name}|{cell.setting}: fewer than two evaluable subjects")
 
-    matrix = biometric.score_matrix(gallery, probe_vectors, probe_subjects,
+    matrix = biometric.score_matrix(gallery, np.concatenate(probe_blocks), probe_subjects,
                                     cfg.evaluation.metric)
     pairs = biometric.generate_pairs(
         matrix, cfg.evaluation.pair_sampling,
@@ -494,7 +487,7 @@ def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
             "subjects_excluded": total - len(final_eval),
             "train_subjects": len(train_subjects),
             "gallery_size": len(gallery),
-            "probe_count": len(probe_vectors),
+            "probe_count": len(probe_subjects),
             "genuine_pairs": int(pairs.genuine.size),
             "impostor_pairs": int(pairs.impostor.size),
         },

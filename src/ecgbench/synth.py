@@ -249,30 +249,48 @@ def synthesize_record(
     return Recording(key=key, fs=fs, channels=(x,)), peaks
 
 
-def generate_recordings(spec: SynthSpec, seed: int):
-    """All records of a dataset, in-memory.
+def _subject_records(spec: SynthSpec) -> dict:
+    """Each subject's records, in render order: (session id, day,
+    record_index) -> (session effects, r), where r counts the session's
+    records and record_index the subject's acquisitions within a day."""
+    out = {}
+    for sess in sorted(spec.sessions, key=lambda s: (s.day_index, s.session_id)):
+        for r in range(spec.records_per_session):
+            rec_idx = sum(day == sess.day_index for _, day, _ in out)
+            out[(sess.session_id, sess.day_index, rec_idx)] = (sess, r)
+    return out
 
-    Returns a list of (Recording, true_peaks) in deterministic (subject, day,
-    record) order. record_index counts acquisitions within a day.
+
+def record_keys(spec: SynthSpec) -> list[RecordKey]:
+    """The key of every record of a dataset, in (subject, day, record) order."""
+    tails = _subject_records(spec)
+    return [RecordKey(f"sub{i:03d}", *tail) for i in range(spec.n_subjects) for tail in tails]
+
+
+def generate_recordings(spec: SynthSpec, seed: int, keys=None):
+    """(Recording, true_peaks) of every record of a dataset in record_keys
+    order, or of each of keys. A record is rendered from its own seeds, so
+    rendered alone it is bitwise the one the full render gives, and finding
+    it enumerates one subject's records only. A key that names no record of
+    the dataset raises KeyError.
     """
+    tails = _subject_records(spec)
     out = []
-    for i in range(spec.n_subjects):
-        subject_id = f"sub{i:03d}"
-        theta = make_subject_params(stable_seed(seed, "subject", i))
-        day_counts: dict[int, int] = {}
-        for sess in sorted(spec.sessions, key=lambda s: (s.day_index, s.session_id)):
-            for r in range(spec.records_per_session):
-                rec_idx = day_counts.get(sess.day_index, 0)
-                day_counts[sess.day_index] = rec_idx + 1
-                rec, peaks = synthesize_record(
-                    theta, sess, spec.duration_s, spec.fs,
-                    seed=stable_seed(seed, subject_id, sess.session_id, r),
-                    subject_id=subject_id,
-                    record_index=rec_idx,
-                    drift_seed=seed,
-                    trend_weight=spec.drift_trend_weight,
-                )
-                out.append((rec, peaks))
+    for key in record_keys(spec) if keys is None else keys:
+        digits = key.subject_id[3:]
+        i = int(digits) if digits.isdecimal() else -1
+        if not (0 <= i < spec.n_subjects and key.subject_id == f"sub{i:03d}"):
+            raise KeyError(key)
+        sess, r = tails[key[1:]]
+        out.append(synthesize_record(
+            make_subject_params(stable_seed(seed, "subject", i)), sess,
+            spec.duration_s, spec.fs,
+            seed=stable_seed(seed, key.subject_id, sess.session_id, r),
+            subject_id=key.subject_id,
+            record_index=key.record_index,
+            drift_seed=seed,
+            trend_weight=spec.drift_trend_weight,
+        ))
     return out
 
 

@@ -1,6 +1,7 @@
 """Command-line contract: synth -> run -> report, byte-identity across --jobs,
 exit code 2 for bad input and 1 for a failed evaluation, never a traceback."""
 
+import concurrent.futures
 import json
 import os
 import shutil
@@ -14,7 +15,7 @@ import pytest
 from ecgbench import cli, ingest, regimes, synth
 from ecgbench.core import METRIC_FIELDS, validate_config
 from ecgbench.errors import RangeOutOfBounds
-from ecgbench.ingest import RecordMeta, load_record, sorted_index
+from ecgbench.ingest import load_record
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -31,6 +32,7 @@ REGIMES = [{"names": ["single_session", "single_cross_session"],
 
 
 NOT_UTF8 = b"\x80\x81"
+NOT_JSON = b"{"
 
 
 def _write_json(path, obj) -> str:
@@ -106,12 +108,16 @@ def test_bad_seed_override_exits_2(dataset, monkeypatch, capsys, override):
     [1, 2],
     {"schema_version": 2, "results": {}},
     NOT_UTF8,
+    NOT_JSON,
 ], ids=["no_results", "no_metrics", "key_without_setting", "not_an_object",
-        "schema_version_2", "not_utf8"])
+        "schema_version_2", "not_utf8", "not_json"])
 def test_report_on_malformed_results_exits_2(tmp_path, capsys, payload):
+    # The bad file is named, since a report may read several.
+    ok = _results_file(tmp_path / "ok.json", {"single_session|closed": 0.5})
     path = _write_json(tmp_path / "results.json", payload)
-    err = _assert_clean_failure(capsys, cli.main(["report", path]), 2)
+    err = _assert_clean_failure(capsys, cli.main(["report", ok, path]), 2)
     assert err.count("\n") == 1
+    assert f"error: {path}: " in err
 
 
 @pytest.mark.parametrize("overrides", [
@@ -125,9 +131,10 @@ def test_report_on_malformed_results_exits_2(tmp_path, capsys, payload):
     {"regime": {"name": "cross_session", "enroll_session": "s0", "probe_session": "s0"}},
     {"regime": {"name": "cross_session", "enroll_session": 0, "probe_session": "s1"}},
     NOT_UTF8,
+    NOT_JSON,
 ], ids=["target_len_1", "mlp_target_len_7", "unknown_key", "unknown_nested_key",
         "blind_overlap_single_session", "unknown_preset", "filter_order_9",
-        "cross_session_one_session", "session_not_a_string", "not_utf8"])
+        "cross_session_one_session", "session_not_a_string", "not_utf8", "not_json"])
 def test_bad_config_exits_2(dataset, capsys, overrides):
     if isinstance(overrides, bytes):
         config = _write_json(dataset / "bad.json", overrides)
@@ -135,6 +142,8 @@ def test_bad_config_exits_2(dataset, capsys, overrides):
         config = _config(dataset, "bad", **overrides)
     err = _assert_clean_failure(capsys, cli.main(["validate", "--config", config]), 2)
     assert err.count("\n") == 1
+    if isinstance(overrides, bytes):
+        assert err.startswith(f"ecgbench: error: config: {config}: ")
     out = dataset / "bad_config"
     code = cli.main(["run", "--config", config, "--out", str(out)])
     assert _assert_clean_failure(capsys, code, 2) == err
@@ -147,12 +156,17 @@ def test_bad_config_exits_2(dataset, capsys, overrides):
     dict(SPEC, sessions=[{"session_id": "s0", "noise_sgima": 0.03}]),
     dict(SPEC, fs=float("inf")),
     dict(SPEC, duration_s=0.0),
+    NOT_UTF8,
+    NOT_JSON,
 ], ids=["spec_not_an_object", "session_not_an_object", "unknown_session_key",
-        "infinite_fs", "zero_duration"])
+        "infinite_fs", "zero_duration", "not_utf8", "not_json"])
 def test_bad_synth_spec_exits_2(tmp_path, capsys, spec):
     path = _write_json(tmp_path / "spec.json", spec)
     code = cli.main(["synth", "--spec", path, "--out", str(tmp_path / "data")])
-    _assert_clean_failure(capsys, code, 2)
+    err = _assert_clean_failure(capsys, code, 2)
+    assert err.count("\n") == 1
+    if isinstance(spec, bytes):
+        assert err.startswith(f"ecgbench: error: FormatMismatch: {path}: ")
     assert not (tmp_path / "data").exists()
 
 
@@ -428,7 +442,7 @@ def test_pools_get_no_more_workers_than_tasks(dataset, jobs1, monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(cli, "_WORKER_STATE", {})
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     out = dataset / "jobs16"
     argv = ["run", "--config", _config(dataset, "base"), "--out", str(out), "--jobs", "16"]
     assert cli.main(argv) == 0
@@ -467,90 +481,118 @@ def test_pool_warm_up_prepares_every_source_once_read_only(dataset, jobs1, monke
     assert json.loads(json.dumps(record)) == expected
 
 
-def _cfg(dataset, name, **overrides):
-    _config(dataset, name, **overrides)
-    return validate_config(json.loads((dataset / f"{name}.json").read_text()))
+def _cfg(root, name, **overrides):
+    _config(root, name, **overrides)
+    return validate_config(json.loads((root / f"{name}.json").read_text()))
 
 
 def _fresh_store(cfg):
     return regimes.SegmentStore(cfg, *regimes.load_dataset_from_config(cfg.dataset))
 
 
-def _memory_store(cfg):
-    """A store over the module dataset's spec synthesized in memory, as the
-    store of a synthetic preset is: its recordings are a dict it can release."""
-    recordings = {rec.key: rec for rec, _ in synth.generate_recordings(
-        synth.spec_from_dict(SPEC), 3)}
-    index = sorted_index(RecordMeta(key, "memory", "f32le", rec.fs)
-                         for key, rec in recordings.items())
-    return regimes.SegmentStore(cfg, index, recordings)
-
-
-def _augment_cfg(dataset, multiplier):
-    return _cfg(dataset, f"augment{multiplier}", seeds=[0], embedder={
+def _augment_cfg(root, multiplier, **overrides):
+    return _cfg(root, f"augment{multiplier}", seeds=[0], embedder={
         "kind": "mlp", "epochs": 2,
-        "augment": {"multiplier": multiplier, "ops": [{"kind": "amplitude_scale"}]}})
+        "augment": {"multiplier": multiplier, "ops": [{"kind": "amplitude_scale"}]}},
+        **overrides)
 
 
-@pytest.mark.parametrize("jobs", [1, 2], ids=["jobs1", "jobs2"])
-@pytest.mark.parametrize("multiplier", [0, 1], ids=["plain", "augmented"])
-def test_warm_up_frees_recordings_unless_augmenting(dataset, jobs, multiplier):
-    # Augmentation cuts training segments from the raw recording again, so
-    # only then does the store keep an in-memory one.
-    cfg = _augment_cfg(dataset, multiplier)
-    store = _memory_store(cfg)
-    alive = [weakref.ref(rec) for rec in store.recordings.values()]
-    cli._warm_store(store, cfg.regimes, jobs)
-    assert len(store._prepared) == len(store.sources(cfg.regimes)) == len(alive) == 8
-    if multiplier:
-        assert len(store.recordings) == 8
-        assert all(ref() is not None for ref in alive)
+def _module_spec_preset(monkeypatch) -> dict:
+    """A synthetic dataset config whose preset is the module spec at the
+    module dataset's seed: the records that `dataset` wrote, in memory."""
+    monkeypatch.setattr(synth, "preset_spec", lambda name: synth.spec_from_dict(SPEC))
+    return {"kind": "synthetic", "preset": "fallacy30", "seed": 3}
+
+
+def _track_recordings(monkeypatch, kind) -> list:
+    """Weak references to every Recording that a manifest's record reads
+    (ingest.load_record) or a preset's renders (synth.generate_recordings)
+    give from now on."""
+    refs = []
+    if kind == "manifest":
+        def tracked_load_record(meta):
+            recording = load_record(meta)
+            refs.append(weakref.ref(recording))
+            return recording
+
+        monkeypatch.setattr(ingest, "load_record", tracked_load_record)
     else:
-        assert store.recordings == {}
-        assert all(ref() is None for ref in alive)
-    assert regimes.run_evaluation(cfg, 0, store=store) == \
-        regimes.run_evaluation(cfg, 0, store=_memory_store(cfg))
+        generate_recordings = synth.generate_recordings
+
+        def tracked_generate_recordings(*args, **kwargs):
+            rendered = generate_recordings(*args, **kwargs)
+            refs.extend(weakref.ref(recording) for recording, _ in rendered)
+            return rendered
+
+        monkeypatch.setattr(synth, "generate_recordings", tracked_generate_recordings)
+    return refs
 
 
 @pytest.mark.parametrize("jobs", [1, 2], ids=["jobs1", "jobs2"])
-def test_failed_preparation_keeps_its_record(dataset, jobs):
-    cfg = _cfg(dataset, "range", regime={
-        "name": "custom_split", "enroll_range": [0.0, 8.0], "probe_range": [10.0, 25.0]})
-    store = _memory_store(cfg)
+@pytest.mark.parametrize("multiplier", [0], ids=["plain"])
+def test_warm_up_frees_recordings_unless_augmenting(dataset, monkeypatch, jobs, multiplier):
+    # A preset's store renders a record at each lookup and keeps none, so
+    # warm-up leaves no Recording alive; an augmented training, which renders
+    # its records once more, is the preset_augmented case below.
+    renders = _track_recordings(monkeypatch, "preset")
+    cfg = _augment_cfg(dataset, multiplier, dataset=_module_spec_preset(monkeypatch))
+    store = _fresh_store(cfg)
+    key = next(iter(store.recordings))
+    assert store.recordings[key] is not store.recordings[key]
+    renders.clear()
     cli._warm_store(store, cfg.regimes, jobs)
-    # Each subject's first record keeps its failed probe range; the s1
-    # records, which no cell names, are gone.
-    first = {meta.key for meta in store.index.records if meta.key.session_id == "s0"}
-    assert set(store.recordings) == first
+    assert len(store._prepared) == len(store.sources(cfg.regimes)) == len(store.recordings) == 8
+    assert len(renders) == (8 if jobs == 1 else 0)
+    assert all(ref() is None for ref in renders)
+    assert regimes.run_evaluation(cfg, 0, store=store) == \
+        regimes.run_evaluation(cfg, 0, store=_fresh_store(cfg))
+    assert all(ref() is None for ref in renders)
+
+
+@pytest.mark.parametrize("jobs", [1, 2], ids=["jobs1", "jobs2"])
+def test_failed_preparation_keeps_its_record(dataset, monkeypatch, jobs):
+    # A source whose preparation fails stays unprepared but keeps its record
+    # in store.recordings: the seed that needs it renders the record again
+    # and raises the first error again.
+    renders = _track_recordings(monkeypatch, "preset")
+    cfg = _cfg(dataset, "preset_range", dataset=_module_spec_preset(monkeypatch), regime={
+        "name": "custom_split", "enroll_range": [0.0, 8.0], "probe_range": [10.0, 25.0]})
+    store = _fresh_store(cfg)
+    cli._warm_store(store, cfg.regimes, jobs)
+    first = {key for key in store.recordings if key.session_id == "s0"}
+    assert len(first) == 4
     assert sorted(store._prepared) == sorted((key, (0.0, 8.0)) for key in first)
     with pytest.raises(RangeOutOfBounds, match=r"range \(10.0, 25.0\) outside record"):
         regimes.run_evaluation(cfg, 0, store=store)
+    assert all(ref() is None for ref in renders)
 
 
 @pytest.mark.parametrize("jobs", [1, 2], ids=["jobs1", "jobs2"])
-@pytest.mark.parametrize("multiplier", [0, 1], ids=["plain", "augmented"])
+@pytest.mark.parametrize("kind, multiplier", [
+    ("manifest", 0), ("manifest", 1), ("preset", 1)],
+    ids=["plain", "augmented", "preset_augmented"])
 def test_manifest_records_are_read_where_prepared_and_never_kept(
-        dataset, monkeypatch, jobs, multiplier):
-    reads = []
-
-    def tracked_load_record(meta):
-        recording = load_record(meta)
-        reads.append(weakref.ref(recording))
-        return recording
-
-    monkeypatch.setattr(ingest, "load_record", tracked_load_record)
-    cfg = _augment_cfg(dataset, multiplier)
+        dataset, monkeypatch, jobs, kind, multiplier):
+    # A manifest's records are read, and a preset's rendered, at each lookup
+    # of store.recordings, so only the process that prepares a record holds
+    # it, and only while it prepares it.
+    reads = _track_recordings(monkeypatch, kind)
+    overrides = {} if kind == "manifest" else {"dataset": _module_spec_preset(monkeypatch)}
+    cfg = _augment_cfg(dataset, multiplier, **overrides)
     store = _fresh_store(cfg)
-    # Loading reads and checks each of the 8 records, and keeps none.
-    assert len(reads) == len(store.recordings) == 8
+    # Loading reads and checks each of a manifest's 8 records, and keeps none;
+    # it renders none of a preset's.
+    loaded = 8 if kind == "manifest" else 0
+    assert len(reads) == loaded and len(store.recordings) == 8
     assert all(ref() is None for ref in reads)
     cli._warm_store(store, cfg.regimes, jobs)
     assert len(store._prepared) == len(store.sources(cfg.regimes)) == 8
-    # At jobs 1 this process prepares, and reads, each record once more; a
-    # pool's workers read them in its place.
-    assert len(reads) == (16 if jobs == 1 else 8)
+    # At jobs 1 this process prepares, and reads or renders, each record once
+    # more; a pool's workers do it in its place.
+    assert len(reads) == loaded + (8 if jobs == 1 else 0)
     assert all(ref() is None for ref in reads)
     assert len(store.recordings) == 8
+    # An augmented training reads or renders its records once more.
     assert regimes.run_evaluation(cfg, 0, store=store) == \
         regimes.run_evaluation(cfg, 0, store=_fresh_store(cfg))
     assert all(ref() is None for ref in reads)
@@ -629,6 +671,26 @@ def _env(**extra) -> dict:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
                                                       env.get("PYTHONPATH")]))
     return env
+
+
+def test_jobs_1_never_loads_the_process_pool(dataset):
+    # concurrent.futures and the logging it imports cost about 2 MB of RSS,
+    # which only a run at --jobs > 1 needs.
+    script = (
+        "import sys\n"
+        "import ecgbench.cli as cli\n"
+        "def loaded(): return sorted({'concurrent.futures', 'logging'} & set(sys.modules))\n"
+        "found = [loaded()]\n"
+        "cli.main(['validate', '--config', sys.argv[1]])\n"
+        "found.append(loaded())\n"
+        "cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "found.append(loaded())\n"
+        "print(found, file=sys.stderr)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, _config(dataset, "base"), str(dataset / "no_pool")],
+        env=_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[[], [], []]\n"
 
 
 def test_entry_point_reports_bad_seed_override_without_traceback(dataset):

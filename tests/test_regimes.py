@@ -161,6 +161,41 @@ def _store(cfg, spec, seed=1):
     return regimes.SegmentStore(cfg, index, recordings)
 
 
+@pytest.mark.parametrize("preset", ["aging4", "fallacy30", "ablation"])
+def test_preset_records_rendered_alone_are_the_full_renders(preset, monkeypatch):
+    # A preset's store renders one record at each lookup, through the module's
+    # generate_recordings, whose ground truth the benchmark's tracer reads.
+    spec, seed = synth.preset_spec(preset), 3
+    full = synth.generate_recordings(spec, seed)
+    generate_recordings, synthesize_record = synth.generate_recordings, synth.synthesize_record
+    lookups, renders = [], []
+
+    def tracked_generate_recordings(*args, **kwargs):
+        lookups.append(generate_recordings(*args, **kwargs))
+        return lookups[-1]
+
+    def counted_synthesize_record(*args, **kwargs):
+        renders.append(args)
+        return synthesize_record(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "generate_recordings", tracked_generate_recordings)
+    monkeypatch.setattr(synth, "synthesize_record", counted_synthesize_record)
+    cfg = validate_config({"dataset": {"kind": "synthetic", "preset": preset, "seed": seed},
+                           "regime": "single_session"})
+    index, recordings = regimes.load_dataset_from_config(cfg.dataset)
+    assert not renders
+    assert sorted(recordings) == [meta.key for meta in index.records] == \
+        sorted(rec.key for rec, _ in full)
+    for n, (rec, peaks) in enumerate(full, start=1):
+        alone = recordings[rec.key]
+        assert len(lookups) == len(renders) == n
+        ((rendered, alone_peaks),) = lookups[-1]
+        assert rendered is alone
+        assert (alone.key, alone.fs, len(alone.channels)) == (rec.key, rec.fs, 1)
+        assert alone.channels[0].tobytes() == rec.channels[0].tobytes()
+        assert alone_peaks.tobytes() == peaks.tobytes()
+
+
 BASE_CONFIG = {
     "dataset": {"kind": "synthetic", "preset": "fallacy30", "seed": 1},
     "regime": [

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from ecgbench import ingest, synth
+from ecgbench.core import RecordKey
 from ecgbench.embed import morphology_embed
 from ecgbench.segment import segment_beats
-from ecgbench.util import sub_rng
+from ecgbench.util import stable_seed, sub_rng
 
 from .oracles import render_beats_loop
 
@@ -187,6 +188,65 @@ def test_truth_files_match_generated_peaks(tmp_path):
         stem = f"{k.subject_id}_{k.session_id}_d{k.day_index:03d}_r{k.record_index}"
         on_disk = json.loads((tmp_path / f"{stem}.peaks.json").read_text())
         assert on_disk["peaks"] == [int(p) for p in peaks]
+
+
+def _generate_recordings_loop(spec, seed):
+    """generate_recordings as one loop over subjects, sessions and records."""
+    out = []
+    for i in range(spec.n_subjects):
+        subject_id = f"sub{i:03d}"
+        theta = synth.make_subject_params(stable_seed(seed, "subject", i))
+        day_counts = {}
+        for sess in sorted(spec.sessions, key=lambda s: (s.day_index, s.session_id)):
+            for r in range(spec.records_per_session):
+                rec_idx = day_counts.get(sess.day_index, 0)
+                day_counts[sess.day_index] = rec_idx + 1
+                out.append(synth.synthesize_record(
+                    theta, sess, spec.duration_s, spec.fs,
+                    seed=stable_seed(seed, subject_id, sess.session_id, r),
+                    subject_id=subject_id, record_index=rec_idx, drift_seed=seed,
+                    trend_weight=spec.drift_trend_weight))
+    return out
+
+
+def _same_records(got, want):
+    assert [rec.key for rec, _ in got] == [rec.key for rec, _ in want]
+    for (a, a_peaks), (b, b_peaks) in zip(got, want):
+        assert a.fs == b.fs and len(a.channels) == len(b.channels) == 1
+        assert a.channels[0].tobytes() == b.channels[0].tobytes()
+        assert a_peaks.tobytes() == b_peaks.tobytes()
+
+
+def test_records_render_alone_with_day_counts_across_sessions():
+    # Two sessions on day 0, two records each: record_index counts the day's
+    # acquisitions, while a record's seed counts its session's records.
+    spec = synth.SynthSpec(n_subjects=3, sessions=(
+        _effects("s1", noise_sigma=0.02), _effects("s0", noise_sigma=0.02),
+        _effects("s2", day_index=3, morphology_drift=0.1)),
+        duration_s=4.0, records_per_session=2, drift_trend_weight=0.5)
+    keys = synth.record_keys(spec)
+    assert keys[:6] == [("sub000", "s0", 0, 0), ("sub000", "s0", 0, 1),
+                        ("sub000", "s1", 0, 2), ("sub000", "s1", 0, 3),
+                        ("sub000", "s2", 3, 0), ("sub000", "s2", 3, 1)]
+    full = synth.generate_recordings(spec, 4)
+    _same_records(full, _generate_recordings_loop(spec, 4))
+    assert [rec.key for rec, _ in full] == keys
+    _same_records(synth.generate_recordings(spec, 4, keys=keys[::-1]), full[::-1])
+    for key in keys:
+        _same_records(synth.generate_recordings(spec, 4, keys=(key,)),
+                      [full[keys.index(key)]])
+
+
+@pytest.mark.parametrize("key", [
+    ("sub002", "s0", 0, 0), ("sub1", "s0", 0, 0), ("sub-01", "s0", 0, 0),
+    ("subx", "s0", 0, 0), ("sub000", "s0", 0, 1), ("sub000", "s0", 1, 0),
+    ("sub000", "s9", 0, 0)],
+    ids=["subject_past_the_last", "subject_unpadded", "subject_negative",
+         "subject_not_a_number", "record_past_the_session", "wrong_day", "unknown_session"])
+def test_generate_recordings_rejects_a_key_of_no_record(key):
+    spec = synth.SynthSpec(n_subjects=2, sessions=(_effects("s0"),), duration_s=4.0)
+    with pytest.raises(KeyError):
+        synth.generate_recordings(spec, 0, keys=(RecordKey(*key),))
 
 
 def test_single_subject_rejected():
