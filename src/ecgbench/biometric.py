@@ -91,14 +91,17 @@ def build_template(embeddings, subject_id: str, fusion: str = "mean",
     mean: element-wise average. representative: the medoid, i.e. the member
     minimizing the summed distance (1 - similarity) to the other selected
     members; ties break toward the earliest position. The medoid is returned
-    bit-for-bit, not recomputed.
+    bit-for-bit, not recomputed. embeddings is an (n, d) array, or n vectors.
     """
-    embeddings = [np.asarray(e, dtype=float) for e in embeddings]
-    if not embeddings:
+    if not isinstance(embeddings, np.ndarray):
+        embeddings = [np.asarray(e, dtype=float) for e in embeddings]
+        dims = {e.shape for e in embeddings}
+        if len(dims) > 1:
+            raise ValueError(f"mixed embedding dimensions {dims}")
+    # Row order in memory fixes the rounding of the mean and the medoid.
+    embeddings = np.ascontiguousarray(embeddings, dtype=float)
+    if not len(embeddings):
         raise EmptyEnrollment(f"no enrollment embeddings for {subject_id}")
-    dims = {e.shape for e in embeddings}
-    if len(dims) != 1:
-        raise ValueError(f"mixed embedding dimensions {dims}")
     count = len(embeddings) if size == "all" else min(int(size), len(embeddings))
     chosen = embeddings[:count]
     if fusion == "mean":
@@ -107,8 +110,7 @@ def build_template(embeddings, subject_id: str, fusion: str = "mean",
         if len(chosen) == 1:
             vector = chosen[0].copy()
         else:
-            stacked = np.stack(chosen)
-            dist = 1.0 - pairwise(stacked, stacked, metric)
+            dist = 1.0 - pairwise(chosen, chosen, metric)
             np.fill_diagonal(dist, 0.0)
             vector = chosen[int(np.argmin(dist.sum(axis=1)))].copy()
     else:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .dsp import FilterSpec, apply_filter
 from .errors import NoPeaksDetected, SamplingRateTooLow, SignalTooShort
+from .segment import window_argmax
 
 REFRACTORY_S = 0.2
 INTEGRATION_S = 0.15
@@ -145,13 +146,8 @@ def pan_tompkins(x, fs: float) -> PeakList:
         raise NoPeaksDetected(f"only {len(accepted)} events above threshold")
 
     # Snap each event to the local signal maximum within +/- SNAP_S.
-    snap = int(round(SNAP_S * fs))
-    snapped = []
-    for idx in accepted:
-        lo = max(0, idx - snap)
-        hi = min(len(x), idx + snap + 1)
-        snapped.append(lo + int(np.argmax(x[lo:hi])))
-    snapped = sorted(set(snapped))
+    snapped = window_argmax(x, np.asarray(accepted), int(round(SNAP_S * fs)))
+    snapped = sorted(set(snapped.tolist()))
     final = [snapped[0]]
     for idx in snapped[1:]:
         if idx - final[-1] >= refr:

@@ -22,19 +22,28 @@ class Segment:
     key: RecordKey | None = None
 
 
-def align_peak(x, peak: int, fs: float, half_window_s: float = 0.05) -> int:
-    """Index of max |x| within +/- half_window_s of peak; ties go earliest.
+def window_argmax(x: np.ndarray, centres: np.ndarray, half: int) -> np.ndarray:
+    """Index of the maximum of x within +/- half samples of each centre, the
+    earliest on ties; windows are cut at the ends of x."""
+    grid = np.clip(centres[:, None] + np.arange(-half, half + 1), 0, len(x) - 1)
+    return grid[np.arange(len(grid)), np.argmax(x[grid], axis=1)]
 
-    Uses |x| so inverted-lead polarity still lands on the QRS extremum.
-    Idempotent: realigning an aligned peak returns it unchanged.
+
+def align_peak(x, peaks, fs: float, half_window_s: float = 0.05):
+    """Index of max |x| within +/- half_window_s of each peak; ties go earliest.
+
+    An int peak gives an int, an array of peaks an array. Uses |x| so
+    inverted-lead polarity still lands on the QRS extremum. Idempotent:
+    realigning an aligned peak returns it unchanged.
     """
     x = np.asarray(x)
-    if not 0 <= peak < len(x):
-        raise ValueError(f"peak {peak} outside signal of {len(x)} samples")
-    half = int(round(half_window_s * fs))
-    lo = max(0, peak - half)
-    hi = min(len(x), peak + half + 1)
-    return lo + int(np.argmax(np.abs(x[lo:hi])))
+    centres = np.asarray(peaks, dtype=int)
+    outside = (centres < 0) | (centres >= len(x))
+    if outside.any():
+        raise ValueError(f"peak {centres[outside].flat[0]} outside signal of "
+                         f"{len(x)} samples")
+    aligned = window_argmax(np.abs(x), centres.reshape(-1), int(round(half_window_s * fs)))
+    return int(aligned[0]) if centres.ndim == 0 else aligned
 
 
 def segment_beats(x, fs: float, peaks, pre_s: float, post_s: float,
@@ -52,15 +61,12 @@ def segment_beats(x, fs: float, peaks, pre_s: float, post_s: float,
     if length < 2:
         raise WindowTooShort(f"beat window of {length} sample(s) at {fs} Hz; "
                              f"a segment needs at least 2")
-    segments = []
-    for peak in np.asarray(peaks, dtype=int):
-        peak = align_peak(x, int(peak), fs) if align else int(peak)
-        start = peak - pre
-        if start < 0 or start + length > len(x):
-            continue
-        segments.append(Segment(samples=x[start: start + length].copy(), start=start,
-                                fs=fs, position=len(segments), key=key))
-    return segments
+    peaks = np.asarray(peaks, dtype=int).reshape(-1)
+    starts = (align_peak(x, peaks, fs) if align else peaks) - pre
+    starts = starts[(starts >= 0) & (starts + length <= len(x))]
+    return [Segment(samples=x[start: start + length].copy(), start=start, fs=fs,
+                    position=i, key=key)
+            for i, start in enumerate(starts.tolist())]
 
 
 def segment_blind(x, fs: float, window_s: float, stride_s: float,

@@ -111,7 +111,7 @@ class SynthSpec:
 
 def _shortest_beat(heart_rate_bpm: float, fs: float) -> int:
     """Samples in the shortest beat the RR jitter can draw at this heart rate.
-    Below 1 the beat loop of _render_beats would never advance."""
+    _render_beats bounds its beat count by it, so it must be at least 1."""
     return round(60.0 / heart_rate_bpm * (1.0 - RR_JITTER) * fs)
 
 
@@ -186,29 +186,31 @@ def _render_beats(theta: SubjectMorphology, fs: float, n_total: int,
     if _shortest_beat(theta.heart_rate_bpm, fs) < 1:
         raise ValueError(f"fs {fs} Hz leaves the shortest beat at "
                          f"{theta.heart_rate_bpm} bpm without a sample")
-    rr_base = 60.0 / theta.heart_rate_bpm
-    r_idx = []
-    start = 0
-    while start < n_total:
-        rr = rr_base * (1.0 + RR_JITTER * rr_rng.uniform(-1.0, 1.0))
-        n_beat = int(round(rr * fs))
-        r_idx.append(start + int(round(R_FRACTION * n_beat)))
-        start += n_beat
-    r_idx = np.asarray(r_idx, dtype=int)
+    # No beat is shorter than the shortest beat, so this many beats reach
+    # n_total. The generator serves this record only, and an array draw gives
+    # the values of as many scalar draws, so the beats drawn past the end
+    # change nothing.
+    m = -(-n_total // _shortest_beat(theta.heart_rate_bpm, fs))
+    rr = 60.0 / theta.heart_rate_bpm * (1.0 + RR_JITTER * rr_rng.uniform(-1.0, 1.0, size=m))
+    n_beat = np.rint(rr * fs).astype(int)
+    ends = np.cumsum(n_beat)
+    n_beat = n_beat[: np.searchsorted(ends, n_total) + 1]
+    r_idx = ends[: len(n_beat)] - n_beat + np.rint(R_FRACTION * n_beat).astype(int)
     waves = theta.waves
     amplitude = np.array([w.amplitude for w in waves])
     span = np.array([5.0 * w.width for w in waves])
     denom = np.array([2.0 * w.width**2 for w in waves])
-    # (beats, waves) window centers and sample bounds; (beats, waves, width) grid.
+    # (beats, waves) window centers and sample bounds, flattened in (beat,
+    # wave) order; each window expands to its samples, with its scalars.
     center = r_idx[:, None] / fs + np.array([w.center_offset for w in waves])
-    lo = np.maximum(0, np.floor((center - span) * fs).astype(int))
-    hi = np.minimum(n_total, np.ceil((center + span) * fs).astype(int) + 1)
-    grid = lo[..., None] + np.arange((hi - lo).max(initial=0))
-    keep = grid < hi[..., None]
-    beat, wave, _ = np.nonzero(keep)
-    samples = grid[keep]
-    values = amplitude[wave] * np.exp(
-        -((samples / fs - center[beat, wave]) ** 2) / denom[wave])
+    lo = np.maximum(0, np.floor((center - span) * fs).astype(int)).ravel()
+    hi = np.minimum(n_total, np.ceil((center + span) * fs).astype(int) + 1).ravel()
+    counts = np.maximum(hi - lo, 0)
+    first = np.cumsum(counts) - counts  # each window's first position in samples
+    samples = np.arange(counts.sum()) + np.repeat(lo - first, counts)
+    values = np.repeat(np.tile(amplitude, len(r_idx)), counts) * np.exp(
+        -((samples / fs - np.repeat(center.ravel(), counts)) ** 2)
+        / np.repeat(np.tile(denom, len(r_idx)), counts))
     signal = np.zeros(n_total)
     np.add.at(signal, samples, values)  # unbuffered, in (beat, wave, sample) order
     return signal, r_idx[r_idx < n_total]
@@ -272,9 +274,11 @@ def generate_recordings(spec: SynthSpec, seed: int, keys=None):
     order, or of each of keys. A record is rendered from its own seeds, so
     rendered alone it is bitwise the one the full render gives, and finding
     it enumerates one subject's records only. A key that names no record of
-    the dataset raises KeyError.
+    the dataset raises KeyError. Each subject's morphology is drawn once per
+    call.
     """
     tails = _subject_records(spec)
+    thetas = {}
     out = []
     for key in record_keys(spec) if keys is None else keys:
         digits = key.subject_id[3:]
@@ -282,9 +286,10 @@ def generate_recordings(spec: SynthSpec, seed: int, keys=None):
         if not (0 <= i < spec.n_subjects and key.subject_id == f"sub{i:03d}"):
             raise KeyError(key)
         sess, r = tails[key[1:]]
+        if i not in thetas:
+            thetas[i] = make_subject_params(stable_seed(seed, "subject", i))
         out.append(synthesize_record(
-            make_subject_params(stable_seed(seed, "subject", i)), sess,
-            spec.duration_s, spec.fs,
+            thetas[i], sess, spec.duration_s, spec.fs,
             seed=stable_seed(seed, key.subject_id, sess.session_id, r),
             subject_id=key.subject_id,
             record_index=key.record_index,

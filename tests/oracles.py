@@ -93,10 +93,12 @@ def cascade_magnitude(cascade, freq_hz, fs):
 
 def render_beats_loop(theta, fs, n_total, rr_rng):
     """Reference for synth._render_beats: a per-beat, per-wave overlap-add of
-    the Gaussian waves; returns (signal, true R indices)."""
+    the Gaussian waves; returns (signal, true R indices, number of windows
+    that lie wholly outside the record)."""
     rr_base = 60.0 / theta.heart_rate_bpm
     signal = np.zeros(n_total)
     peaks = []
+    outside = 0
     start = 0
     while start < n_total:
         rr = rr_base * (1.0 + RR_JITTER * rr_rng.uniform(-1.0, 1.0))
@@ -110,12 +112,35 @@ def render_beats_loop(theta, fs, n_total, rr_rng):
             lo = max(0, int(np.floor((center - span) * fs)))
             hi = min(n_total, int(np.ceil((center + span) * fs)) + 1)
             if lo >= hi:
+                outside += 1
                 continue
             t = np.arange(lo, hi) / fs
             signal[lo:hi] += w.amplitude * np.exp(
                 -((t - center) ** 2) / (2.0 * w.width**2))
         start += n_beat
-    return signal, np.asarray(peaks, dtype=int)
+    return signal, np.asarray(peaks, dtype=int), outside
+
+
+def align_peak_loop(x, peak: int, fs: float, half_window_s: float = 0.05) -> int:
+    """Reference for segment.align_peak: one peak, as a slice of the signal."""
+    x = np.asarray(x)
+    if not 0 <= peak < len(x):
+        raise ValueError(f"peak {peak} outside signal of {len(x)} samples")
+    half = int(round(half_window_s * fs))
+    lo = max(0, peak - half)
+    hi = min(len(x), peak + half + 1)
+    return lo + int(np.argmax(np.abs(x[lo:hi])))
+
+
+def snap_loop(x, accepted, snap):
+    """Reference for the snap of rpeak.pan_tompkins: each event moved to the
+    maximum of x within +/- snap samples, one event at a time."""
+    snapped = []
+    for idx in accepted:
+        lo = max(0, idx - snap)
+        hi = min(len(x), idx + snap + 1)
+        snapped.append(lo + int(np.argmax(x[lo:hi])))
+    return snapped
 
 
 def pan_tompkins_per_candidate(x, fs):

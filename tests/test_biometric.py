@@ -74,9 +74,29 @@ def test_template_mean_permutation_invariant(rng):
     assert np.allclose(t1.vector, t2.vector, atol=1e-12)
 
 
+@pytest.mark.parametrize("fusion", ["mean", "representative"])
+@pytest.mark.parametrize("size", ["all", 1, 5])
+def test_template_from_an_array_equals_the_list_bitwise(rng, fusion, size):
+    embs = rng.normal(size=(9, 6))
+    for metric in ("cosine", "pearson", "euclidean"):
+        want = build_template(list(embs), "a", fusion, size, metric)
+        for array in (embs, np.asfortranarray(embs), embs[::-1][::-1]):
+            got = build_template(array, "a", fusion, size, metric)
+            assert got.vector.tobytes() == want.vector.tobytes()
+            assert got.source_count == want.source_count
+            assert not np.shares_memory(got.vector, embs)
+
+
+def test_template_rejects_mixed_dimensions():
+    with pytest.raises(ValueError, match="mixed embedding dimensions"):
+        build_template([np.zeros(3), np.zeros(4)], "a")
+
+
 def test_template_empty():
     with pytest.raises(EmptyEnrollment):
         build_template([], "a")
+    with pytest.raises(EmptyEnrollment):
+        build_template(np.zeros((0, 4)), "a")
 
 
 def test_fuse_probes_grouping():

@@ -103,24 +103,34 @@ def test_session_drift_changes_signal():
 
 
 @pytest.mark.parametrize("drift", [0.0, 0.45])
-@pytest.mark.parametrize("fs", [250.0, 360.0])
+@pytest.mark.parametrize("fs", [250.0, 360.0, 0.75])
 def test_record_matches_per_beat_loop_bitwise(fs, drift):
-    """2.3 s records: windows are cut at both ends of the record, and P-T
-    windows overlap within a beat and across neighbouring beats."""
-    starts = ends = 0
+    """2.3 s records: windows are cut at both ends of the record, the last
+    beat's later windows lie wholly past its end, and P-T windows overlap
+    within a beat and across neighbouring beats. At 0.75 Hz, the lowest fs a
+    spec accepts, every beat is one sample long (60 s records): the one-call
+    RR draw then uses every beat it draws, and no window lies wholly outside
+    the record. Heart rates span HR_RANGE."""
+    duration = 60.0 if fs < 1.0 else 2.3
+    starts = ends = outside = 0
     for seed in range(8):
-        theta = synth.make_subject_params(seed)
-        rec, peaks = synth.synthesize_record(
-            theta, _effects(morphology_drift=drift), 2.3, fs, seed=seed)
-        drifted = synth._drifted(
-            theta, drift, synth.session_drift_vector(seed, "sub00", "s0"))
-        signal, truth = render_beats_loop(drifted, fs, round(2.3 * fs), sub_rng(seed, "rr"))
-        assert rec.channels[0].tobytes() == signal.tobytes()
-        assert peaks.dtype == truth.dtype and np.array_equal(peaks, truth)
-        # A window reaching the first or last sample was cut there.
-        starts += signal[0] != 0.0
-        ends += signal[-1] != 0.0
-    assert starts and ends
+        for hr in (None, *synth.HR_RANGE):
+            theta = synth.make_subject_params(seed)
+            if hr is not None:
+                theta = replace(theta, heart_rate_bpm=hr)
+            rec, peaks = synth.synthesize_record(
+                theta, _effects(morphology_drift=drift), duration, fs, seed=seed)
+            drifted = synth._drifted(
+                theta, drift, synth.session_drift_vector(seed, "sub00", "s0"))
+            signal, truth, cut = render_beats_loop(
+                drifted, fs, round(duration * fs), sub_rng(seed, "rr"))
+            assert rec.channels[0].tobytes() == signal.tobytes()
+            assert peaks.dtype == truth.dtype and np.array_equal(peaks, truth)
+            # A window reaching the first or last sample was cut there.
+            starts += signal[0] != 0.0
+            ends += signal[-1] != 0.0
+            outside += cut
+    assert starts and ends and (outside > 0) == (fs > 1.0)
 
 
 def _session_mean_embedding(rec, peaks):
@@ -237,6 +247,23 @@ def test_records_render_alone_with_day_counts_across_sessions():
                       [full[keys.index(key)]])
 
 
+def test_subject_morphology_is_drawn_once_per_call(monkeypatch):
+    draws = []
+    make_subject_params = synth.make_subject_params
+
+    def counted(seed):
+        draws.append(seed)
+        return make_subject_params(seed)
+
+    monkeypatch.setattr(synth, "make_subject_params", counted)
+    spec = synth.preset_spec("aging4")
+    full = synth.generate_recordings(spec, 0)
+    assert len(full) == 120 and len(draws) == len(set(draws)) == 30
+    draws.clear()
+    synth.generate_recordings(spec, 0, keys=(full[57][0].key,))
+    assert draws == [stable_seed(0, "subject", 14)]
+
+
 @pytest.mark.parametrize("key", [
     ("sub002", "s0", 0, 0), ("sub1", "s0", 0, 0), ("sub-01", "s0", 0, 0),
     ("subx", "s0", 0, 0), ("sub000", "s0", 0, 1), ("sub000", "s0", 1, 0),
@@ -273,8 +300,8 @@ def test_lowest_accepted_fs_renders_a_sample_per_beat():
 
 
 def test_synthesize_record_rejects_a_beat_of_no_samples():
-    # At 0.5 Hz the shortest beat at 85 bpm rounds to 0 samples, where the
-    # beat loop would never advance; the timeout turns a hang into a failure.
+    # At 0.5 Hz the shortest beat at 85 bpm rounds to 0 samples, which cannot
+    # bound the beat count; the timeout turns a hang into a failure.
     code = "\n".join([
         "from dataclasses import replace",
         "from ecgbench import synth",
