@@ -7,8 +7,8 @@ The pipeline is split into small, independently testable modules:
 - ``synth``      parametric synthetic ECG generator with ground-truth R peaks
 - ``dsp``        filtering, Fourier resampling, normalization, preprocessing
 - ``rpeak``      Pan-Tompkins R-peak detector
-- ``segment``    beat-based and blind sliding-window segmentation
-- ``augment``    training-only data augmentation
+- ``segment``    beat-based and blind sliding-window segmentation into (n, 2) spans
+- ``augment``    training-only augmentation of segment rows
 - ``embed``      morphology embedder and a reference MLP with hand-written backprop
 - ``biometric``  templates, probe fusion, similarity scoring, pair generation
 - ``metrics``    EER / AUC / d-prime / TAR@FAR / Rank-k

@@ -1,30 +1,29 @@
-"""Training-only augmentation of beat segments.
+"""Training-only augmentation of beat segments, given as rows of samples.
 
-Per-copy randomness is keyed by (seed, segment provenance, copy index), so the
-expanded set is invariant to input ordering and parallel scheduling. The
-evaluation path never calls into this module; the regimes orchestrator feeds
-augmented data to embedder training only.
+Per-copy randomness is keyed by (seed, segment provenance, copy index), where
+a segment's provenance is its record key and its position (its row in the
+record's preparation), so each copy is invariant to input ordering and
+parallel scheduling. The evaluation path never calls into this module; the
+regimes orchestrator feeds augmented data to embedder training only.
 """
-
-from dataclasses import replace
 
 import numpy as np
 
 from .dsp import resample_fourier
-from .segment import Segment
 from .util import sub_rng
 
 
-def apply_augmentation(seg: Segment, op, seed: int) -> Segment:
-    """One augmentation op on one segment; op is AugmentOpConfig-shaped."""
+def apply_augmentation(x, fs: float, op, seed: int) -> np.ndarray:
+    """One augmentation op on the samples x of one segment at fs Hz; op is
+    AugmentOpConfig-shaped."""
     rng = sub_rng(seed, op.kind)
-    x = np.asarray(seg.samples, dtype=float)
+    x = np.asarray(x, dtype=float)
     if op.kind == "amplitude_scale":
         out = x * rng.uniform(op.scale_low, op.scale_high)
     elif op.kind == "gaussian_noise":
         out = x + rng.normal(0.0, op.sigma, size=len(x)) if op.sigma > 0 else x.copy()
     elif op.kind == "time_shift":
-        max_k = int(round(op.max_shift_s * seg.fs))
+        max_k = int(round(op.max_shift_s * fs))
         k = int(rng.integers(-max_k, max_k + 1)) if max_k > 0 else 0
         out = np.zeros_like(x)
         if k > 0:
@@ -39,29 +38,27 @@ def apply_augmentation(seg: Segment, op, seed: int) -> Segment:
         out = resample_fourier(x[start: start + keep], len(x))
     else:
         raise ValueError(f"unknown augmentation kind {op.kind!r}")
-    return replace(seg, samples=out)
+    return out
 
 
-def _provenance_key(seg: Segment) -> tuple:
-    # Flat, not (RecordKey(...), position): stable_seed hashes the repr.
-    return (*seg.key, seg.position)
-
-
-def augment_training_set(segments, spec, seed: int) -> list[Segment]:
-    """Originals plus spec.multiplier augmented copies per original.
+def augment_training_set(rows, fs: float, record_key, positions, spec,
+                         seed: int) -> np.ndarray:
+    """spec.multiplier augmented copies of each row of an (n, L) block of
+    segments at fs Hz, in (row, copy) order; row i is the segment at
+    positions[i] of record_key.
 
     Each copy applies spec.ops in order, seeded independently per
-    (segment, copy), so the output multiset does not depend on input order.
+    (segment, copy), so a row's copies do not depend on the other rows.
     """
-    if not segments:
-        raise ValueError("augment_training_set needs a non-empty segment list")
-    out = list(segments)
-    for seg in segments:
-        key = _provenance_key(seg)
+    out = np.empty((len(rows) * spec.multiplier, rows.shape[1]))
+    for i, (row, position) in enumerate(zip(rows, positions)):
+        # Flat Python ints, not (RecordKey(...), np.int64(...)): stable_seed
+        # hashes the repr.
+        key = (*record_key, int(position))
         for copy_idx in range(spec.multiplier):
-            work = seg
+            work = row
             for op_idx, op in enumerate(spec.ops):
                 work = apply_augmentation(
-                    work, op, sub_rng(seed, key, copy_idx, op_idx).integers(2**63))
-            out.append(work)
+                    work, fs, op, sub_rng(seed, key, copy_idx, op_idx).integers(2**63))
+            out[i * spec.multiplier + copy_idx] = work
     return out

@@ -47,8 +47,6 @@ class ScoreMatrix:
 class PairScores:
     genuine: np.ndarray
     impostor: np.ndarray
-    sampling: str = "all"
-    seed: int | None = None
 
 
 def pairwise(p, g, metric: str) -> np.ndarray:
@@ -174,12 +172,10 @@ def generate_pairs(matrix: ScoreMatrix, mode: str = "balanced",
     if impostor.size == 0:
         raise NoGenuinePairs("gallery of one subject yields no impostor cells")
     if mode == "all":
-        return PairScores(genuine=genuine.copy(), impostor=impostor.copy(),
-                          sampling="all")
+        return PairScores(genuine=genuine.copy(), impostor=impostor.copy())
     if mode == "balanced":
         take = min(genuine.size, impostor.size)
         idx = sub_rng(seed, "impostor-sample").choice(impostor.size, size=take,
                                                       replace=False)
-        return PairScores(genuine=genuine.copy(), impostor=impostor[np.sort(idx)],
-                          sampling="balanced", seed=seed)
+        return PairScores(genuine=genuine.copy(), impostor=impostor[np.sort(idx)])
     raise ValueError(f"mode must be balanced or all, got {mode!r}")

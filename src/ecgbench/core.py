@@ -209,7 +209,7 @@ def _as_number(value, where: str, *, integer=False, positive=False, nonneg=False
 
 
 def _as_target_len(value, where: str) -> int:
-    """Beat feature length; morphology_embed needs at least 8 samples."""
+    """Beat feature length; morphology_features needs at least 8 samples."""
     value = _as_number(value, where, integer=True, positive=True)
     if value < 8:
         raise ConfigError(f"{where} must be >= 8, got {value}")

@@ -348,18 +348,17 @@ def normalize(x, method: str = "zscore") -> np.ndarray:
 
 @dataclass(frozen=True)
 class CleanSignal:
-    """Filtered single-channel signal with its record key carried along."""
+    """Filtered single-channel signal."""
     samples: np.ndarray
     fs: float
-    key: tuple | None = None  # core.RecordKey; core imports this module
 
 
 def preprocess(rec, cfg) -> CleanSignal:
     """Channel select then filter; segmentation happens downstream.
 
-    ``rec`` needs Recording-shaped attributes (key, channels, fs);
+    ``rec`` needs Recording-shaped attributes (channels, fs);
     ``cfg`` needs a PreprocessConfig-shaped ``filter`` attribute.
     """
     channel = np.asarray(rec.channels[0], dtype=float)
     return CleanSignal(samples=apply_filter(cfg.filter, channel, rec.fs),
-                       fs=rec.fs, key=rec.key)
+                       fs=rec.fs)

@@ -3,8 +3,8 @@
 The MLP is one rectified hidden layer trained as a multi-class subject
 classifier with plain mini-batch gradient descent on softmax cross-entropy;
 after training the classification head is discarded and the hidden activation
-serves as the embedding. Backpropagation is written out by hand and verified
-against central finite differences (gradient_check).
+serves as the embedding. Backpropagation is written out by hand; the tests
+check it against central finite differences.
 """
 
 from dataclasses import dataclass
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp
-from .errors import DimensionMismatch, NonFiniteModel, SingleClass, ZeroVariance
+from .errors import DimensionMismatch, NonFiniteModel, SingleClass
 
 
 def morphology_features(rows, target_len: int = 128, method: str = "zscore"):
@@ -30,16 +30,6 @@ def morphology_features(rows, target_len: int = 128, method: str = "zscore"):
     matrix = np.full(resampled.shape, np.nan)
     matrix[present] = dsp.normalize(resampled[present], method)
     return matrix, present
-
-
-def morphology_embed(samples, target_len: int = 128, method: str = "zscore") -> np.ndarray:
-    """morphology_features of one segment. Raises ZeroVariance for a constant
-    segment."""
-    matrix, present = morphology_features(
-        np.asarray(samples, dtype=float)[None], target_len, method)
-    if not present[0]:
-        raise ZeroVariance("constant segment cannot be normalized")
-    return matrix[0]
 
 
 @dataclass(frozen=True)
@@ -154,41 +144,3 @@ def mlp_embed(model: MlpModel, samples) -> np.ndarray:
         raise DimensionMismatch(
             f"input of dim {x.shape[-1]} into model expecting {model.input_dim}")
     return np.maximum(x @ model.w1.T + model.b1, 0.0)
-
-
-def mlp_predict(model: MlpModel, x) -> np.ndarray:
-    _, _, logits = _forward(model.params, np.asarray(x, dtype=float))
-    return np.argmax(logits, axis=-1)
-
-
-def gradient_check(model: MlpModel, sample, label: int, fd_step: float = 1e-5) -> float:
-    """Max relative error between analytic gradients and central differences.
-
-    Checked over every parameter of the model on one labeled sample.
-    """
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
-    x = np.asarray(sample, dtype=float).reshape(1, -1)
-    y = np.asarray([label], dtype=int)
-    _, grads = _loss_and_grads(model.params, x, y)
-    params = [p.copy() for p in model.params]
-
-    def loss_at(ps):
-        loss, _ = _loss_and_grads(ps, x, y)
-        return loss
-
-    worst = 0.0
-    for pi, (param, grad) in enumerate(zip(params, grads)):
-        flat = param.reshape(-1)
-        gflat = grad.reshape(-1)
-        for j in range(flat.size):
-            keep = flat[j]
-            flat[j] = keep + fd_step
-            up = loss_at(params)
-            flat[j] = keep - fd_step
-            down = loss_at(params)
-            flat[j] = keep
-            numeric = (up - down) / (2.0 * fd_step)
-            denom = max(abs(gflat[j]) + abs(numeric), 1e-12)
-            worst = max(worst, abs(gflat[j] - numeric) / denom)
-    return worst

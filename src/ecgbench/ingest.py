@@ -285,25 +285,6 @@ def decode_wfdb_samples(data: bytes, fmt: int, n_signals: int) -> list[np.ndarra
     return [flat[i::n_signals].copy() for i in range(n_signals)]
 
 
-def encode_wfdb_212(samples: np.ndarray) -> bytes:
-    """Inverse of the format-212 decode for a flat interleaved sample vector.
-
-    The sample count must be even (two samples per 3-byte group).
-    """
-    flat = np.asarray(samples, dtype=np.int64)
-    if flat.size % 2 != 0:
-        raise ValueError("format 212 encodes samples in pairs")
-    if np.any(flat < -2048) or np.any(flat > 2047):
-        raise ValueError("sample outside the 12-bit range [-2048, 2047]")
-    first = (flat[0::2] & 0xFFF).astype(np.uint32)
-    second = (flat[1::2] & 0xFFF).astype(np.uint32)
-    out = np.empty(3 * first.size, dtype=np.uint8)
-    out[0::3] = first & 0xFF
-    out[1::3] = ((first >> 8) & 0x0F) | (((second >> 8) & 0x0F) << 4)
-    out[2::3] = second & 0xFF
-    return out.tobytes()
-
-
 def adc_to_physical(adc, gain: float, baseline: int) -> np.ndarray:
     """(adc - baseline) / gain, in millivolts."""
     if gain == 0:

@@ -65,21 +65,13 @@ def eer(pairs) -> float:
 
 
 def auc(pairs) -> float:
-    """Mann-Whitney statistic with half credit for ties, via average ranks."""
+    """Mann-Whitney statistic with half credit for ties: U counts, for each
+    genuine score, the impostor scores below it plus half of those equal to it.
+    U is a sum of half-integers far below 2**53, so it is exact."""
     genuine, impostor = _sides(pairs)
-    combined = np.concatenate([genuine, impostor])
-    order = np.argsort(combined, kind="mergesort")
-    ranks = np.empty(combined.size, dtype=float)
-    ranks[order] = np.arange(1, combined.size + 1)
-    # average the ranks within tie groups
-    sorted_vals = combined[order]
-    boundaries = np.nonzero(np.diff(sorted_vals) != 0)[0] + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [combined.size]])
-    for s, e in zip(starts, ends):
-        if e - s > 1:
-            ranks[order[s:e]] = (s + 1 + e) / 2.0
-    u = ranks[: genuine.size].sum() - genuine.size * (genuine.size + 1) / 2.0
+    ims = np.sort(impostor)
+    u = (np.searchsorted(ims, genuine, "left").sum()
+         + np.searchsorted(ims, genuine, "right").sum()) / 2.0
     return float(u / (genuine.size * impostor.size))
 
 

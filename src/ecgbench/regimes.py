@@ -161,27 +161,12 @@ class PreparedSource:
     """The segments of one (record, time range), as arrays with row i for
     segment i: its sample span in record space and its morphology feature. A
     constant segment's feature row is NaN and its present entry False. The
-    samples are not kept; SegmentStore.segments cuts them again."""
+    samples are not kept; SegmentStore.samples cuts them again."""
     record_key: tuple
     time_range: tuple | None
     spans: np.ndarray  # (n, 2) int: (lo, hi) in original-record sample indices
     features: np.ndarray  # (n, embedder.target_len)
     present: np.ndarray  # (n,) bool: the segment is not constant
-
-
-def _features(segments, cfg: RunConfig):
-    """Morphology feature matrix of segments and the mask of its rows that
-    exist: a constant segment has no feature, and its row is NaN. Segments of
-    one length are embedded as one batch."""
-    matrix = np.full((len(segments), cfg.embedder.target_len), np.nan)
-    present = np.zeros(len(segments), dtype=bool)
-    lengths = np.array([len(seg.samples) for seg in segments], dtype=int)
-    for length in np.unique(lengths):
-        rows = np.flatnonzero(lengths == length)
-        matrix[rows], present[rows] = morphology_features(
-            np.stack([segments[i].samples for i in rows]),
-            cfg.embedder.target_len, cfg.preprocess.normalization)
-    return matrix, present
 
 
 def _clean_range(clean, time_range):
@@ -198,8 +183,9 @@ def _clean_range(clean, time_range):
 
 class SegmentStore:
     """Caches, per (record, time range), the spans and features of the
-    segments that preprocessing, detection and segmentation give. Neither the
-    filtered record nor the segments' samples are kept. recordings maps each
+    segments that preprocessing, detection and segmentation give; a record's
+    segments are cut from it as one block and embedded as one batch. Neither
+    the filtered record nor the segments' samples are kept. recordings maps each
     record key to its Recording; an ingest.RecordFiles reads or renders the
     record at each lookup, so only the process that prepares a record holds
     its samples, and only while it prepares it."""
@@ -242,15 +228,13 @@ class SegmentStore:
             array.flags.writeable = False
         self._prepared[(prepared.record_key, prepared.time_range)] = prepared
 
-    def segments(self, prepared: PreparedSource, idx) -> list:
-        """The segments at rows idx of a preparation, cut again from its
-        record's clean signal with the same samples, fs, key and position. The
-        record is looked up, and so read or rendered, again for it."""
+    def samples(self, prepared: PreparedSource, idx):
+        """(block, fs): the samples of the segments at rows idx of a
+        preparation, as one (len(idx), L) block cut again by their spans from
+        the record's clean signal, and its fs. The record is looked up, and so
+        read or rendered, again for it."""
         clean = dsp.preprocess(self.recordings[prepared.record_key], self.cfg.preprocess)
-        offset = _clean_range(clean, prepared.time_range)[1]
-        return [segment.Segment(clean.samples[lo:hi].copy(), lo - offset, clean.fs, i,
-                                clean.key)
-                for i, (lo, hi) in zip(idx.tolist(), prepared.spans[idx].tolist())]
+        return segment.cut(clean.samples, prepared.spans[idx]), clean.fs
 
     def _segment(self, record_key, time_range) -> PreparedSource:
         clean = dsp.preprocess(self.recordings[record_key], self.cfg.preprocess)
@@ -260,17 +244,22 @@ class SegmentStore:
             try:
                 peaks = rpeak.pan_tompkins(samples, clean.fs)
             except NoPeaksDetected:
-                segs = []
+                spans = np.empty((0, 2), dtype=int)
             else:
-                segs = segment.segment_beats(
+                spans = segment.segment_beats(
                     samples, clean.fs, peaks.indices, seg_cfg.pre_s, seg_cfg.post_s,
-                    align=seg_cfg.align_peak, key=clean.key)
+                    align=seg_cfg.align_peak)
         else:
-            segs = segment.segment_blind(
-                samples, clean.fs, seg_cfg.window_s, seg_cfg.stride_s, key=clean.key)
-        spans = np.array([(offset + s.start, offset + s.start + len(s.samples))
-                          for s in segs], dtype=int).reshape(-1, 2)
-        return PreparedSource(record_key, time_range, spans, *_features(segs, self.cfg))
+            spans = segment.segment_blind(
+                samples, clean.fs, seg_cfg.window_s, seg_cfg.stride_s)
+        if len(spans):
+            features, present = morphology_features(
+                segment.cut(samples, spans), self.cfg.embedder.target_len,
+                self.cfg.preprocess.normalization)
+        else:
+            features = np.empty((0, self.cfg.embedder.target_len))
+            present = np.empty(0, dtype=bool)
+        return PreparedSource(record_key, time_range, spans + offset, features, present)
 
 
 def _render(spec, seed: int, meta: RecordMeta):
@@ -406,24 +395,22 @@ def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
         train_subjects = eval_subjects = subjects_used
 
     if cfg.embedder.kind == "mlp":
-        label_of = {s: i for i, s in enumerate(train_subjects)}
-        blocks, labels, picks = [], [], []
-        for subject in train_subjects:
-            for pick in realized[subject].enroll:
-                rows = _rows(*pick)
-                blocks.append(rows)
-                labels.append(np.full(len(rows), label_of[subject]))
-                picks.append(pick)
+        picks = [(label, pick) for label, subject in enumerate(train_subjects)
+                 for pick in realized[subject].enroll]
+        blocks = [_rows(*pick) for _, pick in picks]
+        labels = [np.full(len(rows), label) for rows, (label, _) in zip(blocks, picks)]
         if cfg.embedder.augment.multiplier > 0:
-            # Augmented copies are new segments, so only they need new features.
-            originals = [seg for pick in picks for seg in store.segments(*pick)]
-            augmented = augment_training_set(
-                originals, cfg.embedder.augment,
-                stable_seed(seed, "augment", cell.name, cell.setting))[len(originals):]
-            rows, present = _features(augmented, cfg)
-            blocks.append(rows[present])
-            labels.append(np.array([label_of[seg.key.subject_id] for seg in augmented],
-                                   dtype=int)[present])
+            # Augmented copies are new segments, so only they need new features;
+            # they follow every original row, pick by pick.
+            augment_seed = stable_seed(seed, "augment", cell.name, cell.setting)
+            for label, (prepared, idx) in picks:
+                copies = augment_training_set(
+                    *store.samples(prepared, idx), prepared.record_key, idx.tolist(),
+                    cfg.embedder.augment, augment_seed)
+                rows, present = morphology_features(
+                    copies, cfg.embedder.target_len, cfg.preprocess.normalization)
+                blocks.append(rows[present])
+                labels.append(np.full(len(blocks[-1]), label))
         model, _losses = mlp_train(
             np.concatenate(blocks), np.concatenate(labels),
             hidden_dim=cfg.embedder.hidden_dim, lr=cfg.embedder.lr,

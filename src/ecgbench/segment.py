@@ -1,25 +1,22 @@
-"""Beat-based and blind sliding-window segmentation of clean signals."""
+"""Beat-based and blind sliding-window segmentation of clean signals.
 
-from dataclasses import dataclass
+A segment is a [start, end) span of the signal it was cut from: segmentation
+returns an (n, 2) int array of spans, one row per segment, all of one length,
+and cut gathers their samples as one (n, L) block. A segment's position is
+its row; a beat's R sample is start + round(pre_s * fs), and a blind window
+starts at a multiple of round(stride_s * fs).
+"""
 
 import numpy as np
 
-from .core import RecordKey
 from .errors import WindowLongerThanSignal, WindowTooShort
 
 
-@dataclass(frozen=True)
-class Segment:
-    """A fixed-length window cut from a signal: samples[i] is signal[start + i].
-
-    A beat's R sample is start + round(pre_s * fs); a blind window starts at a
-    multiple of round(stride_s * fs).
-    """
-    samples: np.ndarray
-    start: int
-    fs: float
-    position: int
-    key: RecordKey | None = None
+def cut(x: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """The (n, L) block whose row i is x[spans[i, 0]: spans[i, 1]]; every span
+    has the length L of the first. No spans give a (0, 0) block."""
+    length = spans[0, 1] - spans[0, 0] if len(spans) else 0
+    return x[spans[:, :1] + np.arange(length)]
 
 
 def window_argmax(x: np.ndarray, centres: np.ndarray, half: int) -> np.ndarray:
@@ -47,11 +44,12 @@ def align_peak(x, peaks, fs: float, half_window_s: float = 0.05):
 
 
 def segment_beats(x, fs: float, peaks, pre_s: float, post_s: float,
-                  align: bool = True, key: RecordKey | None = None) -> list[Segment]:
-    """One segment per peak index whose window fits inside the signal.
+                  align: bool = True) -> np.ndarray:
+    """The (n, 2) spans of one segment per peak index whose window fits inside
+    the signal.
 
-    Out-of-bounds beats are dropped, never padded; position indices are
-    sequential over the kept beats.
+    Out-of-bounds beats are dropped, never padded; the rows are the kept beats
+    in peak order.
     """
     if pre_s <= 0 or post_s <= 0:
         raise ValueError("pre_s and post_s must be positive")
@@ -64,17 +62,14 @@ def segment_beats(x, fs: float, peaks, pre_s: float, post_s: float,
     peaks = np.asarray(peaks, dtype=int).reshape(-1)
     starts = (align_peak(x, peaks, fs) if align else peaks) - pre
     starts = starts[(starts >= 0) & (starts + length <= len(x))]
-    return [Segment(samples=x[start: start + length].copy(), start=start, fs=fs,
-                    position=i, key=key)
-            for i, start in enumerate(starts.tolist())]
+    return np.stack([starts, starts + length], axis=1)
 
 
-def segment_blind(x, fs: float, window_s: float, stride_s: float,
-                  key: RecordKey | None = None) -> list[Segment]:
-    """Sliding windows at starts 0, stride, 2*stride, ... while they fit."""
+def segment_blind(x, fs: float, window_s: float, stride_s: float) -> np.ndarray:
+    """The (n, 2) spans of sliding windows at starts 0, stride, 2*stride, ...
+    while they fit."""
     if not 0 < stride_s <= window_s:
         raise ValueError("need 0 < stride_s <= window_s")
-    x = np.asarray(x, dtype=float)
     w = int(round(window_s * fs))
     s = int(round(stride_s * fs))
     if w < 2 or s < 1:
@@ -82,8 +77,5 @@ def segment_blind(x, fs: float, window_s: float, stride_s: float,
                              f"{fs} Hz; need a window of at least 2 and a stride of 1")
     if w > len(x):
         raise WindowLongerThanSignal(f"window of {w} samples on {len(x)}-sample signal")
-    count = (len(x) - w) // s + 1
-    return [
-        Segment(samples=x[i * s: i * s + w].copy(), start=i * s, fs=fs, position=i, key=key)
-        for i in range(count)
-    ]
+    starts = np.arange((len(x) - w) // s + 1) * s
+    return np.stack([starts, starts + w], axis=1)

@@ -162,19 +162,6 @@ def session_drift_vector(drift_seed: int, subject_id: str, session_id: str,
     return np.clip(u, -DRIFT_CLIP, DRIFT_CLIP)
 
 
-def synthesize_beat(theta: SubjectMorphology, fs: float, rr: float) -> np.ndarray:
-    """One beat of round(rr * fs) samples; the R bump is centered on-grid."""
-    if fs <= 0 or rr <= 0:
-        raise ValueError("fs and rr must be positive")
-    n = int(round(rr * fs))
-    r_idx = int(round(R_FRACTION * n))
-    t = np.arange(n) / fs - r_idx / fs
-    beat = np.zeros(n)
-    for w in theta.waves:
-        beat += w.amplitude * np.exp(-((t - w.center_offset) ** 2) / (2.0 * w.width**2))
-    return beat
-
-
 def _render_beats(theta: SubjectMorphology, fs: float, n_total: int,
                   rr_rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Overlap-add all beats onto one timeline; returns (signal, true R indices).

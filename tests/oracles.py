@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive (threshold enumeration, pairwise loops,
 direct transfer-function evaluation) and shares no code path with the package
-implementations it checks.
+implementations it checks, except morphology_embed: the one-segment form of
+embed.morphology_features, which tests use to embed single beats.
 """
 
 import cmath
@@ -11,6 +12,8 @@ import statistics
 import numpy as np
 
 from ecgbench.dsp import FilterSpec, apply_filter
+from ecgbench.embed import morphology_features
+from ecgbench.errors import ZeroVariance
 from ecgbench.synth import R_FRACTION, RR_JITTER
 
 
@@ -44,6 +47,26 @@ def auc_bruteforce(genuine, impostor):
             elif g == i:
                 total += 0.5
     return total / (len(genuine) * len(impostor))
+
+
+def auc_average_rank(genuine, impostor):
+    """Mann-Whitney AUC from the average ranks of the pooled scores, tie
+    groups sharing the mean of their ranks."""
+    genuine = np.asarray(genuine, dtype=float)
+    impostor = np.asarray(impostor, dtype=float)
+    combined = np.concatenate([genuine, impostor])
+    order = np.argsort(combined, kind="mergesort")
+    ranks = np.empty(combined.size, dtype=float)
+    ranks[order] = np.arange(1, combined.size + 1)
+    sorted_vals = combined[order]
+    boundaries = np.nonzero(np.diff(sorted_vals) != 0)[0] + 1
+    starts = np.concatenate([[0], boundaries])
+    ends = np.concatenate([boundaries, [combined.size]])
+    for s, e in zip(starts, ends):
+        if e - s > 1:
+            ranks[order[s:e]] = (s + 1 + e) / 2.0
+    u = ranks[: genuine.size].sum() - genuine.size * (genuine.size + 1) / 2.0
+    return float(u / (genuine.size * impostor.size))
 
 
 def tar_at_far_bruteforce(genuine, impostor, far_target=0.001):
@@ -89,6 +112,30 @@ def cascade_magnitude(cascade, freq_hz, fs):
     for s in cascade.sections:
         h *= section_response(s, freq_hz, fs)
     return abs(h)
+
+
+def synthesize_beat(theta, fs: float, rr: float) -> np.ndarray:
+    """One synthetic beat of round(rr * fs) samples, its R bump on-grid at
+    R_FRACTION of the beat: the Gaussian waves of theta evaluated directly."""
+    if fs <= 0 or rr <= 0:
+        raise ValueError("fs and rr must be positive")
+    n = int(round(rr * fs))
+    r_idx = int(round(R_FRACTION * n))
+    t = np.arange(n) / fs - r_idx / fs
+    beat = np.zeros(n)
+    for w in theta.waves:
+        beat += w.amplitude * np.exp(-((t - w.center_offset) ** 2) / (2.0 * w.width**2))
+    return beat
+
+
+def morphology_embed(samples, target_len: int = 128, method: str = "zscore") -> np.ndarray:
+    """morphology_features of one segment. Raises ZeroVariance for a constant
+    segment."""
+    matrix, present = morphology_features(
+        np.asarray(samples, dtype=float)[None], target_len, method)
+    if not present[0]:
+        raise ZeroVariance("constant segment cannot be normalized")
+    return matrix[0]
 
 
 def render_beats_loop(theta, fs, n_total, rr_rng):

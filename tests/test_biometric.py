@@ -245,4 +245,4 @@ def test_generate_pairs_probe_outside_gallery_is_all_impostor():
 
 def test_pairscores_direct_construction():
     p = PairScores(genuine=np.array([0.9]), impostor=np.array([0.1]))
-    assert p.sampling == "all"
+    assert (p.genuine.tolist(), p.impostor.tolist()) == ([0.9], [0.1])

@@ -145,13 +145,32 @@ def test_decode_212_negative():
     assert out[0].tolist() == [-1, 0]
 
 
+def encode_wfdb_212(samples: np.ndarray) -> bytes:
+    """Inverse of the format-212 decode for a flat interleaved sample vector.
+
+    The sample count must be even (two samples per 3-byte group).
+    """
+    flat = np.asarray(samples, dtype=np.int64)
+    if flat.size % 2 != 0:
+        raise ValueError("format 212 encodes samples in pairs")
+    if np.any(flat < -2048) or np.any(flat > 2047):
+        raise ValueError("sample outside the 12-bit range [-2048, 2047]")
+    first = (flat[0::2] & 0xFFF).astype(np.uint32)
+    second = (flat[1::2] & 0xFFF).astype(np.uint32)
+    out = np.empty(3 * first.size, dtype=np.uint8)
+    out[0::3] = first & 0xFF
+    out[1::3] = ((first >> 8) & 0x0F) | (((second >> 8) & 0x0F) << 4)
+    out[2::3] = second & 0xFF
+    return out.tobytes()
+
+
 def test_decode_16_little_endian():
     out = ingest.decode_wfdb_samples(bytes([0x34, 0x12]), 16, 1)
     assert out[0].tolist() == [0x1234]
 
 
 def test_decode_deinterleaves_round_robin():
-    data = ingest.encode_wfdb_212(np.array([1, 100, 2, 200, 3, 300]))
+    data = encode_wfdb_212(np.array([1, 100, 2, 200, 3, 300]))
     sig0, sig1 = ingest.decode_wfdb_samples(data, 212, 2)
     assert sig0.tolist() == [1, 2, 3]
     assert sig1.tolist() == [100, 200, 300]
@@ -166,10 +185,10 @@ def test_decode_truncated():
 
 def test_encode_decode_bytes_round_trip(rng):
     values = rng.integers(-2048, 2048, size=400)
-    data = ingest.encode_wfdb_212(values)
+    data = encode_wfdb_212(values)
     decoded = ingest.decode_wfdb_samples(data, 212, 1)[0]
     assert decoded.tolist() == values.tolist()
-    assert ingest.encode_wfdb_212(decoded) == data
+    assert encode_wfdb_212(decoded) == data
 
 
 def test_adc_to_physical():
@@ -222,7 +241,7 @@ def _write_wfdb_fixture(tmp_path, name="demo"):
     flat = np.empty(12, dtype=int)
     flat[0::2] = sig0
     flat[1::2] = sig1
-    (tmp_path / f"{name}.dat").write_bytes(ingest.encode_wfdb_212(flat))
+    (tmp_path / f"{name}.dat").write_bytes(encode_wfdb_212(flat))
     (tmp_path / f"{name}.hea").write_text(
         f"{name} 2 360 6\n"
         f"{name}.dat 212 {gain:g}({baseline}) 11 1024 0 0 0 MLII\n"

@@ -138,6 +138,24 @@ def test_metrics_match_bruteforce_oracles(rng):
             oracles.dprime_bruteforce(g, i), abs=1e-12)
 
 
+def test_auc_equals_the_average_rank_statistic_bitwise(rng):
+    # Tie-heavy and all-equal sides, where the tie groups decide U, plus a
+    # large case whose rank sums are far from small integers.
+    cases = [_random_pairs(rng) for _ in range(200)]
+    for _ in range(50):
+        ng, ni = rng.integers(1, 60, size=2)
+        levels = int(rng.integers(1, 4))
+        cases.append(_pairs(rng.integers(0, levels, size=ng) / 3.0,
+                            rng.integers(0, levels, size=ni) / 3.0))
+    cases += [_pairs([0.5] * 7, [0.5] * 3), _pairs([1.0], [1.0, 0.0, 1.0])]
+    cases.append(_pairs(np.round(rng.normal(1.0, size=3000), 2),
+                        np.round(rng.normal(size=40000), 2)))
+    for pairs in cases:
+        got = metrics.auc(pairs)
+        assert type(got) is float
+        assert got == oracles.auc_average_rank(pairs.genuine, pairs.impostor)
+
+
 def test_auc_complement_symmetry(rng):
     for _ in range(20):
         pairs = _random_pairs(rng)

@@ -1,5 +1,4 @@
 import dataclasses
-import gc
 import hashlib
 import json
 import pickle
@@ -10,7 +9,7 @@ import pytest
 
 from ecgbench import dsp, regimes, rpeak, segment, synth
 from ecgbench.core import RecordKey, RegimeCell, validate_config
-from ecgbench.embed import morphology_embed
+from ecgbench.embed import morphology_features
 from ecgbench.errors import (
     KeyMismatch,
     RangeOutOfBounds,
@@ -18,6 +17,8 @@ from ecgbench.errors import (
     TooFewSubjects,
 )
 from ecgbench.ingest import DatasetIndex, RecordMeta
+
+from .oracles import morphology_embed
 
 
 def _meta(subject, session, day, rec):
@@ -245,8 +246,9 @@ def test_open_setting_disjoint_pools():
 
 
 def _cut(store, key, time_range=None):
-    """The segments that preprocessing, detection and segmentation give for a
-    (record, time range), and the record index of the range's first sample."""
+    """The spans that preprocessing, detection and segmentation give for a
+    (record, time range), in the range's sample indices; the range's samples;
+    and the record index of the range's first sample."""
     cfg = store.cfg
     clean = dsp.preprocess(store.recordings[key], cfg.preprocess)
     offset = 0 if time_range is None else int(round(time_range[0] * clean.fs))
@@ -255,19 +257,15 @@ def _cut(store, key, time_range=None):
     seg_cfg = cfg.segmentation
     if seg_cfg.mode == "blind":
         return segment.segment_blind(samples, clean.fs, seg_cfg.window_s,
-                                     seg_cfg.stride_s, key=clean.key), offset
+                                     seg_cfg.stride_s), samples, offset
     peaks = rpeak.pan_tompkins(samples, clean.fs).indices
     return segment.segment_beats(samples, clean.fs, peaks, seg_cfg.pre_s, seg_cfg.post_s,
-                                 align=seg_cfg.align_peak, key=clean.key), offset
+                                 align=seg_cfg.align_peak), samples, offset
 
 
-def _assert_same_segments(got, expect):
-    assert len(got) == len(expect)
-    for a, b in zip(got, expect):
-        assert type(a) is type(b)
-        assert a.samples.dtype == b.samples.dtype and a.samples.shape == b.samples.shape
-        assert a.samples.tobytes() == b.samples.tobytes()
-        assert (a.start, a.fs, a.position, a.key) == (b.start, b.fs, b.position, b.key)
+def _assert_same_block(got, expect):
+    assert got.dtype == expect.dtype and got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_prepared_features_are_shared_read_only_morphology_rows():
@@ -276,52 +274,52 @@ def test_prepared_features_are_shared_read_only_morphology_rows():
     key = store.index.records[0].key
     whole = store.prepare(regimes.SegmentSource(key))
     assert store.prepare(regimes.SegmentSource(key, beat_role="enroll")) is whole
-    segments, _ = _cut(store, key)
-    n = len(segments)
+    spans, samples, _ = _cut(store, key)
+    n = len(spans)
     assert n > 0 and whole.features.shape == (n, cfg.embedder.target_len)
-    assert len(whole.spans) == n
+    assert whole.spans.tolist() == spans.tolist()
     assert whole.present.tolist() == [True] * n
-    for seg, span, row in zip(segments, whole.spans, whole.features):
-        assert span.tolist() == [seg.start, seg.start + len(seg.samples)]
-        expect = morphology_embed(seg.samples, cfg.embedder.target_len,
+    for (lo, hi), row in zip(spans.tolist(), whole.features):
+        expect = morphology_embed(samples[lo:hi], cfg.embedder.target_len,
                                   cfg.preprocess.normalization)
         assert row.tobytes() == expect.tobytes()
     for array in (whole.spans, whole.features, whole.present):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
-    flat = replace(segments[0], samples=np.ones(len(segments[0].samples)))
-    features, present = regimes._features([flat, segments[0]], cfg)
+    # A constant segment has no feature: its row is NaN.
+    lo, hi = spans[0].tolist()
+    features, present = morphology_features(
+        np.stack([np.ones(hi - lo), samples[lo:hi]]), cfg.embedder.target_len,
+        cfg.preprocess.normalization)
     assert present.tolist() == [False, True]
     assert np.isnan(features[0]).all()
     assert features[1].tobytes() == whole.features[0].tobytes()
 
 
 def test_features_resample_once_per_segment_length(monkeypatch):
+    # A record's segments share one length: they are cut as one block and
+    # resampled as one batch. A record without segments resamples nothing.
     cfg = validate_config(BASE_CONFIG)
     store = _store(cfg, _tiny_spec(n_subjects=2))
-    whole = store.prepare(regimes.SegmentSource(store.index.records[0].key))
-    beat, other = store.segments(whole, np.arange(2))
-    short = replace(other, samples=other.samples[10:])
-    flat = replace(beat, samples=np.ones(len(beat.samples)))
-    segments = [beat, short, flat, other, short]
+    first, second = (meta.key for meta in store.index.records[:2])
+    rec = store.recordings[second]
+    store.recordings[second] = replace(rec, channels=(np.zeros(len(rec.channels[0])),))
     batches = []
     resample = regimes.dsp.resample_fourier
     monkeypatch.setattr(regimes.dsp, "resample_fourier",
                         lambda x, m: batches.append(x.shape) or resample(x, m))
-    # One batch per length, rows scattered back in segment order; no
-    # segments, no batch.
-    features, present = regimes._features(segments, cfg)
-    assert sorted(batches) == [(2, len(short.samples)), (3, len(beat.samples))]
-    empty, none_present = regimes._features([], cfg)
-    assert len(batches) == 2
-    assert empty.shape == (0, cfg.embedder.target_len) and none_present.shape == (0,)
-    assert present.tolist() == [True, True, False, True, True]
-    assert np.isnan(features[2]).all()
-    expect = [morphology_embed(seg.samples, cfg.embedder.target_len,
+    whole = store.prepare(regimes.SegmentSource(first))
+    spans, samples, _ = _cut(store, first)
+    assert batches == [(len(spans), spans[0, 1] - spans[0, 0])]
+    flat = store.prepare(regimes.SegmentSource(second))
+    assert len(batches) == 1
+    assert flat.spans.shape == (0, 2) and flat.present.shape == (0,)
+    assert flat.features.shape == (0, cfg.embedder.target_len)
+    expect = [morphology_embed(samples[lo:hi], cfg.embedder.target_len,
                                cfg.preprocess.normalization)
-              for seg, kept in zip(segments, present) if kept]
-    assert features[present].tobytes() == np.stack(expect).tobytes()
+              for lo, hi in spans.tolist()]
+    assert whole.features.tobytes() == np.stack(expect).tobytes()
 
 
 _BLIND = {"mode": "blind", "window_s": 2.0, "stride_s": 1.0}
@@ -336,30 +334,30 @@ def test_segments_are_cut_again_byte_for_byte(fs, segmentation, time_range):
     store = _store(cfg, _tiny_spec(n_subjects=2, fs=fs))
     key = store.index.records[1].key
     prepared = store.prepare(regimes.SegmentSource(key, time_range))
-    expect, offset = _cut(store, key, time_range)
-    assert len(expect) > 4 and expect[0].fs == fs
-    assert prepared.spans.tolist() == [[offset + seg.start, offset + seg.start + len(seg.samples)]
-                                       for seg in expect]
-    _assert_same_segments(store.segments(prepared, np.arange(len(expect))), expect)
-    # A selection keeps each segment's own position and start.
-    picked = np.array([1, 2, len(expect) - 1])
-    _assert_same_segments(store.segments(prepared, picked), [expect[i] for i in picked])
-    assert store.segments(prepared, np.arange(0)) == []
+    spans, samples, offset = _cut(store, key, time_range)
+    assert len(spans) > 4
+    assert prepared.spans.tolist() == (spans + offset).tolist()
+    expect = np.stack([samples[lo:hi] for lo, hi in spans.tolist()])
+    block, block_fs = store.samples(prepared, np.arange(len(spans)))
+    assert block_fs == fs
+    _assert_same_block(block, expect)
+    # A selection keeps its rows' samples, in selection order.
+    picked = np.array([1, 2, len(spans) - 1])
+    _assert_same_block(store.samples(prepared, picked)[0], expect[picked])
+    assert len(store.samples(prepared, np.arange(0))[0]) == 0
 
 
-def _segment_count() -> int:
-    gc.collect()
-    return sum(isinstance(obj, segment.Segment) for obj in gc.get_objects())
-
-
-def test_prepared_source_holds_only_its_key_and_read_only_arrays():
+def test_prepared_source_holds_only_its_key_and_read_only_arrays(monkeypatch):
     cfg = validate_config(BASE_CONFIG)
     store = _store(cfg, _tiny_spec(n_subjects=2))
     key = store.index.records[0].key
-    before = _segment_count()
+    results = []
+    segment_beats = segment.segment_beats
+    monkeypatch.setattr(segment, "segment_beats",
+                        lambda *a, **k: results.append(segment_beats(*a, **k)) or results[-1])
     prepared = store.prepare(regimes.SegmentSource(key, (2.0, 9.5)))
-    # No per-beat object outlives the preparation.
-    assert _segment_count() == before
+    # Segmentation makes no per-beat object: it returns one span array.
+    assert len(results) == 1 and type(results[0]) is np.ndarray
     names = [f.name for f in dataclasses.fields(regimes.PreparedSource)]
     assert names == ["record_key", "time_range", "spans", "features", "present"]
     assert (prepared.record_key, prepared.time_range) == (key, (2.0, 9.5))
@@ -425,8 +423,7 @@ def _hash_probe_data(store, cfg, cell, seed):
     digest = hashlib.sha256()
     for subject in sorted(realized):
         for prepared, idx in realized[subject].probe:
-            for seg in store.segments(prepared, idx):
-                digest.update(np.ascontiguousarray(seg.samples).tobytes())
+            digest.update(store.samples(prepared, idx)[0].tobytes())
             digest.update(prepared.features[idx].tobytes())
     return digest.hexdigest()
 
@@ -460,9 +457,8 @@ def test_leakage_guard_across_regimes():
         realized = regimes._realize_plan(plan, cell, store, seed=0)[0]
         for data in realized.values():
             enroll, probe = (
-                [(seg.key, prepared.spans[i: i + 1])
-                 for prepared, idx in side
-                 for seg, i in zip(store.segments(prepared, idx), idx)]
+                [(prepared.record_key, prepared.spans[i: i + 1])
+                 for prepared, idx in side for i in idx]
                 for side in (data.enroll, data.probe))
             assert enroll and probe
             assert regimes._span_overlaps(enroll, probe) == []
@@ -584,7 +580,7 @@ def _mixed_rate_store(cfg, seed=1):
 
 
 def test_mixed_rate_mlp_augment_record_pinned():
-    # Augmented copies of 250 Hz and 360 Hz beats reach one _features call.
+    # Augmented copies of 250 Hz and 360 Hz beats are embedded pick by pick.
     raw = dict(_PINNED_RUNS["mlp_augment"][0],
                regime={"name": "single_cross_session", "setting": "closed"})
     cfg = validate_config(raw)

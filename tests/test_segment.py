@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from ecgbench.core import RecordKey
 from ecgbench.errors import WindowLongerThanSignal
-from ecgbench.segment import align_peak, segment_beats, segment_blind, window_argmax
+from ecgbench.segment import align_peak, cut, segment_beats, segment_blind, window_argmax
 
 from .oracles import align_peak_loop, snap_loop
 
@@ -98,14 +97,15 @@ def test_segment_beats_matches_the_per_peak_loop(rng):
     jittered = np.concatenate([[0, 2], peaks + rng.integers(-20, 21, size=len(peaks)),
                                [len(x) - 3, len(x) - 1]]).clip(0, len(x) - 1)
     for align in (True, False):
-        segs = segment_beats(x, FS, jittered, 0.2, 0.4, align=align)
+        spans = segment_beats(x, FS, jittered, 0.2, 0.4, align=align)
         starts = [(align_peak_loop(x, p, FS) if align else p) - 100
                   for p in jittered.tolist()]
         starts = [s for s in starts if 0 <= s and s + 300 <= len(x)]
-        assert [(s.start, s.position) for s in segs] == list(zip(starts, range(len(starts))))
-        assert all(type(s.start) is int for s in segs)
-        for seg, start in zip(segs, starts):
-            assert seg.samples.tobytes() == x[start: start + 300].tobytes()
+        assert isinstance(spans, np.ndarray) and spans.dtype == int
+        assert spans.tolist() == [[s, s + 300] for s in starts]
+        beats = cut(x, spans)
+        assert beats.shape == (len(starts), 300)
+        assert beats.tobytes() == b"".join(x[s: s + 300].tobytes() for s in starts)
 
 
 def test_beat_shape_and_r_position():
@@ -113,41 +113,39 @@ def test_beat_shape_and_r_position():
     peaks = [500, 1500, 2500]
     for p in peaks:
         x[p] = 1.0
-    segs = segment_beats(x, FS, peaks, 0.2, 0.4, align=False)
-    assert len(segs) == 3
-    for seg in segs:
-        assert len(seg.samples) == 300
-        assert seg.samples[100] == 1.0
+    beats = cut(x, segment_beats(x, FS, peaks, 0.2, 0.4, align=False))
+    assert beats.shape == (3, 300)
+    assert beats[:, 100].tolist() == [1.0] * 3
 
 
 def test_out_of_bounds_beats_dropped():
     x = np.zeros(1000)
-    segs = segment_beats(x, FS, [10, 500], 0.2, 0.4, align=False)
-    assert len(segs) == 1
-    assert segs[0].start + round(0.2 * FS) == 500
+    spans = segment_beats(x, FS, [10, 500], 0.2, 0.4, align=False)
+    assert len(spans) == 1
+    assert spans[0, 0] + round(0.2 * FS) == 500
     tail = segment_beats(x, FS, [500, 900], 0.2, 0.4, align=False)
     assert len(tail) == 1  # 900 + 0.4 s does not fit
 
 
 def test_positions_sequential():
+    # A beat's position is its row: the kept beats in peak order.
     x = np.zeros(20000)
     peaks = [500 + 400 * i for i in range(10)]
-    segs = segment_beats(x, FS, peaks, 0.2, 0.4, align=False)
-    assert [s.position for s in segs] == list(range(10))
+    spans = segment_beats(x, FS, peaks, 0.2, 0.4, align=False)
+    assert (spans[:, 0] + 100).tolist() == peaks
 
 
-def test_provenance_carried():
-    x = np.zeros(1000)
-    segs = segment_beats(x, FS, [500], 0.2, 0.4, align=False,
-                         key=RecordKey("a", "s1", 2, 1))
-    assert segs[0].key == RecordKey("a", "s1", 2, 1)
+def test_cut_of_no_spans_has_no_rows():
+    x = np.arange(50.0)
+    for spans in (segment_beats(x, FS, [], 0.2, 0.4), np.empty((0, 2), dtype=int)):
+        assert spans.shape == (0, 2)
+        assert len(cut(x, spans)) == 0
 
 
 def test_blind_window_counts():
     x = np.zeros(int(10 * FS))
-    segs = segment_blind(x, FS, 5.0, 2.5)
-    assert len(segs) == 3
-    assert [s.start for s in segs] == [0, 1250, 2500]
+    spans = segment_blind(x, FS, 5.0, 2.5)
+    assert spans.tolist() == [[0, 2500], [1250, 3750], [2500, 5000]]
 
 
 def test_blind_single_window():
@@ -162,9 +160,27 @@ def test_blind_window_too_long():
 
 def test_blind_overlap_tiling():
     x = np.arange(int(12 * FS), dtype=float)
-    segs = segment_blind(x, FS, 4.0, 1.5)
+    windows = cut(x, segment_blind(x, FS, 4.0, 1.5))
     w, s = round(4.0 * FS), round(1.5 * FS)
-    for a, b in zip(segs, segs[1:]):
-        assert b.start - a.start == s
-        overlap = a.samples[s:]
-        assert np.array_equal(overlap, b.samples[: w - s])
+    for a, b in zip(windows, windows[1:]):
+        assert b[0] - a[0] == s
+        assert np.array_equal(a[s:], b[: w - s])
+
+
+def test_blind_spans_match_the_per_window_loop():
+    for fs in (250.0, 360.0, 7.0):
+        for n in (14, 100, 1001):
+            x = np.arange(float(n))
+            for window_s, stride_s in ((2.0, 1.0), (2.0, 2.0), (1.0, 0.3), (0.3, 0.3)):
+                w, s = round(window_s * fs), round(stride_s * fs)
+                if w > n:
+                    continue
+                want = []
+                start = 0
+                while start + w <= n:
+                    want.append([start, start + w])
+                    start += s
+                spans = segment_blind(x, fs, window_s, stride_s)
+                assert spans.tolist() == want
+                assert cut(x, spans).tobytes() == b"".join(
+                    x[lo:hi].tobytes() for lo, hi in want)

@@ -11,11 +11,10 @@ import pytest
 
 from ecgbench import ingest, synth
 from ecgbench.core import RecordKey
-from ecgbench.embed import morphology_embed
-from ecgbench.segment import segment_beats
+from ecgbench.segment import cut, segment_beats
 from ecgbench.util import stable_seed, sub_rng
 
-from .oracles import render_beats_loop
+from .oracles import morphology_embed, render_beats_loop, synthesize_beat
 
 
 def test_subject_params_deterministic():
@@ -39,19 +38,19 @@ def test_subject_params_ordering_invariant():
 
 def test_beat_length():
     theta = synth.make_subject_params(3)
-    assert len(synth.synthesize_beat(theta, 360.0, 1.0)) == 360
+    assert len(synthesize_beat(theta, 360.0, 1.0)) == 360
 
 
 def test_zero_amplitude_beat_is_zero():
     theta = synth.make_subject_params(3)
     silent = replace(theta, waves=tuple(replace(w, amplitude=0.0) for w in theta.waves))
-    assert np.allclose(synth.synthesize_beat(silent, 250.0, 0.8), 0.0)
+    assert np.allclose(synthesize_beat(silent, 250.0, 0.8), 0.0)
 
 
 def test_beat_argmax_near_r_center():
     theta = synth.make_subject_params(7)
     fs, rr = 500.0, 1.0
-    beat = synth.synthesize_beat(theta, fs, rr)
+    beat = synthesize_beat(theta, fs, rr)
     r_idx = round(0.4 * round(rr * fs))
     assert abs(int(np.argmax(beat)) - r_idx) <= round(0.010 * fs)
 
@@ -134,8 +133,9 @@ def test_record_matches_per_beat_loop_bitwise(fs, drift):
 
 
 def _session_mean_embedding(rec, peaks):
-    segs = segment_beats(rec.channels[0], rec.fs, peaks, 0.2, 0.4, align=False)
-    embs = np.stack([morphology_embed(s.samples, target_len=64) for s in segs])
+    x = rec.channels[0]
+    beats = cut(x, segment_beats(x, rec.fs, peaks, 0.2, 0.4, align=False))
+    embs = np.stack([morphology_embed(beat, target_len=64) for beat in beats])
     return embs.mean(axis=0)
 
 
