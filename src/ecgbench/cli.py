@@ -31,10 +31,12 @@ def _fail(message: str, code: int) -> int:
 
 
 def _read_json(path: str):
-    """The JSON value in a UTF-8 file; FormatMismatch names a file that is not."""
+    """The JSON value in a UTF-8 file; FormatMismatch names a file that is not.
+    json.loads raises a plain ValueError for an integer past Python's digit
+    limit, and a JSONDecodeError (a ValueError too) for the rest."""
     try:
         return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise FormatMismatch(f"{path}: {exc}") from None
 
 
@@ -42,7 +44,7 @@ def cmd_synth(args) -> int:
     try:
         spec = spec_from_dict(_read_json(args.spec)) if args.spec else preset_spec(args.preset)
         index, manifest_path = generate_dataset(spec, args.seed, args.out)
-    except (OSError, ValueError, FormatMismatch) as exc:
+    except (OSError, ValueError, FormatMismatch, ConfigError) as exc:
         return _fail(f"{type(exc).__name__}: {exc}", 2)
     print(f"wrote {len(index.records)} records and {manifest_path}")
     return 0
@@ -72,8 +74,7 @@ def _float_cell(mean: float, std: float) -> str:
 
 
 def results_payload(cfg: RunConfig, seeds, per_seed_records) -> dict:
-    report = aggregate_runs(list(per_seed_records.values()),
-                            config_digest=cfg.digest(), seeds=seeds)
+    report = aggregate_runs(list(per_seed_records.values()))
     results = {}
     for key in sorted(report.cells):
         cell = report.cells[key]

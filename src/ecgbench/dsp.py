@@ -13,7 +13,7 @@ scipy.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,19 +29,20 @@ class FilterSpec:
     """One filtering step. Only the parameters of ``kind`` are consulted.
 
     phase_mode applies to the LTI kinds; the window kinds (moving_average,
-    median, savitzky_golay) are symmetric by construction and ignore it.
+    median, savitzky_golay) are symmetric by construction and ignore it. The
+    field metadata is what core.read_object checks in a config.
     """
-    kind: str = "butterworth_bandpass"
-    phase_mode: str = "zero_phase"
-    order: int = 3
-    low_hz: float | None = 0.5
-    high_hz: float | None = 40.0
-    cut_hz: float | None = None
-    notch_hz: float | None = None
-    q: float = 30.0
-    window_len: int | None = None
-    poly_order: int | None = None
-    transition_hz: float = 2.0
+    kind: str = field(default="butterworth_bandpass", metadata={"choices": FILTER_KINDS})
+    phase_mode: str = field(default="zero_phase", metadata={"choices": ("zero_phase", "causal")})
+    order: int = field(default=3, metadata={"gt": 0})
+    low_hz: float | None = field(default=0.5, metadata={"gt": 0})
+    high_hz: float | None = field(default=40.0, metadata={"gt": 0})
+    cut_hz: float | None = field(default=None, metadata={"gt": 0})
+    notch_hz: float | None = field(default=None, metadata={"gt": 0})
+    q: float = field(default=30.0, metadata={"gt": 0})
+    window_len: int | None = field(default=None, metadata={"gt": 0})
+    poly_order: int | None = field(default=None, metadata={"ge": 0})
+    transition_hz: float = field(default=2.0, metadata={"gt": 0})
 
 
 @dataclass(frozen=True)

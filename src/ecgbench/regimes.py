@@ -498,8 +498,7 @@ def run_evaluation(cfg: RunConfig, seed: int, store: SegmentStore,
     return out
 
 
-def aggregate_runs(per_seed_records: list, config_digest: str = "",
-                   seeds=()) -> MetricsReport:
+def aggregate_runs(per_seed_records: list) -> MetricsReport:
     """Mean and sample std (n-1; zero for a single seed) per cell and metric."""
     if not per_seed_records:
         raise ValueError("need at least one per-seed record")
@@ -519,5 +518,4 @@ def aggregate_runs(per_seed_records: list, config_digest: str = "",
         per_metric["warnings"] = sorted(
             {w for rec in per_seed_records for w in rec[key]["warnings"]})
         cells[key] = per_metric
-    return MetricsReport(cells=cells, config_digest=config_digest,
-                         seeds=tuple(seeds))
+    return MetricsReport(cells=cells)

@@ -12,12 +12,11 @@ Everything is a pure function of (spec, seed).
 import json
 import math
 import os
-from dataclasses import dataclass, fields, replace
-from typing import get_args
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PRESET_NAMES, RecordKey, Recording
+from .core import PRESET_NAMES, RecordKey, Recording, read_object
 from .util import stable_seed, sub_rng
 
 WAVE_NAMES = ("p", "q", "r", "s", "t")
@@ -372,44 +371,14 @@ def preset_spec(name: str) -> SynthSpec:
     raise ValueError(f"unknown preset {name!r} (have {', '.join(PRESET_NAMES)})")
 
 
-def _from_object(cls, raw, where: str, **built):
-    """Build the dataclass cls from a JSON object.
-
-    Every key must name a field of cls, and a field left out takes its
-    default. Each value is cast to its field's type; None stays None only
-    where the field is optional. ``built`` supplies fields already built.
-    """
-    if not isinstance(raw, dict):
-        raise ValueError(f"{where} must be a JSON object, got {type(raw).__name__}")
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = sorted(set(raw) - set(types))
-    if unknown:
-        raise ValueError(f"{where}: unknown key(s) {', '.join(unknown)}")
-    values = {}
-    for name, value in raw.items():
-        if name in built:
-            continue
-        kinds = get_args(types[name]) or (types[name],)
-        if value is not None or type(None) not in kinds:
-            try:
-                value = kinds[0](value)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{where}.{name}: {exc}") from None
-        values[name] = value
-    try:
-        return cls(**values, **built)
-    except TypeError as exc:  # a field without a default was left out
-        raise ValueError(f"{where}: {exc}") from None
-
-
 def spec_from_dict(raw) -> SynthSpec:
     """Build a SynthSpec from a parsed JSON description (cmd_synth --spec).
 
-    Raises ValueError for a spec or session that is not an object, for a key
-    that names no field, and for a value of the wrong type.
+    core.read_object reads it, so the keys, defaults and JSON types are the
+    fields of SynthSpec and SessionEffects: ConfigError names a spec or session
+    that is not an object, a key that names no field, a missing key without a
+    default, and a value of the wrong JSON type (an integer field takes no
+    fraction, a string field no number). The dataclasses raise ValueError for
+    values they reject.
     """
-    sessions = raw.get("sessions") if isinstance(raw, dict) else None
-    if not isinstance(sessions, list):
-        raise ValueError("spec must be a JSON object with a list of sessions")
-    return _from_object(SynthSpec, raw, "spec", sessions=tuple(
-        _from_object(SessionEffects, s, f"sessions[{i}]") for i, s in enumerate(sessions)))
+    return read_object(SynthSpec, raw, "spec")

@@ -3,10 +3,18 @@ import pytest
 
 from ecgbench.augment import apply_augmentation, augment_training_set
 from ecgbench.core import AugmentConfig, AugmentOpConfig, RecordKey
-from ecgbench.util import sub_rng
+from ecgbench.util import stable_seed, sub_rng
 
 FS = 250.0
 KEY = RecordKey("a", "s0", 0, 0)
+
+
+def test_stable_seed_hashes_a_numpy_integer_as_its_int():
+    # Augmentation seeds are numpy integers, whose repr depends on numpy's version.
+    k = sub_rng(0, "copy").integers(2**63)
+    assert isinstance(k, np.integer)
+    assert stable_seed(k, "x") == stable_seed(int(k), "x")
+    assert stable_seed(np.int64(7), "x") == stable_seed(7, "x")
 
 
 def test_amplitude_scale_fixed_factor():

@@ -130,11 +130,20 @@ def test_report_on_malformed_results_exits_2(tmp_path, capsys, payload):
     {"preprocess": {"filter": {"order": 9}}},
     {"regime": {"name": "cross_session", "enroll_session": "s0", "probe_session": "s0"}},
     {"regime": {"name": "cross_session", "enroll_session": 0, "probe_session": "s1"}},
+    {"embedder": {"kind": "mlp", "augment": {
+        "multiplier": 1, "ops": [{"kind": "amplitude_scale", "scale_low": "x"}]}}},
+    {"embedder": {"kind": "mlp", "augment": {"multiplier": 1, "ops": 5}}},
+    {"preprocess": {"filter": {"kind": "savitzky_golay", "window_len": 9, "poly_order": -1}}},
+    {"preprocess": {"filter": {"low_hz": float("nan")}}},
+    {"regime": {"names": []}},
     NOT_UTF8,
     NOT_JSON,
+    b'{"seeds": [' + b"1" * 5000 + b"]}",
 ], ids=["target_len_1", "mlp_target_len_7", "unknown_key", "unknown_nested_key",
         "blind_overlap_single_session", "unknown_preset", "filter_order_9",
-        "cross_session_one_session", "session_not_a_string", "not_utf8", "not_json"])
+        "cross_session_one_session", "session_not_a_string", "scale_low_not_a_number",
+        "ops_not_a_list", "negative_poly_order", "nan_low_hz", "no_names", "not_utf8",
+        "not_json", "integer_past_the_digit_limit"])
 def test_bad_config_exits_2(dataset, capsys, overrides):
     if isinstance(overrides, bytes):
         config = _write_json(dataset / "bad.json", overrides)
@@ -156,10 +165,13 @@ def test_bad_config_exits_2(dataset, capsys, overrides):
     dict(SPEC, sessions=[{"session_id": "s0", "noise_sgima": 0.03}]),
     dict(SPEC, fs=float("inf")),
     dict(SPEC, duration_s=0.0),
+    dict(SPEC, n_subjects=2.7),
+    dict(SPEC, sessions=[{"session_id": 7}]),
     NOT_UTF8,
     NOT_JSON,
 ], ids=["spec_not_an_object", "session_not_an_object", "unknown_session_key",
-        "infinite_fs", "zero_duration", "not_utf8", "not_json"])
+        "infinite_fs", "zero_duration", "fractional_subjects", "session_id_not_a_string",
+        "not_utf8", "not_json"])
 def test_bad_synth_spec_exits_2(tmp_path, capsys, spec):
     path = _write_json(tmp_path / "spec.json", spec)
     code = cli.main(["synth", "--spec", path, "--out", str(tmp_path / "data")])

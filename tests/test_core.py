@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from ecgbench.core import (
 )
 from ecgbench.errors import (
     ConfigError,
+    EcgBenchError,
     EmptySeeds,
     InconsistentSettings,
     UnknownField,
@@ -249,3 +252,52 @@ def test_blind_mode_takes_back_only_its_placeholders():
                        ("align_peak", True), ("pre_s", None)):
         with pytest.raises(InconsistentSettings):
             validate_config(dict(base, segmentation=dict(blind, **{key: value})))
+
+
+# Every section, with the branches that read most keys: a Savitzky-Golay
+# filter, an MLP with one op of each kind, custom_split and cross_session, and
+# an integer template_size.
+_EVERY_SECTION = {
+    "dataset": _SYN,
+    "preprocess": {"filter": {"kind": "savitzky_golay", "window_len": 9, "poly_order": 3}},
+    "embedder": {"kind": "mlp", "augment": {"multiplier": 2, "ops": [
+        {"kind": kind} for kind in ("amplitude_scale", "gaussian_noise", "time_shift",
+                                    "random_crop")]}},
+    "regime": [
+        {"name": "custom_split", "enroll_range": [0, 8], "probe_range": [10.5, 18]},
+        {"name": "cross_session", "enroll_session": "s0", "probe_session": "s3",
+         "setting": "open"}],
+    "evaluation": {"template_size": 40},
+    "seeds": [0, 1],
+}
+_WRONG_VALUES = (None, True, "x", [], {}, -1, 0, 1.5, float("nan"), float("inf"), [1, 2, 3])
+
+
+def _leaf_paths(tree, path=()):
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(tree, list):
+        for i, value in enumerate(tree):
+            yield from _leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+def test_every_wrong_leaf_is_accepted_or_a_named_error():
+    tree = validate_config(_EVERY_SECTION).to_dict()
+    paths = list(_leaf_paths(tree))
+    assert len(paths) > 60
+    for path in paths:
+        for wrong in _WRONG_VALUES:
+            raw = copy.deepcopy(tree)
+            node = raw
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = wrong
+            try:
+                validate_config(raw)
+            except EcgBenchError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - any other type is the failure
+                pytest.fail(f"{path} = {wrong!r}: {type(exc).__name__}: {exc}")

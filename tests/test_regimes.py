@@ -494,7 +494,7 @@ def test_aggregate_runs_mean_and_std():
     make = lambda e: {"k|closed": {
         "rank1": 1.0, "rank5": 1.0, "eer": e, "auc": 1.0, "dprime": 2.0,
         "tar_at_far": 1.0, "counts": {"subjects_total": 2}, "warnings": []}}
-    report = regimes.aggregate_runs([make(0.1), make(0.2), make(0.3)], seeds=(0, 1, 2))
+    report = regimes.aggregate_runs([make(0.1), make(0.2), make(0.3)])
     agg = report.cells["k|closed"]["eer"]
     assert agg["mean"] == pytest.approx(0.2)
     assert agg["std"] == pytest.approx(0.1)
@@ -508,7 +508,9 @@ def test_aggregate_runs_mean_and_std():
 # --- outputs pinned before the per-beat feature cache ------------------------------
 # No benchmark workload reaches augmentation, blind mode or custom_split time
 # ranges; these digests of the per-seed records were computed before each
-# beat's feature was cached on the SegmentStore and must not move.
+# beat's feature was cached on the SegmentStore and must not move. The two
+# mlp_augment digests were re-pinned once, when stable_seed began to hash a
+# numpy integer part as its int (the augmentation seeds are numpy integers).
 
 _PIN_SPEC = {
     "n_subjects": 6,
@@ -534,7 +536,7 @@ _PINNED_RUNS = {
                           {"kind": "time_shift", "max_shift_s": 0.02},
                           {"kind": "random_crop", "crop_fraction": 0.8}]}},
          "seeds": [0, 1]},
-        "523c84202a01cea0992fcf15ee0a8a565ed5b00b13f046a659cd788696214ddd"),
+        "20d350f8d9f40fd64dcf32f320c16eec36faf6f571ad37c85b4b5b8bc52fa304"),
     "blind": (
         {"dataset": _PIN_DATASET,
          "regime": {"names": ["single_session", "single_cross_session"],
@@ -589,4 +591,4 @@ def test_mixed_rate_mlp_augment_record_pinned():
     records = [regimes.run_evaluation(cfg, seed, store=store) for seed in cfg.seeds]
     text = json.dumps(records, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "57a0a028268fa0222133d397d6228692880389f7b02767d6bd11c552a31eedf9")
+        "a7d54ddd363737fc2693d77aa486f873034ecb6fb6da8cde0137d973bafdd457")
