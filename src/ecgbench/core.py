@@ -14,6 +14,9 @@ number; an integer field takes no fraction; a float field takes any finite
 number and stores it as a float; null is read only where the annotation has
 ``| None``; a tuple is a JSON list, and a nested dataclass a JSON object.
 
+The sizes that set a run's memory and time (target_len, hidden_dim, epochs)
+are bounded by a budget for a desk-scale run, far above any size in use.
+
 The defaults reproduce the baseline pipeline: 0.5-40 Hz order-3 Butterworth
 band-pass, z-score normalization, beat segmentation 0.2 s before / 0.4 s after
 the R peak, cosine matching, mean template fusion over all beats, probe fusion
@@ -102,7 +105,7 @@ class PreprocessConfig:
     filter: FilterSpec = field(default_factory=FilterSpec)
     normalization: str = field(default="zscore", metadata={"choices": ("zscore", "minmax")})
     # morphology_features needs at least 8 samples, here and in EmbedderConfig.
-    target_len: int = field(default=128, metadata={"ge": 8})
+    target_len: int = field(default=128, metadata={"ge": 8, "le": 4096})
 
 
 @dataclass(frozen=True)
@@ -134,10 +137,10 @@ class AugmentConfig:
 @dataclass(frozen=True)
 class EmbedderConfig:
     kind: str = field(default="morphology", metadata={"choices": ("morphology", "mlp")})
-    target_len: int = field(default=128, metadata={"ge": 8})
-    hidden_dim: int = field(default=64, metadata={"gt": 0})
+    target_len: int = field(default=128, metadata={"ge": 8, "le": 4096})
+    hidden_dim: int = field(default=64, metadata={"gt": 0, "le": 4096})
     lr: float = field(default=0.05, metadata={"gt": 0})
-    epochs: int = field(default=150, metadata={"ge": 0})
+    epochs: int = field(default=150, metadata={"ge": 0, "le": 10000})
     batch: int = field(default=64, metadata={"gt": 0})
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 

@@ -1,18 +1,21 @@
-"""Dataset loading: manifest parsing plus raw-signal readers (f32le, csv, WFDB).
+"""Dataset loading: a manifest of ManifestEntry records, read by
+core.read_object, plus raw-signal readers (f32le, csv, WFDB).
 
 The WFDB reader is intentionally minimal: header record/signal lines plus
 sample formats 212 and 16, bit-exact. Anything else is rejected loudly.
 """
 
 import json
+import math
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import RecordKey, Recording
+from .core import RecordKey, Recording, read_object
 from .errors import (
+    ConfigError,
     DuplicateRecordKey,
     FormatMismatch,
     MalformedHeaderLine,
@@ -26,6 +29,19 @@ from .errors import (
 RAW_FORMATS = ("f32le", "csv", "wfdb")
 WFDB_DEFAULT_FS = 250.0  # WFDB header default when the record line omits fs
 WFDB_DEFAULT_GAIN = 200.0  # adu per mV when the signal line omits gain
+
+
+@dataclass(frozen=True)
+class ManifestEntry:
+    """The schema of one manifest entry. A wfdb header gives its own fs."""
+    subject: str
+    session: str
+    path: str
+    format: str = field(metadata={"choices": RAW_FORMATS})
+    day: int = field(default=0, metadata={"ge": 0})
+    record_index: int | None = field(default=None, metadata={"ge": 0})
+    fs: float | None = field(default=None, metadata={"gt": 0})
+    channel: int | None = field(default=None, metadata={"ge": 0})
 
 
 @dataclass(frozen=True)
@@ -77,15 +93,15 @@ class WfdbHeader:
 
 
 def parse_manifest(text: str) -> DatasetIndex:
-    """Parse the manifest JSON into a validated, deterministically sorted index.
+    """Parse the manifest JSON {"records": [ManifestEntry, ...]} into a
+    validated, deterministically sorted index.
 
-    Entries: {subject, session, day?, record_index?, path, format, fs?, channel?}.
-    day_index is re-based per subject so each subject's first day is 0; missing
-    record_index is assigned by manifest order within the subject.
+    day_index is re-based per subject so each subject's first day is 0;
+    missing record_index is assigned by manifest order within the subject.
     """
     try:
         tree = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise SchemaError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(tree, dict) or set(tree) != {"records"}:
         raise SchemaError("manifest must be an object with a single 'records' key")
@@ -93,48 +109,21 @@ def parse_manifest(text: str) -> DatasetIndex:
     if not isinstance(entries, list) or not entries:
         raise SchemaError("manifest.records must be a non-empty array")
 
-    allowed = {"subject", "session", "day", "record_index", "path", "format",
-               "fs", "channel"}
     metas = []
     per_subject_count: dict[str, int] = {}
-    for i, entry in enumerate(entries):
-        where = f"records[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{where} must be an object")
-        unknown = sorted(set(entry) - allowed)
-        if unknown:
-            raise SchemaError(f"{where} has unknown key(s) {unknown}")
-        for req in ("subject", "session", "path", "format"):
-            if req not in entry:
-                raise SchemaError(f"{where} missing required key {req!r}")
-        fmt = entry["format"]
-        if fmt not in RAW_FORMATS:
-            raise SchemaError(f"{where}: unknown format {fmt!r}")
-        fs = entry.get("fs")
-        if fs is not None and (isinstance(fs, bool) or not isinstance(fs, (int, float)) or fs <= 0):
-            raise SchemaError(f"{where}: fs must be positive, got {fs!r}")
-        if fs is None and fmt != "wfdb":
-            raise SchemaError(f"{where}: fs is required for format {fmt!r}")
-        day = entry.get("day", 0)
-        if isinstance(day, bool) or not isinstance(day, int) or day < 0:
-            raise SchemaError(f"{where}: day must be a non-negative integer")
-        subject = str(entry["subject"])
-        rec_idx = entry.get("record_index")
-        if rec_idx is None:
-            rec_idx = per_subject_count.get(subject, 0)
-        elif isinstance(rec_idx, bool) or not isinstance(rec_idx, int) or rec_idx < 0:
-            raise SchemaError(f"{where}: record_index must be a non-negative integer")
-        per_subject_count[subject] = per_subject_count.get(subject, 0) + 1
-        channel = entry.get("channel")
-        if channel is not None and (isinstance(channel, bool) or not isinstance(channel, int) or channel < 0):
-            raise SchemaError(f"{where}: channel must be a non-negative integer")
+    for i, raw in enumerate(entries):
+        try:
+            entry = read_object(ManifestEntry, raw, f"records[{i}]")
+        except ConfigError as exc:
+            raise SchemaError(str(exc)) from None
+        if entry.fs is None and entry.format != "wfdb":
+            raise SchemaError(f"records[{i}]: fs is required for format {entry.format!r}")
+        count = per_subject_count.get(entry.subject, 0)
+        per_subject_count[entry.subject] = count + 1
+        rec_idx = count if entry.record_index is None else entry.record_index
         metas.append(RecordMeta(
-            key=RecordKey(subject, str(entry["session"]), day, rec_idx),
-            path=str(entry["path"]),
-            format=fmt,
-            fs=float(fs) if fs is not None else None,
-            channel_selector=channel,
-        ))
+            key=RecordKey(entry.subject, entry.session, entry.day, rec_idx),
+            path=entry.path, format=entry.format, fs=entry.fs, channel_selector=entry.channel))
 
     first_day = {}
     for k in (m.key for m in metas):
@@ -185,8 +174,8 @@ def parse_wfdb_header(text: str) -> WfdbHeader:
             fs = float(rec[2].split("/")[0])
         except ValueError as exc:
             raise MalformedHeaderLine(f"bad sampling frequency in {lines[0]!r}") from exc
-    if fs <= 0:
-        raise MalformedHeaderLine(f"fs must be positive, got {fs}")
+    if not 0 < fs < math.inf:
+        raise MalformedHeaderLine(f"fs must be positive and finite, got {fs}")
     n_samples = None
     if len(rec) >= 4:
         try:

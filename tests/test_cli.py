@@ -139,11 +139,15 @@ def test_report_on_malformed_results_exits_2(tmp_path, capsys, payload):
     NOT_UTF8,
     NOT_JSON,
     b'{"seeds": [' + b"1" * 5000 + b"]}",
+    {"embedder": {"target_len": 10**13}},
+    {"embedder": {"kind": "mlp", "hidden_dim": 10**9}},
+    {"embedder": {"kind": "mlp", "epochs": 10**12}},
 ], ids=["target_len_1", "mlp_target_len_7", "unknown_key", "unknown_nested_key",
         "blind_overlap_single_session", "unknown_preset", "filter_order_9",
         "cross_session_one_session", "session_not_a_string", "scale_low_not_a_number",
         "ops_not_a_list", "negative_poly_order", "nan_low_hz", "no_names", "not_utf8",
-        "not_json", "integer_past_the_digit_limit"])
+        "not_json", "integer_past_the_digit_limit", "target_len_huge", "hidden_dim_huge",
+        "epochs_huge"])
 def test_bad_config_exits_2(dataset, capsys, overrides):
     if isinstance(overrides, bytes):
         config = _write_json(dataset / "bad.json", overrides)
@@ -301,6 +305,22 @@ def _broken_manifest(dataset, tmp_path, case) -> str:
     elif case == "wfdb_header_not_utf8":
         first.update(format="wfdb", path=str(tmp_path / "binary"))
         (tmp_path / "binary.hea").write_bytes(bytes(range(128, 256)))
+    elif case == "fs_infinite":
+        first["fs"] = float("inf")
+    elif case == "fs_nan":
+        first["fs"] = float("nan")
+    elif case == "subject_not_a_string":
+        first["subject"] = 7
+    elif case == "wfdb_fs_nan":
+        samples = np.fromfile(first["path"], dtype="<f4")
+        (tmp_path / "nan_fs.dat").write_bytes(np.round(samples * 200).astype("<i2").tobytes())
+        (tmp_path / "nan_fs.hea").write_text(f"nan_fs 1 nan {samples.size}\nnan_fs.dat 16 200\n")
+        first.update(format="wfdb", path=str(tmp_path / "nan_fs"))
+    elif case == "integer_past_the_digit_limit":
+        first["record_index"] = "HUGE"
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest).replace('"HUGE"', "1" * 5000))
+        return str(path)
     else:
         path = tmp_path / "manifest.json"
         path.write_bytes(json.dumps(manifest).encode() + bytes(range(128, 256)))
@@ -316,8 +336,14 @@ def _broken_manifest(dataset, tmp_path, case) -> str:
     ("csv_not_utf8", "FormatMismatch: {tmp}/binary.csv: not UTF-8 text: "),
     ("wfdb_header_not_utf8", "FormatMismatch: {tmp}/binary.hea: not UTF-8 text: "),
     ("manifest_not_utf8", "FormatMismatch: {tmp}/manifest.json: not UTF-8 text: "),
+    ("fs_infinite", "SchemaError: records[0].fs must be finite, got inf"),
+    ("fs_nan", "SchemaError: records[0].fs must be finite, got nan"),
+    ("subject_not_a_string", "SchemaError: records[0].subject must be a string, got 7"),
+    ("integer_past_the_digit_limit", "SchemaError: manifest is not valid JSON: "),
+    ("wfdb_fs_nan", "MalformedHeaderLine: fs must be positive and finite, got nan"),
 ], ids=["f32le_without_fs", "missing_record", "non_finite", "csv_not_utf8",
-        "wfdb_header_not_utf8", "manifest_not_utf8"])
+        "wfdb_header_not_utf8", "manifest_not_utf8", "fs_infinite", "fs_nan",
+        "subject_not_a_string", "integer_past_the_digit_limit", "wfdb_fs_nan"])
 def test_bad_dataset_exits_2_without_output(dataset, tmp_path, capsys, jobs, case, error):
     config = _write_json(tmp_path / "config.json", {
         "dataset": _broken_manifest(dataset, tmp_path, case), "regime": REGIMES,

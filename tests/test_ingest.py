@@ -1,5 +1,6 @@
 import json
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from ecgbench import ingest
 from ecgbench.core import RecordKey
 from ecgbench.errors import (
     DuplicateRecordKey,
+    EcgBenchError,
     FormatMismatch,
     MalformedHeaderLine,
     NonFiniteSamples,
@@ -16,6 +18,8 @@ from ecgbench.errors import (
     UnsupportedFormat,
     ZeroGain,
 )
+
+from .test_core import _WRONG_VALUES
 
 
 def _manifest(entries):
@@ -131,6 +135,12 @@ def test_parse_header_rejects_frame_multiplier():
 def test_parse_header_malformed_record_line():
     with pytest.raises(MalformedHeaderLine):
         ingest.parse_wfdb_header("r5\n")
+
+
+@pytest.mark.parametrize("fs", ["nan", "inf"])
+def test_parse_header_rejects_non_finite_fs(fs):
+    with pytest.raises(MalformedHeaderLine, match=f"fs must be positive and finite, got {fs}"):
+        ingest.parse_wfdb_header(f"r6 1 {fs} 10\nr6.dat 16 200\n")
 
 
 # --- sample decoding ------------------------------------------------------------
@@ -323,3 +333,30 @@ def test_load_dataset_resolves_relative_paths(tmp_path):
     assert len(recordings) == 1
     rec = recordings[index.records[0].key]
     assert len(rec.channels[0]) == 100
+
+
+def test_every_wrong_manifest_leaf_is_a_named_error_or_meets_the_entry_contract(tmp_path):
+    # One entry that gives every ManifestEntry key, each key replaced in turn
+    # by each wrong value of the config sweep. OSError is the other error the
+    # command line reports as bad input (here, a path to no file).
+    np.zeros(100, dtype="<f4").tofile(tmp_path / "rec.f32")
+    entry = {"subject": "a", "session": "s0", "path": "rec.f32", "format": "f32le",
+             "day": 2, "record_index": 1, "fs": 100, "channel": 0}
+    assert list(entry) == [f.name for f in fields(ingest.ManifestEntry)]
+    manifest = tmp_path / "manifest.json"
+    accepted = 0
+    for key in entry:
+        for wrong in _WRONG_VALUES:
+            manifest.write_text(json.dumps({"records": [dict(entry, **{key: wrong})]}))
+            try:
+                index, _ = ingest.load_dataset(str(manifest))
+            except (EcgBenchError, OSError):
+                continue
+            accepted += 1
+            (meta,) = index.records
+            case = f"{key} = {wrong!r}: {meta}"
+            assert all(type(part) is str for part in meta.key[:2] + (meta.path,)), case
+            assert type(meta.fs) is float and 0 < meta.fs < math.inf, case
+            channel = 0 if meta.channel_selector is None else meta.channel_selector
+            assert all(type(v) is int and v >= 0 for v in (*meta.key[2:], channel)), case
+    assert 0 < accepted < len(entry) * len(_WRONG_VALUES)
