@@ -4,6 +4,11 @@ Results are written as a schema-versioned JSON file plus a flat CSV mirroring
 the benchmark table layout (one row per regime/setting, metric columns as
 "mean±std"). Both encode the same repr-exact numbers, and identical runs
 produce byte-identical files regardless of --jobs.
+
+Each command imports only the layers it uses, so validate, report and --version
+load neither numpy nor the pipeline. The layer calls that the benchmark's tracer
+wraps here (generate_dataset, load_dataset_from_config, run_evaluation,
+results_payload) are functions of this module.
 """
 
 import argparse
@@ -12,12 +17,9 @@ import os
 import sys
 
 from . import __version__
-from .core import METRIC_FIELDS, PRESET_NAMES, RunConfig, validate_config
+from .core import METRIC_FIELDS, PRESET_NAMES, RunConfig, read_text, validate_config
 from .errors import (ConfigError, EcgBenchError, FormatMismatch, SchemaError,
                      SchemaVersionMismatch)
-from .ingest import read_text
-from .regimes import SegmentStore, aggregate_runs, load_dataset_from_config, run_evaluation
-from .synth import generate_dataset, preset_spec, spec_from_dict
 
 SCHEMA_VERSION = 1
 SEED_ENV = "ECGBENCH_SEED_OVERRIDE"
@@ -40,7 +42,23 @@ def _read_json(path: str):
         raise FormatMismatch(f"{path}: {exc}") from None
 
 
+def generate_dataset(spec, seed: int, out_dir: str):
+    from . import synth
+    return synth.generate_dataset(spec, seed, out_dir)
+
+
+def load_dataset_from_config(ds_cfg):
+    from . import regimes
+    return regimes.load_dataset_from_config(ds_cfg)
+
+
+def run_evaluation(cfg: RunConfig, seed: int, store, cells):
+    from . import regimes
+    return regimes.run_evaluation(cfg, seed, store=store, cells=cells)
+
+
 def cmd_synth(args) -> int:
+    from .synth import preset_spec, spec_from_dict
     try:
         spec = spec_from_dict(_read_json(args.spec)) if args.spec else preset_spec(args.preset)
         index, manifest_path = generate_dataset(spec, args.seed, args.out)
@@ -74,6 +92,7 @@ def _float_cell(mean: float, std: float) -> str:
 
 
 def results_payload(cfg: RunConfig, seeds, per_seed_records) -> dict:
+    from .regimes import aggregate_runs
     report = aggregate_runs(list(per_seed_records.values()))
     results = {}
     for key in sorted(report.cells):
@@ -168,6 +187,7 @@ def _warm_store(store, cells, jobs: int):
 
 
 def cmd_run(args) -> int:
+    from . import dsp, regimes
     if args.jobs < 1:
         return _fail(f"--jobs must be at least 1, got {args.jobs}", 2)
     try:
@@ -182,6 +202,9 @@ def cmd_run(args) -> int:
 
     try:
         index, recordings = load_dataset_from_config(cfg.dataset)
+        for fs in sorted({meta.fs for meta in index.records}):
+            if cfg.preprocess.filter.kind not in dsp.WINDOW_KINDS:
+                dsp.design_filter(cfg.preprocess.filter, fs)
     except (EcgBenchError, OSError) as exc:
         return _fail(f"dataset: {type(exc).__name__}: {exc}", 2)
 
@@ -189,7 +212,7 @@ def cmd_run(args) -> int:
     csv_path = os.path.join(args.out, "results.csv")
     try:
         os.makedirs(args.out, exist_ok=True)
-        store = SegmentStore(cfg, index, recordings)
+        store = regimes.SegmentStore(cfg, index, recordings)
         pooled = args.jobs > 1 and len(seeds) > 1
         _warm_store(store, cells, args.jobs if pooled else 1)
         if pooled:

@@ -5,7 +5,7 @@ keys ``dataset``, ``preprocess``, ``segmentation``, ``embedder``, ``regime``,
 ``evaluation``, ``seeds``. Unknown keys anywhere in the tree are errors
 (fail-closed).
 
-Each section is a frozen dataclass below (the filter is dsp.FilterSpec), and
+Each section is a frozen dataclass below (the filter's FilterSpec too), and
 read_object takes the schema from its fields: a field's JSON key, its default
 (the value of a key left out), its JSON type (from the annotation), and the
 strings it allows and the bounds of its numbers (from its metadata). Only the
@@ -21,25 +21,20 @@ The defaults reproduce the baseline pipeline: 0.5-40 Hz order-3 Butterworth
 band-pass, z-score normalization, beat segmentation 0.2 s before / 0.4 s after
 the R peak, cosine matching, mean template fusion over all beats, probe fusion
 of 3, five seeds.
+
+This module imports neither numpy nor a pipeline layer, so validate and report,
+which only read JSON, start without them.
 """
 
 import hashlib
+import json
 import math
 import operator
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from types import UnionType
 from typing import NamedTuple, get_args, get_origin
 
-import numpy as np
-
-from .dsp import WINDOW_KINDS, FilterSpec
-from .errors import (
-    ConfigError,
-    EmptySeeds,
-    InconsistentSettings,
-    UnknownField,
-)
-from .util import canonical_json
+from .errors import ConfigError, EmptySeeds, FormatMismatch, InconsistentSettings, UnknownField
 
 REGIME_NAMES = (
     "single_session",
@@ -55,6 +50,18 @@ PRESET_NAMES = ("fallacy30", "aging4", "ablation")  # synth.preset_spec
 METRIC_NAMES = ("cosine", "euclidean", "pearson")
 FUSION_NAMES = ("mean", "representative")
 AUGMENT_KINDS = ("amplitude_scale", "gaussian_noise", "time_shift", "random_crop")
+WINDOW_KINDS = ("moving_average", "median", "savitzky_golay")
+IIR_KINDS = ("butterworth_bandpass", "butterworth_highpass", "notch")
+FILTER_KINDS = IIR_KINDS + ("fir_bandpass",) + WINDOW_KINDS
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 text of a file, with newlines translated as open() does."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatMismatch(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 class RecordKey(NamedTuple):
@@ -90,6 +97,27 @@ class Recording:
 # --- configuration tree -------------------------------------------------------
 # Field metadata: "choices" lists the strings a field takes, "gt"/"ge"/"lt"/"le"
 # bound its numbers, and "key" is its JSON key where that is not its name.
+
+
+@dataclass(frozen=True)
+class FilterSpec:
+    """One filtering step of dsp.apply_filter. Only the parameters of ``kind``
+    are consulted.
+
+    phase_mode applies to the LTI kinds; the window kinds (moving_average,
+    median, savitzky_golay) are symmetric by construction and ignore it.
+    """
+    kind: str = field(default="butterworth_bandpass", metadata={"choices": FILTER_KINDS})
+    phase_mode: str = field(default="zero_phase", metadata={"choices": ("zero_phase", "causal")})
+    order: int = field(default=3, metadata={"gt": 0})
+    low_hz: float | None = field(default=0.5, metadata={"gt": 0})
+    high_hz: float | None = field(default=40.0, metadata={"gt": 0})
+    cut_hz: float | None = field(default=None, metadata={"gt": 0})
+    notch_hz: float | None = field(default=None, metadata={"gt": 0})
+    q: float = field(default=30.0, metadata={"gt": 0})
+    window_len: int | None = field(default=None, metadata={"gt": 0})
+    poly_order: int | None = field(default=None, metadata={"ge": 0})
+    transition_hz: float = field(default=2.0, metadata={"gt": 0})
 
 
 @dataclass(frozen=True)
@@ -201,8 +229,9 @@ def _tree(value):
 
 
 def config_digest(cfg: RunConfig) -> str:
-    """Stable digest of the semantic configuration."""
-    return hashlib.sha256(canonical_json(cfg.to_dict()).encode("utf-8")).hexdigest()
+    """Stable digest of the semantic configuration: its canonical JSON's sha256."""
+    text = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # --- reading JSON objects -----------------------------------------------------
@@ -505,7 +534,7 @@ class MetricsReport:
         for key, metrics in self.cells.items():
             for name in METRIC_FIELDS:
                 mean, std = metrics[name]["mean"], metrics[name]["std"]
-                if std < 0 or not np.isfinite(mean):
+                if std < 0 or not math.isfinite(mean):
                     raise ValueError(f"bad aggregate for {key}/{name}")
                 if name != "dprime" and not 0.0 <= mean <= 1.0:
                     raise ValueError(f"{key}/{name} mean {mean} outside [0, 1]")

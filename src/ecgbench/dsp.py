@@ -8,41 +8,17 @@ keeps it exactly linear, length-preserving, and time-reversal symmetric.
 
 scipy.signal is imported only by the Savitzky-Golay and causal branches of
 apply_filter, the only code that uses it, so the default pipeline never loads
-scipy.
+scipy. A filter is a core.FilterSpec: core reads configs without this module.
 """
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .core import WINDOW_KINDS, FilterSpec
 from .errors import BandOutOfRange, ConfigError, SignalTooShort, ZeroVariance
-
-WINDOW_KINDS = ("moving_average", "median", "savitzky_golay")
-IIR_KINDS = ("butterworth_bandpass", "butterworth_highpass", "notch")
-FILTER_KINDS = IIR_KINDS + ("fir_bandpass",) + WINDOW_KINDS
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """One filtering step. Only the parameters of ``kind`` are consulted.
-
-    phase_mode applies to the LTI kinds; the window kinds (moving_average,
-    median, savitzky_golay) are symmetric by construction and ignore it. The
-    field metadata is what core.read_object checks in a config.
-    """
-    kind: str = field(default="butterworth_bandpass", metadata={"choices": FILTER_KINDS})
-    phase_mode: str = field(default="zero_phase", metadata={"choices": ("zero_phase", "causal")})
-    order: int = field(default=3, metadata={"gt": 0})
-    low_hz: float | None = field(default=0.5, metadata={"gt": 0})
-    high_hz: float | None = field(default=40.0, metadata={"gt": 0})
-    cut_hz: float | None = field(default=None, metadata={"gt": 0})
-    notch_hz: float | None = field(default=None, metadata={"gt": 0})
-    q: float = field(default=30.0, metadata={"gt": 0})
-    window_len: int | None = field(default=None, metadata={"gt": 0})
-    poly_order: int | None = field(default=None, metadata={"ge": 0})
-    transition_hz: float = field(default=2.0, metadata={"gt": 0})
 
 
 @dataclass(frozen=True)
@@ -205,8 +181,9 @@ def design_fir_bandpass(
     return taps / ref
 
 
-def _lti_realization(spec: FilterSpec, fs: float):
-    """Returns (cascade_or_None, taps_or_None, effective_filter_length)."""
+def design_filter(spec: FilterSpec, fs: float):
+    """The design of an LTI spec at fs: (cascade or None, taps or None, effective
+    filter length). BandOutOfRange names a band that fs cannot hold."""
     if spec.kind == "butterworth_bandpass":
         casc = design_butterworth(spec.order, fs, low_hz=spec.low_hz, high_hz=spec.high_hz)
         return casc, None, 4 * spec.order + 1
@@ -239,7 +216,7 @@ def _zero_phase_gain(spec: FilterSpec, n: int, fs: float) -> np.ndarray:
     length, so two entries serve both. The array is read-only because every
     caller shares it.
     """
-    cascade, taps, _ = _lti_realization(spec, fs)
+    cascade, taps, _ = design_filter(spec, fs)
     if cascade is not None:
         h = cascade.response(np.fft.rfftfreq(n, d=1.0 / fs), fs)
     else:
@@ -278,7 +255,7 @@ def apply_filter(spec: FilterSpec, x, fs: float) -> np.ndarray:
             return np.median(frames, axis=1)
         return np.convolve(padded, np.ones(w) / w, mode="valid")
 
-    cascade, taps, flen = _lti_realization(spec, fs)
+    cascade, taps, flen = design_filter(spec, fs)
     if spec.phase_mode == "zero_phase":
         if len(x) <= 3 * flen:
             raise SignalTooShort(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import RecordKey, Recording, read_object
+from .core import RecordKey, Recording, read_object, read_text
 from .errors import (
     ConfigError,
     DuplicateRecordKey,
@@ -285,19 +285,13 @@ def adc_to_physical(adc, gain: float, baseline: int) -> np.ndarray:
 
 
 def _load_f32le(path: str) -> np.ndarray:
+    size = os.path.getsize(path)
+    if size % 4:
+        raise TruncatedData(f"{path}: f32le file of {size} bytes is not a multiple of 4")
     data = np.fromfile(path, dtype="<f4")
     if data.size == 0:
         raise FormatMismatch(f"{path}: empty f32le file")
     return data.astype(float)
-
-
-def read_text(path: str) -> str:
-    """The UTF-8 text of a file, with newlines translated as open() does."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise FormatMismatch(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _load_csv(path: str) -> np.ndarray:
@@ -332,6 +326,11 @@ def _load_wfdb(meta: RecordMeta):
                 raise TruncatedData(
                     f"{dat_path}: {len(vec)} samples < declared {header.n_samples}")
         digital = [vec[: header.n_samples] for vec in digital]
+    # An infinite gain zeros a kept channel; load_record rejects a NaN one's samples.
+    for c, sig in enumerate(header.signals):
+        if math.isinf(sig.adc_gain) and meta.channel_selector in (None, c):
+            raise MalformedHeaderLine(
+                f"{header_path}: signal {c} adc gain must be finite, got {sig.adc_gain}")
     channels = [
         adc_to_physical(vec, sig.adc_gain, sig.baseline)
         for vec, sig in zip(digital, header.signals)
@@ -391,18 +390,14 @@ class RecordFiles(Mapping):
 def load_dataset(manifest_path: str) -> tuple[DatasetIndex, RecordFiles]:
     """Parse a manifest file and read and check every record it references.
 
-    Paths are resolved relative to the manifest location. No record is kept:
+    Paths are resolved relative to the manifest location (join keeps an
+    absolute one); a record's fs is the one it loads with. No record is kept:
     returns the index and a RecordFiles, which reads a record again at each
     lookup, so a bad file raises here, before any evaluation, and the process
     that prepares a record is the one that holds its samples.
     """
     index = parse_manifest(read_text(manifest_path))
     base = os.path.dirname(os.path.abspath(manifest_path))
-    resolved = tuple(
-        m if os.path.isabs(m.path) else replace(m, path=os.path.join(base, m.path))
-        for m in index.records
-    )
-    index = DatasetIndex(records=resolved)
-    for meta in index.records:
-        load_record(meta)
+    resolved = (replace(m, path=os.path.join(base, m.path)) for m in index.records)
+    index = DatasetIndex(records=tuple(replace(m, fs=load_record(m).fs) for m in resolved))
     return index, RecordFiles(index, load_record)

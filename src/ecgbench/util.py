@@ -1,7 +1,6 @@
-"""Shared helpers: stable sub-seeding and canonical JSON."""
+"""Shared helper: stable sub-seeding."""
 
 import hashlib
-import json
 
 import numpy as np
 
@@ -23,7 +22,3 @@ def sub_rng(*parts) -> np.random.Generator:
     """A fresh generator keyed by the given parts."""
     return np.random.default_rng(stable_seed(*parts))
 
-
-def canonical_json(obj) -> str:
-    """Key-sorted, whitespace-free JSON; the substrate for config digests."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)

@@ -369,6 +369,64 @@ def test_non_finite_record_names_its_first_bad_sample(dataset, tmp_path, capsys)
         f"sub000/s0/0/0, channel 0: sample 1000 is nan (100 non-finite)\n")
 
 
+def _broken_record(dataset, tmp_path, case) -> str:
+    """The module dataset's manifest with its first record's file or rate
+    broken as named. The WFDB records hold two signals of the record's
+    samples and select signal 1, whose gain is the one named."""
+    manifest = json.loads((dataset / "data" / "manifest.json").read_text())
+    for record in manifest["records"]:
+        record["path"] = str(dataset / "data" / record["path"])
+    first = manifest["records"][0]
+    samples = np.fromfile(first["path"], dtype="<f4")
+    if case == "f32le_truncated":
+        first["path"] = str(tmp_path / "truncated.f32")
+        (tmp_path / "truncated.f32").write_bytes(samples.tobytes() + b"\x00\x00")
+    elif case == "csv_not_numeric":
+        cells = [repr(float(v)) for v in samples]
+        cells[2] = "potato"
+        first.update(format="csv", path=str(tmp_path / "bad.csv"))
+        (tmp_path / "bad.csv").write_text("\n".join(cells) + "\n")
+    elif case in ("wfdb_gain_nan", "wfdb_gain_inf"):
+        gain = case.rsplit("_", 1)[1]
+        name = f"gain_{gain}"
+        digital = np.round(samples * 200).astype("<i2")
+        (tmp_path / f"{name}.dat").write_bytes(np.repeat(digital, 2).tobytes())
+        (tmp_path / f"{name}.hea").write_text(
+            f"{name} 2 250 {samples.size}\n{name}.dat 16 200\n{name}.dat 16 {gain}\n")
+        first.update(format="wfdb", path=str(tmp_path / name), channel=1)
+        del first["fs"]
+    else:
+        first["fs"] = 1e-300
+    return _write_json(tmp_path / "manifest.json", manifest)
+
+
+# The record-file half of the bad-input sweep. Unchecked, a truncated f32le
+# file runs without its partial last sample (exit 0), and an infinite WFDB gain
+# (a flat channel) or an fs the filter cannot hold fails the evaluation (exit 1).
+@pytest.mark.parametrize("jobs", ["1", "2"], ids=["jobs1", "jobs2"])
+@pytest.mark.parametrize("case, error", [
+    ("f32le_truncated", "TruncatedData: {tmp}/truncated.f32: f32le file of "),
+    ("csv_not_numeric", "FormatMismatch: {tmp}/bad.csv:3: non-numeric cell 'potato'\n"),
+    ("wfdb_gain_nan", "NonFiniteSamples: {tmp}/gain_nan: record sub000/s0/0/0, "
+                      "channel 0: sample 0 is nan"),
+    ("wfdb_gain_inf", "MalformedHeaderLine: {tmp}/gain_inf.hea: signal 1 adc gain "
+                      "must be finite, got inf\n"),
+    ("fs_below_the_band", "BandOutOfRange: band 0.5-40.0 Hz outside (0, 5e-301) Hz\n"),
+], ids=["f32le_truncated", "csv_not_numeric", "wfdb_gain_nan", "wfdb_gain_inf",
+        "fs_below_the_band"])
+def test_bad_record_file_exits_2_without_output(dataset, tmp_path, capsys, jobs, case,
+                                                 error):
+    config = _write_json(tmp_path / "config.json", {
+        "dataset": _broken_record(dataset, tmp_path, case), "regime": REGIMES,
+        "seeds": [0, 1]})
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", config, "--out", str(out), "--jobs", jobs])
+    err = _assert_clean_failure(capsys, code, 2)
+    assert err.startswith(f"ecgbench: error: dataset: {error.format(tmp=tmp_path)}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"], ids=["jobs1", "jobs2"])
 @pytest.mark.parametrize("case, error", [
     ("non_finite", "NonFiniteSamples: {path}: record sub000/s0/0/0, channel 0: "
@@ -729,6 +787,41 @@ def test_jobs_1_never_loads_the_process_pool(dataset):
         env=_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "[[], [], []]\n"
+
+
+# The layers each command may not load: validate, report and --version read
+# JSON only, and synth writes records without the evaluation pipeline.
+_LIGHT = ("numpy", "ecgbench.regimes", "ecgbench.synth", "ecgbench.ingest", "ecgbench.dsp")
+_SYNTH = tuple(f"ecgbench.{name}" for name in (
+    "regimes", "rpeak", "segment", "embed", "biometric", "metrics", "augment", "dsp"))
+
+
+@pytest.mark.parametrize("command, unloaded", [
+    (["validate", "--config", "{config}"], _LIGHT),
+    (["report", "{results}"], _LIGHT),
+    (["--version"], _LIGHT),
+    (["synth", "--spec", "{spec}", "--out", "{tmp}/data"], _SYNTH),
+], ids=["validate", "report", "version", "synth"])
+def test_each_command_loads_only_its_own_layers(dataset, tmp_path, command, unloaded):
+    script = (
+        "import json, sys\n"
+        "import ecgbench.cli as cli\n"
+        "try:\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)\n")
+    paths = {"config": _config(dataset, "base"), "tmp": tmp_path,
+             "results": _results_file(tmp_path / "results.json", {"single_session|closed": 0.25}),
+             "spec": _write_json(tmp_path / "spec.json", dict(SPEC, n_subjects=2,
+                                                              duration_s=5.0))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *(arg.format(**paths) for arg in command)],
+        env=_env(), capture_output=True, text=True, timeout=60)
+    code, modules = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert "ecgbench.core" in modules
+    assert sorted(set(unloaded) & set(modules)) == []
 
 
 def test_entry_point_reports_bad_seed_override_without_traceback(dataset):
