@@ -187,7 +187,7 @@ def _warm_store(store, cells, jobs: int):
 
 
 def cmd_run(args) -> int:
-    from . import dsp, regimes
+    from . import dsp, regimes, rpeak
     if args.jobs < 1:
         return _fail(f"--jobs must be at least 1, got {args.jobs}", 2)
     try:
@@ -205,6 +205,8 @@ def cmd_run(args) -> int:
         for fs in sorted({meta.fs for meta in index.records}):
             if cfg.preprocess.filter.kind not in dsp.WINDOW_KINDS:
                 dsp.design_filter(cfg.preprocess.filter, fs)
+            if cfg.segmentation.mode == "beat":
+                rpeak.check_rate(fs)
     except (EcgBenchError, OSError) as exc:
         return _fail(f"dataset: {type(exc).__name__}: {exc}", 2)
 

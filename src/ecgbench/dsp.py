@@ -181,9 +181,14 @@ def design_fir_bandpass(
     return taps / ref
 
 
+@functools.cache
 def design_filter(spec: FilterSpec, fs: float):
     """The design of an LTI spec at fs: (cascade or None, taps or None, effective
-    filter length). BandOutOfRange names a band that fs cannot hold."""
+    filter length). BandOutOfRange names a band that fs cannot hold.
+
+    Each (spec, fs) is designed once and shared, so FIR taps are read-only. A
+    design that raises is not kept, so it raises again.
+    """
     if spec.kind == "butterworth_bandpass":
         casc = design_butterworth(spec.order, fs, low_hz=spec.low_hz, high_hz=spec.high_hz)
         return casc, None, 4 * spec.order + 1
@@ -197,6 +202,7 @@ def design_filter(spec: FilterSpec, fs: float):
         return design_notch(spec.notch_hz, spec.q, fs), None, 3
     if spec.kind == "fir_bandpass":
         taps = design_fir_bandpass(spec.low_hz, spec.high_hz, fs, spec.transition_hz)
+        taps.flags.writeable = False
         return None, taps, len(taps)
     raise ConfigError(f"unknown LTI filter kind {spec.kind!r}")
 

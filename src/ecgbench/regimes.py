@@ -188,13 +188,21 @@ class SegmentStore:
     the filtered record nor the segments' samples are kept. recordings maps each
     record key to its Recording; an ingest.RecordFiles reads or renders the
     record at each lookup, so only the process that prepares a record holds
-    its samples, and only while it prepares it."""
+    its samples, and only while it prepares it.
+
+    It also keeps, per process, the evaluation products of cfg that no seed
+    changes (see reused): each cell's plan, the realization of a plan without
+    a beat split, and, for a training-free embedder, each template and fused
+    probe block of whole sources. evaluate_cell still runs per (cell, seed),
+    but makes each of these once per run; only the beat split, the subject
+    partition, the MLP and the impostor draw are made again per seed."""
 
     def __init__(self, cfg: RunConfig, index: DatasetIndex, recordings: Mapping):
         self.cfg = cfg
         self.index = index
         self.recordings = recordings
         self._prepared: dict = {}
+        self._reused: dict = {}
 
     def prepare(self, source: SegmentSource) -> PreparedSource:
         """The cached preparation of the source's (record, time range); its
@@ -211,13 +219,28 @@ class SegmentStore:
         pairs = {}
         for cell in cells:
             try:
-                plan = map_regime(self.index, cell)
+                plan = self.plan(cell)
             except RegimeUnsatisfiable:
                 continue
             for split in plan.subjects.values():
                 for source in split.enroll + split.probe:
                     pairs[(source.record_key, source.time_range)] = None
         return [SegmentSource(key, time_range) for key, time_range in pairs]
+
+    def reused(self, key, make):
+        """make() on the first call with key in this process, and the same
+        object on every later call. An error is not kept, so the next call
+        raises it again. Whoever shares an array through it makes the array
+        read-only."""
+        if key not in self._reused:
+            self._reused[key] = make()
+        return self._reused[key]
+
+    def plan(self, cell: RegimeCell) -> SplitPlan:
+        """map_regime's plan for the cell, made once per process. The module
+        attribute is looked up at the first call, so a replaced map_regime is
+        the one that plans."""
+        return self.reused(("plan", cell), lambda: map_regime(self.index, cell))
 
     def add(self, prepared: PreparedSource):
         """Cache a preparation, made here or by another process's store, with
@@ -368,16 +391,42 @@ def _span_overlaps(enroll, probe):
     return out
 
 
+def _splits_beats(plan: SplitPlan) -> bool:
+    """Whether a source of the plan is one side of a beat split, the only way
+    the seed reaches its realization."""
+    return any(source.beat_role is not None for split in plan.subjects.values()
+               for source in split.enroll + split.probe)
+
+
 def _rows(prepared: PreparedSource, idx) -> np.ndarray:
     """Feature rows of the selected non-constant segments, in order."""
     return prepared.features[idx[prepared.present[idx]]]
 
 
+def _kept(pick) -> bool:
+    """Whether a (prepared, indices) selection holds a non-constant segment."""
+    prepared, idx = pick
+    return bool(prepared.present[idx].any())
+
+
+def _sources(picks) -> tuple:
+    """The (record key, time range) of each (prepared, indices) selection."""
+    return tuple((prepared.record_key, prepared.time_range) for prepared, _ in picks)
+
+
 def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
                   seed: int) -> dict:
     """Run one (regime, setting) cell for one seed; returns the metric record."""
-    plan = map_regime(store.index, cell)
-    realized, dropped, empty = _realize_plan(plan, cell, store, seed)
+    plan = store.plan(cell)
+    seeded = _splits_beats(plan)
+    if seeded:
+        realized, dropped, empty = _realize_plan(plan, cell, store, seed)
+    else:
+        # Made once per process; dropped is extended below, so every call
+        # gets its own copies.
+        realized, dropped, empty = store.reused(
+            ("realized", cell), lambda: _realize_plan(plan, cell, store, seed))
+        realized, dropped, empty = dict(realized), list(dropped), set(empty)
     if not realized:
         raise RegimeUnsatisfiable(f"{cell.name}: no subject survived realization")
     subjects_used = sorted(realized)
@@ -420,26 +469,49 @@ def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
     else:
         embed_rows = lambda rows: rows
 
+    evaluation = cfg.evaluation
+
+    def make_template(subject, data):
+        rows = np.concatenate([_rows(*pick) for pick in data.enroll])
+        template = biometric.build_template(
+            embed_rows(rows), subject, fusion=evaluation.template_fusion,
+            size=evaluation.template_size, metric=evaluation.metric,
+            source_sessions=data.sessions)
+        template.vector.flags.writeable = False
+        return template
+
+    def make_probes(pick):
+        fused = biometric.fuse_probes(embed_rows(_rows(*pick)), evaluation.probe_fusion_k)
+        fused.flags.writeable = False
+        return fused
+
+    if cfg.embedder.kind != "mlp" and not seeded:
+        # A training-free embedder's template and fused probes of whole
+        # sources depend on no seed: the store makes each once per process,
+        # for every seed and cell that selects the same sources.
+        template_of = lambda subject, data: store.reused(
+            ("template", evaluation, _sources(data.enroll)),
+            lambda: make_template(subject, data))
+        probes_of = lambda pick: store.reused(
+            ("probes", evaluation.probe_fusion_k, _sources([pick])),
+            lambda: make_probes(pick))
+    else:
+        template_of, probes_of = make_template, make_probes
+
     gallery = []
     probe_blocks = []
     probe_subjects = []
     final_eval = []
     for subject in eval_subjects:
         data = realized[subject]
-        enroll_rows = np.concatenate([_rows(*pick) for pick in data.enroll])
-        probe_groups = [rows for rows in (_rows(*pick) for pick in data.probe)
-                        if len(rows)]
-        if not len(enroll_rows) or not probe_groups:
+        probe_picks = [pick for pick in data.probe if _kept(pick)]
+        if not any(map(_kept, data.enroll)) or not probe_picks:
             dropped.append(subject)
             continue
         final_eval.append(subject)
-        gallery.append(biometric.build_template(
-            embed_rows(enroll_rows), subject, fusion=cfg.evaluation.template_fusion,
-            size=cfg.evaluation.template_size, metric=cfg.evaluation.metric,
-            source_sessions=data.sessions))
-        for rows in probe_groups:
-            fused = biometric.fuse_probes(embed_rows(rows),
-                                          cfg.evaluation.probe_fusion_k)
+        gallery.append(template_of(subject, data))
+        for pick in probe_picks:
+            fused = probes_of(pick)
             probe_blocks.append(fused)
             probe_subjects.extend([subject] * len(fused))
 

@@ -24,6 +24,7 @@ SEARCHBACK_FACTOR = 1.66
 LEVEL_KEEP = 0.875  # exponential threshold update: new = 0.125 peak + 0.875 old
 RR_HISTORY = 8
 SNAP_S = 0.05
+MIN_FS_HZ = 100  # the detector's floor; ecgbench run rejects a record below it
 
 
 @dataclass(frozen=True)
@@ -74,10 +75,15 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     return np.nonzero(left & right & positive)[0] + 1
 
 
+def check_rate(fs: float):
+    """Raise SamplingRateTooLow for a rate below the detector's floor."""
+    if fs < MIN_FS_HZ:
+        raise SamplingRateTooLow(f"detector needs fs >= {MIN_FS_HZ} Hz, got {fs}")
+
+
 def pan_tompkins(x, fs: float) -> PeakList:
     """Detect R peaks; raises NoPeaksDetected when fewer than two are found."""
-    if fs < 100:
-        raise SamplingRateTooLow(f"detector needs fs >= 100 Hz, got {fs}")
+    check_rate(fs)
     x = np.asarray(x, dtype=float)
     if len(x) < 2 * fs:
         raise SignalTooShort("detector needs at least 2 s of signal")

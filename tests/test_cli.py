@@ -465,18 +465,31 @@ def test_record_changed_after_the_check_exits_1_without_output(
     assert os.listdir(out) == []
 
 
-def test_detector_below_100_hz_exits_1_without_output(tmp_path, capsys):
+def _config_at_90_hz(tmp_path, **overrides) -> str:
     spec = _write_json(tmp_path / "spec.json", dict(SPEC, fs=90.0))
     assert cli.main(["synth", "--spec", spec, "--out", str(tmp_path / "data")]) == 0
-    config = _write_json(tmp_path / "config.json", {
+    return _write_json(tmp_path / "config.json", dict({
         "dataset": str(tmp_path / "data" / "manifest.json"), "regime": REGIMES,
-        "seeds": [0]})
+        "seeds": [0]}, **overrides))
+
+
+def test_detector_below_100_hz_exits_2_without_output(tmp_path, capsys):
+    # The default 0.5-40 Hz band fits at 90 Hz; the detector's floor does not.
     out = tmp_path / "out"
-    code = cli.main(["run", "--config", config, "--out", str(out)])
-    assert _assert_clean_failure(capsys, code, 1) == (
-        "ecgbench: error: evaluation: SamplingRateTooLow: "
+    code = cli.main(["run", "--config", _config_at_90_hz(tmp_path), "--out", str(out)])
+    assert _assert_clean_failure(capsys, code, 2) == (
+        "ecgbench: error: dataset: SamplingRateTooLow: "
         "detector needs fs >= 100 Hz, got 90.0\n")
-    assert os.listdir(out) == []
+    assert not out.exists()
+
+
+def test_blind_segmentation_below_100_hz_runs(tmp_path, capsys):
+    # The floor belongs to the detector, which blind windows do not use.
+    config = _config_at_90_hz(tmp_path, segmentation={
+        "mode": "blind", "window_s": 1.0, "stride_s": 1.0})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", config, "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["results.csv", "results.json"]
 
 
 @pytest.mark.parametrize("segmentation", [

@@ -113,6 +113,26 @@ def test_cached_zero_phase_gain_matches_direct_response(rng):
     assert not dsp._zero_phase_gain(spec, 4000, FS).flags.writeable
 
 
+def test_filter_designed_once_per_spec_and_rate(rng):
+    fir = FilterSpec(kind="fir_bandpass", low_hz=1.0, high_hz=40.0, transition_hz=5.0)
+    design = dsp.design_filter(fir, FS)
+    assert dsp.design_filter(FilterSpec(**vars(fir)), FS) is design
+    assert dsp.design_filter(fir, 250.0) is not design
+    _, taps, flen = design
+    assert flen == len(taps) and not taps.flags.writeable
+    fresh = dsp.design_fir_bandpass(1.0, 40.0, FS, 5.0)
+    assert taps.tobytes() == fresh.tobytes()
+    x = rng.normal(size=4000)
+    gain = (np.fft.rfft(fresh, n=len(x)) * np.conj(np.fft.rfft(fresh, n=len(x)))).real
+    expect = np.fft.irfft(np.fft.rfft(x) * gain, n=len(x))
+    assert apply_filter(fir, x, FS).tobytes() == expect.tobytes()
+    # A design that raises is not kept: it raises again.
+    wide = FilterSpec(kind="butterworth_bandpass", low_hz=0.5, high_hz=60.0)
+    for _ in range(2):
+        with pytest.raises(BandOutOfRange):
+            dsp.design_filter(wide, 100.0)
+
+
 def test_linearity_of_linear_filters(rng):
     x = rng.normal(size=4000)
     y = rng.normal(size=4000)

@@ -446,6 +446,66 @@ def test_augmentation_never_touches_probe_data():
     assert before == after
 
 
+_MEMO_REGIMES = {"names": ["single_session", "single_cross_session", "llo_long_term"],
+                 "settings": ["closed", "open"]}
+
+
+@pytest.mark.parametrize("evaluation", [
+    {"template_fusion": "mean", "metric": "cosine"},
+    {"template_fusion": "representative", "metric": "pearson", "template_size": 20},
+], ids=["mean_cosine", "representative_pearson"])
+def test_store_reused_across_seeds_gives_the_records_of_fresh_stores(evaluation):
+    cfg = validate_config(dict(BASE_CONFIG, regime=_MEMO_REGIMES, evaluation=evaluation,
+                               seeds=[0, 1, 2]))
+    spec = _tiny_spec(n_subjects=5)
+    shared = _store(cfg, spec)
+    reused = [regimes.run_evaluation(cfg, seed, store=shared) for seed in cfg.seeds]
+    fresh = [regimes.run_evaluation(cfg, seed, store=_store(cfg, spec))
+             for seed in cfg.seeds]
+    assert len(reused[0]) == 6
+    assert json.dumps(reused, sort_keys=True) == json.dumps(fresh, sort_keys=True)
+
+
+def _count_calls(monkeypatch, owner, name, seen):
+    """Replace owner.name by a wrapper that appends each result to seen."""
+    fn = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: seen.append(fn(*a, **k)) or seen[-1])
+
+
+@pytest.mark.parametrize("kind", ["morphology", "mlp"])
+def test_templates_built_once_per_run_for_a_training_free_embedder(kind, monkeypatch):
+    cfg = validate_config(dict(BASE_CONFIG, regime=_MEMO_REGIMES, seeds=[0, 1, 2],
+                               embedder={"kind": kind, "epochs": 2}))
+    store = _store(cfg, _tiny_spec(n_subjects=4))
+    plans, templates = [], []
+    _count_calls(monkeypatch, regimes, "map_regime", plans)
+    _count_calls(monkeypatch, regimes.biometric, "build_template", templates)
+    cell = RegimeCell("single_cross_session")
+    for seed in cfg.seeds:
+        record = regimes.evaluate_cell(cfg, cell, store, seed)
+        assert record["counts"]["gallery_size"] == 4
+    assert len(plans) == 1
+    assert len(templates) == (4 if kind == "morphology" else 4 * len(cfg.seeds))
+    # Every cell is planned once per store, whatever the seeds.
+    for seed in cfg.seeds:
+        regimes.run_evaluation(cfg, seed, store=store)
+    assert len(plans) == len(cfg.regimes)
+
+
+def test_reused_templates_and_fused_probes_are_read_only(monkeypatch):
+    cfg = validate_config(dict(BASE_CONFIG, regime=_MEMO_REGIMES))
+    store = _store(cfg, _tiny_spec(n_subjects=4))
+    templates, probes = [], []
+    _count_calls(monkeypatch, regimes.biometric, "build_template", templates)
+    _count_calls(monkeypatch, regimes.biometric, "fuse_probes", probes)
+    regimes.run_evaluation(cfg, 0, store=store)
+    assert templates and probes
+    for array in [t.vector for t in templates] + probes:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
 def test_leakage_guard_across_regimes():
     cfg = validate_config(dict(BASE_CONFIG, regime=[
         "single_session", "single_cross_session", "ss_long_term", "llo_long_term",
