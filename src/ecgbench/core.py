@@ -8,11 +8,18 @@ keys ``dataset``, ``preprocess``, ``segmentation``, ``embedder``, ``regime``,
 Each section is a frozen dataclass below (the filter's FilterSpec too), and
 read_object takes the schema from its fields: a field's JSON key, its default
 (the value of a key left out), its JSON type (from the annotation), and the
-strings it allows and the bounds of its numbers (from its metadata). Only the
-rules that span fields are code. The JSON type rules: a boolean is not a
-number; an integer field takes no fraction; a float field takes any finite
-number and stores it as a float; null is read only where the annotation has
-``| None``; a tuple is a JSON list, and a nested dataclass a JSON object.
+strings it allows and the bounds of its numbers (from its metadata). The JSON
+type rules: a boolean is not a number; an integer field takes no fraction; a
+float field takes any finite number and stores it as a float; null is read only
+where the annotation has ``| None``; a tuple is a JSON list, and a nested
+dataclass a JSON object.
+
+Only the rules that span fields are code, and each lives on the type it
+constrains: its __post_init__ checks them, and fills the defaults that depend
+on other fields, whenever the type is built, from a config or directly. So a
+FilterSpec that dsp receives is valid by construction. validate_config itself
+reads only the JSON shorthands: a dataset given as a path or without a kind, a
+regime's names x settings grid, and blind mode's placeholders for the beat keys.
 
 The sizes that set a run's memory and time (target_len, hidden_dim, epochs)
 are bounded by a budget for a desk-scale run, far above any size in use.
@@ -30,7 +37,7 @@ import hashlib
 import json
 import math
 import operator
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from types import UnionType
 from typing import NamedTuple, get_args, get_origin
 
@@ -105,7 +112,9 @@ class FilterSpec:
     are consulted.
 
     phase_mode applies to the LTI kinds; the window kinds (moving_average,
-    median, savitzky_golay) are symmetric by construction and ignore it.
+    median, savitzky_golay) are symmetric by construction and ignore it. A
+    highpass cuts at 0.5 Hz (the default low_hz) unless cut_hz is given, and a
+    Savitzky-Golay fit has poly_order 2 unless it is given.
     """
     kind: str = field(default="butterworth_bandpass", metadata={"choices": FILTER_KINDS})
     phase_mode: str = field(default="zero_phase", metadata={"choices": ("zero_phase", "causal")})
@@ -119,6 +128,32 @@ class FilterSpec:
     poly_order: int | None = field(default=None, metadata={"ge": 0})
     transition_hz: float = field(default=2.0, metadata={"gt": 0})
 
+    def __post_init__(self):
+        kind, w = self.kind, self.window_len
+        if kind == "butterworth_highpass" and self.cut_hz is None:
+            object.__setattr__(self, "cut_hz", 0.5)
+        if kind == "notch" and self.notch_hz is None:
+            raise ConfigError("notch filter needs notch_hz")
+        if kind in WINDOW_KINDS:
+            if w is None:
+                raise ConfigError(f"{kind} filter needs window_len")
+            if w < 1:
+                raise ConfigError(f"{kind} window_len must be positive, got {w}")
+            if w % 2 == 0:
+                raise ConfigError(f"{kind} window_len must be odd, got {w}")
+            if kind == "savitzky_golay":
+                if self.poly_order is None:
+                    object.__setattr__(self, "poly_order", 2)
+                if self.poly_order >= w:
+                    raise InconsistentSettings(
+                        f"poly_order {self.poly_order} must be < window_len {w}")
+        if kind.startswith("butterworth") and not 1 <= self.order <= 8:
+            raise ConfigError(f"filter.order must be in [1, 8] for {kind}, got {self.order}")
+        if kind in ("butterworth_bandpass", "fir_bandpass"):
+            if self.low_hz is None or self.high_hz is None or self.low_hz >= self.high_hz:
+                raise InconsistentSettings(
+                    f"bandpass needs 0 < low_hz < high_hz, got {self.low_hz}-{self.high_hz}")
+
 
 @dataclass(frozen=True)
 class DatasetConfig:
@@ -126,6 +161,17 @@ class DatasetConfig:
     path: str | None = None
     preset: str | None = field(default=None, metadata={"choices": PRESET_NAMES})
     seed: int = field(default=0, metadata={"ge": 0})
+
+    def __post_init__(self):
+        if self.kind == "manifest":
+            if not self.path:
+                raise ConfigError("dataset.path must be a non-empty string")
+            if self.preset is not None or self.seed != 0:
+                raise InconsistentSettings("manifest dataset takes neither a preset nor a seed")
+        elif self.preset is None:
+            raise ConfigError("synthetic dataset needs a preset name")
+        elif self.path is not None:
+            raise InconsistentSettings("synthetic dataset does not take a path")
 
 
 @dataclass(frozen=True)
@@ -145,6 +191,20 @@ class SegmentationConfig:
     window_s: float | None = field(default=None, metadata={"gt": 0})
     stride_s: float | None = None
 
+    def __post_init__(self):
+        if self.mode == "beat":
+            for bad in ("window_s", "stride_s"):
+                if getattr(self, bad) is not None:
+                    raise InconsistentSettings(f"beat mode does not take {bad}")
+            return
+        window = 5.0 if self.window_s is None else self.window_s
+        stride = window / 2.0 if self.stride_s is None else self.stride_s
+        if not 0.0 < stride <= window:
+            raise InconsistentSettings(
+                f"blind mode needs 0 < stride_s <= window_s, got {stride}/{window}")
+        object.__setattr__(self, "window_s", window)
+        object.__setattr__(self, "stride_s", stride)
+
 
 @dataclass(frozen=True)
 class AugmentOpConfig:
@@ -160,6 +220,13 @@ class AugmentOpConfig:
 class AugmentConfig:
     multiplier: int = field(default=0, metadata={"ge": 0})
     ops: tuple[AugmentOpConfig, ...] = ()
+
+    def __post_init__(self):
+        for i, op in enumerate(self.ops):
+            if op.scale_low > op.scale_high:
+                raise ConfigError(f"embedder.augment.ops[{i}]: degenerate scale range")
+        if self.multiplier > 0 and not self.ops:
+            raise InconsistentSettings("augment.multiplier > 0 with no ops")
 
 
 @dataclass(frozen=True)
@@ -184,6 +251,25 @@ class RegimeCell:
     open_ratio: float = field(default=0.5, metadata={"gt": 0, "lt": 1})
     split_seed: int | None = field(default=None, metadata={"ge": 0})
 
+    def __post_init__(self):
+        if self.name == "cross_session":
+            sessions = (self.enroll_session, self.probe_session)
+            if None in sessions:
+                raise InconsistentSettings("cross_session needs enroll_session and probe_session")
+            if sessions[0] == sessions[1]:
+                raise InconsistentSettings(
+                    f"cross_session enrolls and probes on one session {sessions[0]!r}")
+        if self.name == "custom_split":
+            ranges = (self.enroll_range, self.probe_range)
+            if None in ranges:
+                raise InconsistentSettings("custom_split needs enroll_range and probe_range")
+            for key, (t0, t1) in zip(("enroll_range", "probe_range"), ranges):
+                if t1 <= t0:
+                    raise ConfigError(f"regime.{key} must satisfy t0 < t1, got [{t0}, {t1}]")
+            a, b = sorted(ranges)
+            if b[0] < a[1]:
+                raise InconsistentSettings("custom_split ranges must not overlap")
+
     @property
     def key(self) -> str:
         return f"{self.name}|{self.setting}"
@@ -207,6 +293,24 @@ class RunConfig:
     regimes: tuple[RegimeCell, ...] = field(metadata={"key": "regime"})
     evaluation: EvaluationConfig
     seeds: tuple[int, ...] = field(default=(0, 1, 2, 3, 4), metadata={"ge": 0})
+
+    def __post_init__(self):
+        keys = set()
+        for cell in self.regimes:
+            if cell.key in keys:
+                raise InconsistentSettings(f"duplicate regime cell {cell.key}")
+            keys.add(cell.key)
+        if not self.seeds:
+            raise EmptySeeds("seeds must not be empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seeds must be distinct")
+        seg = self.segmentation
+        if (seg.mode == "blind" and seg.stride_s < seg.window_s
+                and any(cell.name == "single_session" for cell in self.regimes)):
+            # Overlapping windows of one record always land on both sides of the split.
+            raise InconsistentSettings(
+                f"single_session needs blind windows that do not overlap: stride_s "
+                f"{seg.stride_s} is shorter than window_s {seg.window_s}")
 
     def to_dict(self) -> dict:
         """Fully defaulted canonical tree; feeding it back through
@@ -320,59 +424,16 @@ def _bounded(number, meta, where: str):
     return number
 
 
-# --- validation ---------------------------------------------------------------
+# --- validation: the JSON shorthands ------------------------------------------
 
 
-def _validate_dataset(raw) -> DatasetConfig:
+def _read_dataset(raw) -> DatasetConfig:
+    """A dataset given as a manifest path, or with no kind, read as its object."""
     if isinstance(raw, str):
         raw = {"path": raw}
     if isinstance(raw, dict) and "kind" not in raw:
         raw = dict(raw, kind="manifest" if "path" in raw else "synthetic")
-    dataset = read_object(DatasetConfig, raw, "dataset")
-    if dataset.kind == "manifest":
-        if not dataset.path:
-            raise ConfigError("dataset.path must be a non-empty string")
-        if dataset.preset is not None or dataset.seed != 0:
-            raise InconsistentSettings("manifest dataset takes neither a preset nor a seed")
-    elif dataset.preset is None:
-        raise ConfigError("synthetic dataset needs a preset name")
-    elif dataset.path is not None:
-        raise InconsistentSettings("synthetic dataset does not take a path")
-    return dataset
-
-
-def _complete_filter(spec: FilterSpec) -> FilterSpec:
-    """spec with the defaults of its kind filled in, once the rules that span
-    its fields hold."""
-    if spec.kind == "butterworth_highpass" and spec.cut_hz is None:
-        spec = replace(spec, cut_hz=FilterSpec.low_hz)
-    if spec.kind == "notch" and spec.notch_hz is None:
-        raise ConfigError("notch filter needs notch_hz")
-    if spec.kind in WINDOW_KINDS:
-        w = spec.window_len
-        if w is None:
-            raise ConfigError(f"{spec.kind} filter needs window_len")
-        if w % 2 == 0:
-            raise ConfigError(f"{spec.kind} window_len must be odd, got {w}")
-        if spec.kind == "savitzky_golay":
-            if spec.poly_order is None:
-                spec = replace(spec, poly_order=2)
-            if spec.poly_order >= w:
-                raise InconsistentSettings(
-                    f"poly_order {spec.poly_order} must be < window_len {w}")
-    if spec.kind.startswith("butterworth") and not 1 <= spec.order <= 8:
-        raise ConfigError(f"filter.order must be in [1, 8] for {spec.kind}, got {spec.order}")
-    if spec.kind in ("butterworth_bandpass", "fir_bandpass"):
-        if spec.low_hz is None or spec.high_hz is None or spec.low_hz >= spec.high_hz:
-            raise InconsistentSettings(
-                f"bandpass needs 0 < low_hz < high_hz, got {spec.low_hz}-{spec.high_hz}"
-            )
-    return spec
-
-
-def _validate_preprocess(raw) -> PreprocessConfig:
-    preprocess = read_object(PreprocessConfig, raw, "preprocess")
-    return replace(preprocess, filter=_complete_filter(preprocess.filter))
+    return read_object(DatasetConfig, raw, "dataset")
 
 
 # Blind mode stores these placeholders for the beat keys and takes them back,
@@ -380,35 +441,14 @@ def _validate_preprocess(raw) -> PreprocessConfig:
 _BLIND_PLACEHOLDERS = {"pre_s": 0.0, "post_s": 0.0, "align_peak": False}
 
 
-def _validate_segmentation(raw) -> SegmentationConfig:
+def _read_segmentation(raw) -> SegmentationConfig:
     if not isinstance(raw, dict) or raw.get("mode") != "blind":
-        seg = read_object(SegmentationConfig, raw, "segmentation")
-        for bad in ("window_s", "stride_s"):
-            if getattr(seg, bad) is not None:
-                raise InconsistentSettings(f"beat mode does not take {bad}")
-        return seg
+        return read_object(SegmentationConfig, raw, "segmentation")
     for key, stored in _BLIND_PLACEHOLDERS.items():
         value = raw.get(key, stored)
         if value != stored or isinstance(value, bool) != isinstance(stored, bool):
             raise InconsistentSettings(f"blind mode does not take {key}")
-    seg = read_object(SegmentationConfig, raw, "segmentation", **_BLIND_PLACEHOLDERS)
-    window = 5.0 if seg.window_s is None else seg.window_s
-    stride = window / 2.0 if seg.stride_s is None else seg.stride_s
-    if not 0.0 < stride <= window:
-        raise InconsistentSettings(
-            f"blind mode needs 0 < stride_s <= window_s, got {stride}/{window}")
-    return replace(seg, window_s=window, stride_s=stride)
-
-
-def _validate_embedder(raw) -> EmbedderConfig:
-    embedder = read_object(EmbedderConfig, raw, "embedder")
-    augment = embedder.augment
-    for i, op in enumerate(augment.ops):
-        if op.scale_low > op.scale_high:
-            raise ConfigError(f"embedder.augment.ops[{i}]: degenerate scale range")
-    if augment.multiplier > 0 and not augment.ops:
-        raise InconsistentSettings("augment.multiplier > 0 with no ops")
-    return embedder
+    return read_object(SegmentationConfig, raw, "segmentation", **_BLIND_PLACEHOLDERS)
 
 
 # The keys that only one regime reads, and that regime. A grid entry may carry
@@ -417,7 +457,7 @@ _SCOPED_KEYS = {"enroll_session": "cross_session", "probe_session": "cross_sessi
                 "enroll_range": "custom_split", "probe_range": "custom_split"}
 
 
-def _validate_one_regime(raw) -> list[RegimeCell]:
+def _read_one_regime(raw) -> list[RegimeCell]:
     """The cells of one regime entry: a name, or an object whose other keys
     are shared by each cell of its names x settings grid."""
     if isinstance(raw, str):
@@ -446,78 +486,40 @@ def _validate_one_regime(raw) -> list[RegimeCell]:
     for name in names:
         own = {k: v for k, v in shared.items() if _SCOPED_KEYS.get(k, name) == name}
         for setting in settings:
-            cell = read_object(RegimeCell, {**own, "name": name, **setting}, "regime")
-            cells.append(_check_cell(cell))
+            cells.append(read_object(RegimeCell, {**own, "name": name, **setting}, "regime"))
     return cells
 
 
-def _check_cell(cell: RegimeCell) -> RegimeCell:
-    """cell, once the keys its regime reads are given and agree."""
-    if cell.name == "cross_session":
-        sessions = (cell.enroll_session, cell.probe_session)
-        if None in sessions:
-            raise InconsistentSettings("cross_session needs enroll_session and probe_session")
-        if sessions[0] == sessions[1]:
-            raise InconsistentSettings(
-                f"cross_session enrolls and probes on one session {sessions[0]!r}")
-    if cell.name == "custom_split":
-        ranges = (cell.enroll_range, cell.probe_range)
-        if None in ranges:
-            raise InconsistentSettings("custom_split needs enroll_range and probe_range")
-        for key, (t0, t1) in zip(("enroll_range", "probe_range"), ranges):
-            if t1 <= t0:
-                raise ConfigError(f"regime.{key} must satisfy t0 < t1, got [{t0}, {t1}]")
-        a, b = sorted(ranges)
-        if b[0] < a[1]:
-            raise InconsistentSettings("custom_split ranges must not overlap")
-    return cell
-
-
-def _validate_regimes(raw) -> tuple[RegimeCell, ...]:
+def _read_regimes(raw) -> tuple[RegimeCell, ...]:
     entries = raw if isinstance(raw, list) else [raw]
     if not entries:
         raise ConfigError("regime list must not be empty")
-    cells = [cell for entry in entries for cell in _validate_one_regime(entry)]
-    seen = set()
-    for c in cells:
-        if c.key in seen:
-            raise InconsistentSettings(f"duplicate regime cell {c.key}")
-        seen.add(c.key)
-    return tuple(cells)
+    return tuple(cell for entry in entries for cell in _read_one_regime(entry))
 
 
 def validate_config(raw) -> RunConfig:
     """Validate a parsed configuration tree into a fully defaulted RunConfig.
 
-    Idempotent: validate_config(validate_config(raw).to_dict()) equals
-    validate_config(raw).
+    Only the JSON shorthands are read here; each type checks its own rules
+    when it is built. Idempotent: validate_config(validate_config(raw).to_dict())
+    equals validate_config(raw).
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be an object, got {type(raw).__name__}")
     for key in ("dataset", "regime"):
         if key not in raw:
             raise ConfigError(f"config needs a {key}")
-    cfg = read_object(
+    # Every section is read here, in field order, so which error a config
+    # reports first does not depend on which sections have shorthands.
+    return read_object(
         RunConfig, raw, "config",
-        dataset=_validate_dataset(raw["dataset"]),
-        preprocess=_validate_preprocess(raw.get("preprocess", {})),
-        segmentation=_validate_segmentation(raw.get("segmentation", {})),
-        embedder=_validate_embedder(raw.get("embedder", {})),
-        regimes=_validate_regimes(raw["regime"]),
+        dataset=_read_dataset(raw["dataset"]),
+        preprocess=read_object(PreprocessConfig, raw.get("preprocess", {}), "preprocess"),
+        segmentation=_read_segmentation(raw.get("segmentation", {})),
+        embedder=read_object(EmbedderConfig, raw.get("embedder", {}), "embedder"),
+        regimes=_read_regimes(raw["regime"]),
         evaluation=read_object(EvaluationConfig, raw.get("evaluation", {}), "evaluation"),
     )
-    if not cfg.seeds:
-        raise EmptySeeds("seeds must not be empty")
-    if len(set(cfg.seeds)) != len(cfg.seeds):
-        raise ConfigError("seeds must be distinct")
-    seg = cfg.segmentation
-    if (seg.mode == "blind" and seg.stride_s < seg.window_s
-            and any(cell.name == "single_session" for cell in cfg.regimes)):
-        # Overlapping windows of one record always land on both sides of the split.
-        raise InconsistentSettings(
-            f"single_session needs blind windows that do not overlap: stride_s "
-            f"{seg.stride_s} is shorter than window_s {seg.window_s}")
-    return cfg
 
 
 # --- aggregated metrics -------------------------------------------------------

@@ -8,7 +8,9 @@ keeps it exactly linear, length-preserving, and time-reversal symmetric.
 
 scipy.signal is imported only by the Savitzky-Golay and causal branches of
 apply_filter, the only code that uses it, so the default pipeline never loads
-scipy. A filter is a core.FilterSpec: core reads configs without this module.
+scipy. A filter is a core.FilterSpec (core reads configs without this module),
+which checks its own rules when it is built. So dsp checks only what depends on
+fs or the signal: a band that fs cannot hold, a signal too short to filter.
 """
 
 import functools
@@ -193,25 +195,15 @@ def design_filter(spec: FilterSpec, fs: float):
         casc = design_butterworth(spec.order, fs, low_hz=spec.low_hz, high_hz=spec.high_hz)
         return casc, None, 4 * spec.order + 1
     if spec.kind == "butterworth_highpass":
-        cut = spec.cut_hz if spec.cut_hz is not None else spec.low_hz
-        casc = design_butterworth(spec.order, fs, cut_hz=cut)
+        casc = design_butterworth(spec.order, fs, cut_hz=spec.cut_hz)
         return casc, None, 2 * spec.order + 1
     if spec.kind == "notch":
-        if spec.notch_hz is None:
-            raise ConfigError("notch filter needs notch_hz")
         return design_notch(spec.notch_hz, spec.q, fs), None, 3
     if spec.kind == "fir_bandpass":
         taps = design_fir_bandpass(spec.low_hz, spec.high_hz, fs, spec.transition_hz)
         taps.flags.writeable = False
         return None, taps, len(taps)
     raise ConfigError(f"unknown LTI filter kind {spec.kind!r}")
-
-
-def _require_window(spec: FilterSpec) -> int:
-    w = spec.window_len
-    if w is None or w < 1 or w % 2 == 0:
-        raise ConfigError(f"{spec.kind} needs an odd window_len, got {w}")
-    return w
 
 
 @functools.lru_cache(maxsize=2)
@@ -244,16 +236,13 @@ def apply_filter(spec: FilterSpec, x, fs: float) -> np.ndarray:
         raise ValueError("apply_filter expects a 1-D signal")
 
     if spec.kind in WINDOW_KINDS:
-        w = _require_window(spec)
+        w = spec.window_len
         if len(x) < w:
             raise SignalTooShort(f"signal of {len(x)} samples shorter than window {w}")
         if spec.kind == "savitzky_golay":
-            p = spec.poly_order if spec.poly_order is not None else 2
-            if p >= w:
-                raise ConfigError(f"poly_order {p} must be < window_len {w}")
             import scipy.signal
 
-            return scipy.signal.savgol_filter(x, w, p, mode="interp")
+            return scipy.signal.savgol_filter(x, w, spec.poly_order, mode="interp")
         half = w // 2
         padded = np.pad(x, half, mode="edge")
         if spec.kind == "median":

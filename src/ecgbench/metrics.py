@@ -42,8 +42,11 @@ def _sides(pairs):
 
 def roc_curve(pairs) -> RocCurve:
     genuine, impostor = _sides(pairs)
-    thresholds = np.concatenate([
-        np.unique(np.concatenate([genuine, impostor])), [np.inf]])
+    # The distinct scores, found as np.unique finds them in finite input (the
+    # scores are finite), but without loading numpy.ma as np.unique does.
+    scores = np.sort(np.concatenate([genuine, impostor]))
+    changes = np.concatenate([[True], scores[1:] != scores[:-1]])
+    thresholds = np.concatenate([scores[changes], [np.inf]])
     gs = np.sort(genuine)
     ims = np.sort(impostor)
     # FAR(t) = frac(impostor >= t); FRR(t) = frac(genuine < t)

@@ -52,8 +52,6 @@ class SubjectSplit:
 
 @dataclass(frozen=True)
 class SplitPlan:
-    regime: str
-    setting: str
     subjects: dict
     excluded: tuple[str, ...]
 
@@ -78,8 +76,7 @@ def map_regime(index: DatasetIndex, cell: RegimeCell) -> SplitPlan:
     if not subjects:
         raise RegimeUnsatisfiable(
             f"{cell.name}: none of {len(per_subject)} subjects qualify")
-    return SplitPlan(regime=cell.name, setting=cell.setting,
-                     subjects=subjects, excluded=tuple(excluded))
+    return SplitPlan(subjects=subjects, excluded=tuple(excluded))
 
 
 def _plan_subject(cell: RegimeCell, subject: str, keys) -> SubjectSplit | None:
@@ -195,7 +192,9 @@ class SegmentStore:
     a beat split, and, for a training-free embedder, each template and fused
     probe block of whole sources. evaluate_cell still runs per (cell, seed),
     but makes each of these once per run; only the beat split, the subject
-    partition, the MLP and the impostor draw are made again per seed."""
+    partition, the MLP and the impostor draw are made again per seed. A beat
+    split is kept too, per (regime, subject, seed), since both sides of a
+    subject and both settings of a cell draw the same one."""
 
     def __init__(self, cfg: RunConfig, index: DatasetIndex, recordings: Mapping):
         self.cfg = cfg
@@ -317,14 +316,18 @@ class _SubjectData:
 
 
 def _split_beats(n: int, subject: str, cell: RegimeCell, seed: int):
-    """Within-record 70/30 split of n beat positions, seeded shuffle."""
+    """Within-record 70/30 split of n beat positions, seeded shuffle. The
+    halves are read-only: the store shares them."""
     if n < 2:
         return None
     rng = sub_rng(seed, "beat-split", cell.name, subject)
     order = rng.permutation(n)
     cut = int(round(SINGLE_SESSION_ENROLL_FRACTION * n))
     cut = min(max(cut, 1), n - 1)
-    return np.sort(order[:cut]), np.sort(order[cut:])
+    halves = np.sort(order[:cut]), np.sort(order[cut:])
+    for half in halves:
+        half.flags.writeable = False
+    return halves
 
 
 def _select(split: SubjectSplit, cell: RegimeCell, store: SegmentStore, seed: int,
@@ -340,7 +343,9 @@ def _select(split: SubjectSplit, cell: RegimeCell, store: SegmentStore, seed: in
                 empty.add(prepared.record_key)
             idx = np.arange(len(prepared.spans))
             if source.beat_role is not None:
-                halves = _split_beats(len(idx), split.subject_id, cell, seed)
+                n, subject = len(idx), split.subject_id
+                halves = store.reused(("beat-split", cell.name, subject, seed, n),
+                                      lambda: _split_beats(n, subject, cell, seed))
                 if halves is None:
                     return None
                 idx = halves[0] if source.beat_role == "enroll" else halves[1]

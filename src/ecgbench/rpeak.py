@@ -25,6 +25,7 @@ LEVEL_KEEP = 0.875  # exponential threshold update: new = 0.125 peak + 0.875 old
 RR_HISTORY = 8
 SNAP_S = 0.05
 MIN_FS_HZ = 100  # the detector's floor; ecgbench run rejects a record below it
+BAND = FilterSpec(kind="butterworth_bandpass", order=2, low_hz=5.0, high_hz=15.0)
 
 
 @dataclass(frozen=True)
@@ -88,9 +89,7 @@ def pan_tompkins(x, fs: float) -> PeakList:
     if len(x) < 2 * fs:
         raise SignalTooShort("detector needs at least 2 s of signal")
 
-    band = apply_filter(
-        FilterSpec(kind="butterworth_bandpass", order=2, low_hz=5.0, high_hz=15.0),
-        x, fs)
+    band = apply_filter(BAND, x, fs)
     derivative = _centered_convolve(band, np.array([2.0, 1.0, 0.0, -1.0, -2.0]) / 8.0)
     squared = derivative**2
     win = max(1, int(round(INTEGRATION_S * fs)))

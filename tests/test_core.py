@@ -1,13 +1,22 @@
 import copy
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ecgbench import dsp
 from ecgbench.core import (
+    AugmentConfig,
+    AugmentOpConfig,
+    DatasetConfig,
+    FilterSpec,
     MetricsReport,
     RecordKey,
     Recording,
+    RegimeCell,
     RunConfig,
+    SegmentationConfig,
     config_digest,
     validate_config,
 )
@@ -301,3 +310,113 @@ def test_every_wrong_leaf_is_accepted_or_a_named_error():
                 pass
             except Exception as exc:  # noqa: BLE001 - any other type is the failure
                 pytest.fail(f"{path} = {wrong!r}: {type(exc).__name__}: {exc}")
+
+
+# Each rule that spans fields lives on the type it constrains, so building the
+# type directly raises what reading it from a config raises.
+_BASE = validate_config(MINIMAL)
+_RULES = {
+    "even_window": (
+        lambda: FilterSpec(kind="median", window_len=4),
+        {"preprocess": {"filter": {"kind": "median", "window_len": 4}}},
+        ConfigError, "median window_len must be odd, got 4"),
+    "poly_order_past_window": (
+        lambda: FilterSpec(kind="savitzky_golay", window_len=5, poly_order=7),
+        {"preprocess": {"filter": {"kind": "savitzky_golay", "window_len": 5,
+                                   "poly_order": 7}}},
+        InconsistentSettings, "poly_order 7 must be < window_len 5"),
+    "inverted_band": (
+        lambda: FilterSpec(low_hz=40.0, high_hz=0.5),
+        {"preprocess": {"filter": {"low_hz": 40.0, "high_hz": 0.5}}},
+        InconsistentSettings, "bandpass needs 0 < low_hz < high_hz, got 40.0-0.5"),
+    "notch_without_frequency": (
+        lambda: FilterSpec(kind="notch"),
+        {"preprocess": {"filter": {"kind": "notch"}}},
+        ConfigError, "notch filter needs notch_hz"),
+    "butterworth_order_9": (
+        lambda: FilterSpec(kind="butterworth_highpass", order=9),
+        {"preprocess": {"filter": {"kind": "butterworth_highpass", "order": 9}}},
+        ConfigError, "filter.order must be in [1, 8] for butterworth_highpass, got 9"),
+    "cross_session_without_sessions": (
+        lambda: RegimeCell("cross_session"),
+        {"regime": "cross_session"},
+        InconsistentSettings, "cross_session needs enroll_session and probe_session"),
+    "overlapping_custom_ranges": (
+        lambda: RegimeCell("custom_split", enroll_range=(0.0, 5.0), probe_range=(4.0, 9.0)),
+        {"regime": {"name": "custom_split", "enroll_range": [0, 5], "probe_range": [4, 9]}},
+        InconsistentSettings, "custom_split ranges must not overlap"),
+    "synthetic_without_preset": (
+        lambda: DatasetConfig(kind="synthetic"),
+        {"dataset": {"kind": "synthetic"}},
+        ConfigError, "synthetic dataset needs a preset name"),
+    "manifest_with_seed": (
+        lambda: DatasetConfig(kind="manifest", path="m.json", seed=1),
+        {"dataset": {"path": "m.json", "seed": 1}},
+        InconsistentSettings, "manifest dataset takes neither a preset nor a seed"),
+    "beat_mode_window": (
+        lambda: SegmentationConfig(window_s=2.0),
+        {"segmentation": {"window_s": 2.0}},
+        InconsistentSettings, "beat mode does not take window_s"),
+    "blind_stride_past_window": (
+        lambda: SegmentationConfig(mode="blind", window_s=2.0, stride_s=3.0),
+        {"segmentation": {"mode": "blind", "window_s": 2.0, "stride_s": 3.0}},
+        InconsistentSettings, "blind mode needs 0 < stride_s <= window_s, got 3.0/2.0"),
+    "degenerate_scale_range": (
+        lambda: AugmentConfig(1, (AugmentOpConfig("gaussian_noise"),
+                                  AugmentOpConfig("amplitude_scale", 1.2, 0.8))),
+        {"embedder": {"augment": {"multiplier": 1, "ops": [
+            {"kind": "gaussian_noise"},
+            {"kind": "amplitude_scale", "scale_low": 1.2, "scale_high": 0.8}]}}},
+        ConfigError, "embedder.augment.ops[1]: degenerate scale range"),
+    "multiplier_without_ops": (
+        lambda: AugmentConfig(multiplier=1),
+        {"embedder": {"augment": {"multiplier": 1}}},
+        InconsistentSettings, "augment.multiplier > 0 with no ops"),
+    "empty_seeds": (
+        lambda: replace(_BASE, seeds=()),
+        {"seeds": []},
+        EmptySeeds, "seeds must not be empty"),
+    "repeated_seed": (
+        lambda: replace(_BASE, seeds=(1, 1)),
+        {"seeds": [1, 1]},
+        ConfigError, "seeds must be distinct"),
+    "duplicate_cell": (
+        lambda: replace(_BASE, regimes=_BASE.regimes * 2),
+        {"regime": ["single_session", "single_session"]},
+        InconsistentSettings, "duplicate regime cell single_session|closed"),
+    "overlapping_blind_windows_split": (
+        lambda: replace(_BASE, segmentation=SegmentationConfig(
+            mode="blind", pre_s=0.0, post_s=0.0, align_peak=False, window_s=4.0,
+            stride_s=1.0)),
+        {"segmentation": {"mode": "blind", "window_s": 4.0, "stride_s": 1.0}},
+        InconsistentSettings, "single_session needs blind windows that do not overlap: "
+                              "stride_s 1.0 is shorter than window_s 4.0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RULES))
+def test_each_type_checks_its_rules_when_built_directly(name):
+    build, overrides, error, message = _RULES[name]
+    for make in (build, lambda: validate_config(dict(MINIMAL, **overrides))):
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
+            make()
+        assert type(caught.value) is error
+
+
+def test_kind_defaults_fill_alike_built_directly_or_read():
+    # A highpass without cut_hz cuts at 0.5 Hz, however it was built, so one
+    # spec designs one cascade.
+    direct = FilterSpec(kind="butterworth_highpass", low_hz=1.0, high_hz=None)
+    assert direct.cut_hz == 0.5
+    read = validate_config(dict(MINIMAL, preprocess={"filter": {
+        "kind": "butterworth_highpass", "low_hz": 1.0}})).preprocess.filter
+    assert read.cut_hz == 0.5
+    for fs in (250.0, 500.0):
+        assert dsp.design_filter(direct, fs) == dsp.design_filter(read, fs)
+    assert FilterSpec(kind="savitzky_golay", window_len=5).poly_order == 2
+
+
+def test_window_below_one_sample_rejected_when_built_directly():
+    # A config rejects it by window_len's bound before the spec is built.
+    with pytest.raises(ConfigError, match="^median window_len must be positive, got -1$"):
+        FilterSpec(kind="median", window_len=-1)

@@ -192,3 +192,12 @@ def test_roc_curve_monotonicity(rng):
     assert np.all(np.diff(curve.frr) >= 0)
     assert np.all((curve.far >= 0) & (curve.far <= 1))
     assert np.all((curve.frr >= 0) & (curve.frr <= 1))
+
+
+def test_roc_thresholds_are_the_distinct_scores_then_inf(rng):
+    # Ties within and across sides, and a signed zero, as a score matrix gives.
+    genuine = np.concatenate([rng.integers(-3, 4, 30) / 4.0, [0.0, 0.5]])
+    impostor = np.concatenate([rng.integers(-3, 4, 50) / 4.0, [-0.0, 0.5, 0.1]])
+    curve = metrics.roc_curve(_pairs(genuine, impostor))
+    expect = np.append(np.unique(np.concatenate([genuine, impostor])), np.inf)
+    assert curve.thresholds.tobytes() == expect.tobytes()

@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -490,6 +493,40 @@ def test_templates_built_once_per_run_for_a_training_free_embedder(kind, monkeyp
     for seed in cfg.seeds:
         regimes.run_evaluation(cfg, seed, store=store)
     assert len(plans) == len(cfg.regimes)
+
+
+def test_beat_split_drawn_once_per_subject_and_seed(monkeypatch):
+    # Both sides of a subject, and both settings of the cell, share the draw.
+    cfg = validate_config(dict(BASE_CONFIG, seeds=[0, 1, 2], regime={
+        "name": "single_session", "settings": ["closed", "open"]}))
+    store = _store(cfg, _tiny_spec(n_subjects=5))
+    draws = []
+    _count_calls(monkeypatch, regimes, "_split_beats", draws)
+    records = [regimes.run_evaluation(cfg, seed, store=store) for seed in cfg.seeds]
+    assert len(draws) == 5 * len(cfg.seeds)
+    assert all(not half.flags.writeable for halves in draws for half in halves)
+    # Pinned when each split was drawn four times per (subject, seed).
+    text = json.dumps(records, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4163d6c022c924cbdb8f2cfd2447f66f67efa94b68c97f7b6c1af8a4ad99e3c8")
+
+
+def test_scoring_a_cell_leaves_numpy_ma_unloaded():
+    # np.unique, which the metrics do not call, imports numpy.ma.
+    code = ("import sys\n"
+            "from tests.test_regimes import BASE_CONFIG, _store, _tiny_spec\n"
+            "from ecgbench import regimes\n"
+            "from ecgbench.core import validate_config\n"
+            "cfg = validate_config(dict(BASE_CONFIG, regime='single_cross_session'))\n"
+            "regimes.run_evaluation(cfg, 0, store=_store(cfg, _tiny_spec(n_subjects=4)))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(regimes.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, repo_root, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_reused_templates_and_fused_probes_are_read_only(monkeypatch):
