@@ -14,8 +14,8 @@ from .util import sub_rng
 
 
 def apply_augmentation(x, fs: float, op, seed: int) -> np.ndarray:
-    """One augmentation op on the samples x of one segment at fs Hz; op is
-    AugmentOpConfig-shaped."""
+    """One augmentation op on the samples x of one segment at fs Hz; op is a
+    core.AugmentOpConfig, whose kind is checked when it is built."""
     rng = sub_rng(seed, op.kind)
     x = np.asarray(x, dtype=float)
     if op.kind == "amplitude_scale":
@@ -32,12 +32,10 @@ def apply_augmentation(x, fs: float, op, seed: int) -> np.ndarray:
             out[:k] = x[-k:]
         else:
             out = x.copy()
-    elif op.kind == "random_crop":
+    else:  # random_crop
         keep = max(2, int(round(op.crop_fraction * len(x))))
         start = int(rng.integers(0, len(x) - keep + 1))
         out = resample_fourier(x[start: start + keep], len(x))
-    else:
-        raise ValueError(f"unknown augmentation kind {op.kind!r}")
     return out
 
 

@@ -12,6 +12,7 @@ results_payload) are functions of this module.
 """
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -214,6 +215,14 @@ def cmd_run(args) -> int:
     csv_path = os.path.join(args.out, "results.csv")
     try:
         os.makedirs(args.out, exist_ok=True)
+        for path in (json_path, csv_path):
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    except OSError as exc:
+        return _fail(f"output: {type(exc).__name__}: {exc}", 2)
+
+    written = []  # a failed run removes only the files that it wrote
+    try:
         store = regimes.SegmentStore(cfg, index, recordings)
         pooled = args.jobs > 1 and len(seeds) > 1
         _warm_store(store, cells, args.jobs if pooled else 1)
@@ -225,14 +234,15 @@ def cmd_run(args) -> int:
                         for seed in seeds}
         payload = results_payload(cfg, seeds, per_seed)
         with open(json_path, "w", encoding="utf-8") as fh:
+            written.append(json_path)
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
         with open(csv_path, "w", encoding="utf-8") as fh:
+            written.append(csv_path)
             fh.write(render_csv(payload))
     except (EcgBenchError, OSError) as exc:
-        for path in (json_path, csv_path):
-            if os.path.exists(path):
-                os.remove(path)
+        for path in written:
+            os.remove(path)
         return _fail(f"evaluation: {type(exc).__name__}: {exc}", 1)
     print(f"wrote {json_path} and {csv_path} "
           f"({len(cells)} cell(s) x {len(seeds)} seed(s))")

@@ -14,10 +14,10 @@ float field takes any finite number and stores it as a float; null is read only
 where the annotation has ``| None``; a tuple is a JSON list, and a nested
 dataclass a JSON object.
 
-Only the rules that span fields are code, and each lives on the type it
-constrains: its __post_init__ checks them, and fills the defaults that depend
-on other fields, whenever the type is built, from a config or directly. So a
-FilterSpec that dsp receives is valid by construction. validate_config itself
+Each such type is a Checked: built from a config or directly, it checks each
+field against its metadata, then its own rules that span fields, which also
+fill the defaults that depend on other fields. So a FilterSpec or RegimeCell
+that a layer receives is valid by construction. validate_config itself
 reads only the JSON shorthands: a dataset given as a path or without a kind, a
 regime's names x settings grid, and blind mode's placeholders for the beat keys.
 
@@ -104,10 +104,50 @@ class Recording:
 # --- configuration tree -------------------------------------------------------
 # Field metadata: "choices" lists the strings a field takes, "gt"/"ge"/"lt"/"le"
 # bound its numbers, and "key" is its JSON key where that is not its name.
+# check_field holds these rules. read_object applies them to each value it
+# reads, naming its JSON path; Checked to each field it builds, as Type.field.
+
+_BOUNDS = {"gt": (operator.gt, "greater than"), "ge": (operator.ge, "at least"),
+           "lt": (operator.lt, "less than"), "le": (operator.le, "at most")}
+
+
+def check_field(value, meta, where: str):
+    """value, once checked against the rules of its field's metadata meta: a
+    string must be one of the choices, and a number (each item of a tuple)
+    finite and within the bounds. None passes."""
+    if isinstance(value, tuple):
+        for i, item in enumerate(value):
+            check_field(item, meta, f"{where}[{i}]")
+    elif isinstance(value, str) and value not in meta.get("choices", (value,)):
+        raise ConfigError(f"{where} must be one of {', '.join(meta['choices'])}, got {value!r}")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    elif isinstance(value, (int, float)):
+        for name, (holds, words) in _BOUNDS.items():
+            if name in meta and not holds(value, meta[name]):
+                raise ConfigError(f"{where} must be {words} {meta[name]}, got {value!r}")
+    return value
+
+
+class Checked:
+    """Base of the frozen dataclasses whose fields carry rules: building one
+    checks each field by check_field, then the type's own rules (_check)."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.name not in self._placeholders():
+                check_field(getattr(self, f.name), f.metadata, f"{type(self).__name__}.{f.name}")
+        self._check()
+
+    def _placeholders(self) -> tuple:
+        return ()  # the fields unused here, whose placeholder values skip their rules
+
+    def _check(self):
+        """The rules that span fields; defaults set by object.__setattr__."""
 
 
 @dataclass(frozen=True)
-class FilterSpec:
+class FilterSpec(Checked):
     """One filtering step of dsp.apply_filter. Only the parameters of ``kind``
     are consulted.
 
@@ -128,7 +168,7 @@ class FilterSpec:
     poly_order: int | None = field(default=None, metadata={"ge": 0})
     transition_hz: float = field(default=2.0, metadata={"gt": 0})
 
-    def __post_init__(self):
+    def _check(self):
         kind, w = self.kind, self.window_len
         if kind == "butterworth_highpass" and self.cut_hz is None:
             object.__setattr__(self, "cut_hz", 0.5)
@@ -137,8 +177,6 @@ class FilterSpec:
         if kind in WINDOW_KINDS:
             if w is None:
                 raise ConfigError(f"{kind} filter needs window_len")
-            if w < 1:
-                raise ConfigError(f"{kind} window_len must be positive, got {w}")
             if w % 2 == 0:
                 raise ConfigError(f"{kind} window_len must be odd, got {w}")
             if kind == "savitzky_golay":
@@ -156,13 +194,13 @@ class FilterSpec:
 
 
 @dataclass(frozen=True)
-class DatasetConfig:
+class DatasetConfig(Checked):
     kind: str = field(metadata={"choices": ("manifest", "synthetic")})
     path: str | None = None
     preset: str | None = field(default=None, metadata={"choices": PRESET_NAMES})
     seed: int = field(default=0, metadata={"ge": 0})
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind == "manifest":
             if not self.path:
                 raise ConfigError("dataset.path must be a non-empty string")
@@ -175,15 +213,20 @@ class DatasetConfig:
 
 
 @dataclass(frozen=True)
-class PreprocessConfig:
+class PreprocessConfig(Checked):
     filter: FilterSpec = field(default_factory=FilterSpec)
     normalization: str = field(default="zscore", metadata={"choices": ("zscore", "minmax")})
     # morphology_features needs at least 8 samples, here and in EmbedderConfig.
     target_len: int = field(default=128, metadata={"ge": 8, "le": 4096})
 
 
+# Blind mode stores these placeholders for the beat keys and takes them back,
+# so a validated config round-trips through to_dict; other values are errors.
+_BLIND_PLACEHOLDERS = {"pre_s": 0.0, "post_s": 0.0, "align_peak": False}
+
+
 @dataclass(frozen=True)
-class SegmentationConfig:
+class SegmentationConfig(Checked):
     mode: str = field(default="beat", metadata={"choices": ("beat", "blind")})
     pre_s: float = field(default=0.2, metadata={"gt": 0})
     post_s: float = field(default=0.4, metadata={"gt": 0})
@@ -191,7 +234,10 @@ class SegmentationConfig:
     window_s: float | None = field(default=None, metadata={"gt": 0})
     stride_s: float | None = None
 
-    def __post_init__(self):
+    def _placeholders(self) -> tuple:
+        return tuple(_BLIND_PLACEHOLDERS) if self.mode == "blind" else ()
+
+    def _check(self):
         if self.mode == "beat":
             for bad in ("window_s", "stride_s"):
                 if getattr(self, bad) is not None:
@@ -207,7 +253,7 @@ class SegmentationConfig:
 
 
 @dataclass(frozen=True)
-class AugmentOpConfig:
+class AugmentOpConfig(Checked):
     kind: str = field(metadata={"choices": AUGMENT_KINDS})
     scale_low: float = field(default=0.8, metadata={"gt": 0})
     scale_high: float = field(default=1.2, metadata={"gt": 0})
@@ -217,11 +263,11 @@ class AugmentOpConfig:
 
 
 @dataclass(frozen=True)
-class AugmentConfig:
+class AugmentConfig(Checked):
     multiplier: int = field(default=0, metadata={"ge": 0})
     ops: tuple[AugmentOpConfig, ...] = ()
 
-    def __post_init__(self):
+    def _check(self):
         for i, op in enumerate(self.ops):
             if op.scale_low > op.scale_high:
                 raise ConfigError(f"embedder.augment.ops[{i}]: degenerate scale range")
@@ -230,7 +276,7 @@ class AugmentConfig:
 
 
 @dataclass(frozen=True)
-class EmbedderConfig:
+class EmbedderConfig(Checked):
     kind: str = field(default="morphology", metadata={"choices": ("morphology", "mlp")})
     target_len: int = field(default=128, metadata={"ge": 8, "le": 4096})
     hidden_dim: int = field(default=64, metadata={"gt": 0, "le": 4096})
@@ -241,7 +287,7 @@ class EmbedderConfig:
 
 
 @dataclass(frozen=True)
-class RegimeCell:
+class RegimeCell(Checked):
     name: str = field(metadata={"choices": REGIME_NAMES})
     setting: str = field(default="closed", metadata={"choices": ("closed", "open")})
     enroll_session: str | None = None
@@ -251,7 +297,7 @@ class RegimeCell:
     open_ratio: float = field(default=0.5, metadata={"gt": 0, "lt": 1})
     split_seed: int | None = field(default=None, metadata={"ge": 0})
 
-    def __post_init__(self):
+    def _check(self):
         if self.name == "cross_session":
             sessions = (self.enroll_session, self.probe_session)
             if None in sessions:
@@ -276,7 +322,7 @@ class RegimeCell:
 
 
 @dataclass(frozen=True)
-class EvaluationConfig:
+class EvaluationConfig(Checked):
     metric: str = field(default="cosine", metadata={"choices": METRIC_NAMES})
     template_size: int | str = field(default="all", metadata={"choices": ("all",), "gt": 0})
     template_fusion: str = field(default="mean", metadata={"choices": FUSION_NAMES})
@@ -285,7 +331,7 @@ class EvaluationConfig:
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Checked):
     dataset: DatasetConfig
     preprocess: PreprocessConfig
     segmentation: SegmentationConfig
@@ -294,7 +340,7 @@ class RunConfig:
     evaluation: EvaluationConfig
     seeds: tuple[int, ...] = field(default=(0, 1, 2, 3, 4), metadata={"ge": 0})
 
-    def __post_init__(self):
+    def _check(self):
         keys = set()
         for cell in self.regimes:
             if cell.key in keys:
@@ -340,8 +386,6 @@ def config_digest(cfg: RunConfig) -> str:
 
 # --- reading JSON objects -----------------------------------------------------
 
-_BOUNDS = {"gt": (operator.gt, "greater than"), "ge": (operator.ge, "at least"),
-           "lt": (operator.lt, "less than"), "le": (operator.le, "at most")}
 _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number",
                str: "a string", type(None): "null"}
 
@@ -351,9 +395,9 @@ def read_object(cls, raw, where: str, **built):
 
     Each key of raw must be the JSON key of a field of cls. A field left out
     takes its default, and one without a default must be given. Each value
-    is read by _read_value. ``where`` names raw in error messages. ``built``
-    supplies fields the caller has read itself; their values in raw are not
-    read again.
+    is read, and checked against its field's rules, by _read_value. ``where``
+    names raw in error messages. ``built`` supplies fields the caller has read
+    itself; their values in raw are not read again.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be an object, got {type(raw).__name__}")
@@ -374,8 +418,7 @@ def read_object(cls, raw, where: str, **built):
 
 def _read_value(value, kind, meta, where: str):
     """value read as the type annotation kind allows, under the JSON type
-    rules of the module docstring. A string must be one of meta's choices, and
-    a number (each number of a tuple) must lie within meta's bounds."""
+    rules of the module docstring, and checked by check_field against meta."""
     options = get_args(kind) if isinstance(kind, UnionType) else (kind,)
     for option in options:
         if is_dataclass(option):
@@ -394,34 +437,20 @@ def _read_value(value, kind, meta, where: str):
         if isinstance(value, bool):
             if option is bool:
                 return value
-        elif option is int and isinstance(value, int):
-            return _bounded(value, meta, where)
+        elif (option is int and isinstance(value, int)
+              or option is str and isinstance(value, str)):
+            return check_field(value, meta, where)
         elif option is float and isinstance(value, (int, float)):
-            return _bounded(_finite(value, where), meta, where)
-        elif option is str and isinstance(value, str):
-            if value not in meta.get("choices", (value,)):
-                raise ConfigError(f"{where} must be one of {', '.join(meta['choices'])}, "
-                                  f"got {value!r}")
-            return value
+            return check_field(_float(value, where), meta, where)
     names = " or ".join("a list" if get_origin(o) is tuple else _JSON_TYPES[o] for o in options)
     raise ConfigError(f"{where} must be {names}, got {value!r}")
 
 
-def _finite(value, where: str) -> float:
+def _float(value, where: str) -> float:
     try:
-        number = float(value)
+        return float(value)
     except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{where} must be finite, got {value!r}")
-    return number
-
-
-def _bounded(number, meta, where: str):
-    for name, (holds, words) in _BOUNDS.items():
-        if name in meta and not holds(number, meta[name]):
-            raise ConfigError(f"{where} must be {words} {meta[name]}, got {number!r}")
-    return number
+        raise ConfigError(f"{where} must be finite, got {value!r}") from None
 
 
 # --- validation: the JSON shorthands ------------------------------------------
@@ -434,11 +463,6 @@ def _read_dataset(raw) -> DatasetConfig:
     if isinstance(raw, dict) and "kind" not in raw:
         raw = dict(raw, kind="manifest" if "path" in raw else "synthetic")
     return read_object(DatasetConfig, raw, "dataset")
-
-
-# Blind mode stores these placeholders for the beat keys and takes them back,
-# so a validated config round-trips through to_dict; other values are errors.
-_BLIND_PLACEHOLDERS = {"pre_s": 0.0, "post_s": 0.0, "align_peak": False}
 
 
 def _read_segmentation(raw) -> SegmentationConfig:
@@ -500,9 +524,9 @@ def _read_regimes(raw) -> tuple[RegimeCell, ...]:
 def validate_config(raw) -> RunConfig:
     """Validate a parsed configuration tree into a fully defaulted RunConfig.
 
-    Only the JSON shorthands are read here; each type checks its own rules
-    when it is built. Idempotent: validate_config(validate_config(raw).to_dict())
-    equals validate_config(raw).
+    Only the JSON shorthands are read here; read_object checks each value's
+    field rules, and each type its own rules when it is built. Idempotent:
+    validate_config(validate_config(raw).to_dict()) equals validate_config(raw).
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be an object, got {type(raw).__name__}")

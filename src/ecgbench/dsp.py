@@ -9,8 +9,9 @@ keeps it exactly linear, length-preserving, and time-reversal symmetric.
 scipy.signal is imported only by the Savitzky-Golay and causal branches of
 apply_filter, the only code that uses it, so the default pipeline never loads
 scipy. A filter is a core.FilterSpec (core reads configs without this module),
-which checks its own rules when it is built. So dsp checks only what depends on
-fs or the signal: a band that fs cannot hold, a signal too short to filter.
+which checks its field and cross-field rules when it is built, so its kind and
+phase_mode are ones dsp knows. So dsp checks only what depends on fs or the
+signal: a band that fs cannot hold, a signal too short to filter.
 """
 
 import functools
@@ -199,11 +200,9 @@ def design_filter(spec: FilterSpec, fs: float):
         return casc, None, 2 * spec.order + 1
     if spec.kind == "notch":
         return design_notch(spec.notch_hz, spec.q, fs), None, 3
-    if spec.kind == "fir_bandpass":
-        taps = design_fir_bandpass(spec.low_hz, spec.high_hz, fs, spec.transition_hz)
-        taps.flags.writeable = False
-        return None, taps, len(taps)
-    raise ConfigError(f"unknown LTI filter kind {spec.kind!r}")
+    taps = design_fir_bandpass(spec.low_hz, spec.high_hz, fs, spec.transition_hz)
+    taps.flags.writeable = False
+    return None, taps, len(taps)
 
 
 @functools.lru_cache(maxsize=2)
@@ -258,13 +257,11 @@ def apply_filter(spec: FilterSpec, x, fs: float) -> np.ndarray:
             )
         gain = _zero_phase_gain(spec, len(x), fs)
         return np.fft.irfft(np.fft.rfft(x) * gain, n=len(x))
-    if spec.phase_mode == "causal":
-        import scipy.signal
+    import scipy.signal  # causal
 
-        if cascade is not None:
-            return scipy.signal.sosfilt(cascade.sos(), x)
-        return scipy.signal.lfilter(taps, [1.0], x)
-    raise ConfigError(f"unknown phase_mode {spec.phase_mode!r}")
+    if cascade is not None:
+        return scipy.signal.sosfilt(cascade.sos(), x)
+    return scipy.signal.lfilter(taps, [1.0], x)
 
 
 def resample_fourier(x, target_len: int) -> np.ndarray:

@@ -111,13 +111,14 @@ def mlp_train(x, labels, hidden_dim: int = 64, lr: float = 0.05,
     labels = np.asarray(labels, dtype=int)
     if x.ndim != 2 or len(x) != len(labels):
         raise DimensionMismatch("x must be (n, d) with one label per row")
-    classes = np.unique(labels)
-    if len(classes) < 2:
+    # Checked by range and count, not np.unique, which imports numpy.ma.
+    low, high = (labels.min(), labels.max()) if len(labels) else (0, 0)
+    if low == high:
         raise SingleClass("training needs at least two classes")
-    if np.any(classes != np.arange(len(classes))):
+    if low != 0 or high >= len(labels) or not np.bincount(labels).all():
         raise ValueError("labels must be 0..C-1")
     rng = np.random.default_rng(seed)
-    w1, b1, w2, b2 = mlp_init(x.shape[1], hidden_dim, len(classes), rng).params
+    w1, b1, w2, b2 = mlp_init(x.shape[1], hidden_dim, int(high) + 1, rng).params
     losses = []
     # A diverging run overflows to inf and nan; MlpModel rejects those below.
     with np.errstate(over="ignore", invalid="ignore"):

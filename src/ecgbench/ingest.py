@@ -1,5 +1,6 @@
 """Dataset loading: a manifest of ManifestEntry records, read by
-core.read_object, plus raw-signal readers (f32le, csv, WFDB).
+core.read_object (a ManifestEntry checks its field rules as a core.Checked),
+plus raw-signal readers (f32le, csv, WFDB).
 
 The WFDB reader is intentionally minimal: header record/signal lines plus
 sample formats 212 and 16, bit-exact. Anything else is rejected loudly.
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import RecordKey, Recording, read_object, read_text
+from .core import Checked, RecordKey, Recording, read_object, read_text
 from .errors import (
     ConfigError,
     DuplicateRecordKey,
@@ -32,7 +33,7 @@ WFDB_DEFAULT_GAIN = 200.0  # adu per mV when the signal line omits gain
 
 
 @dataclass(frozen=True)
-class ManifestEntry:
+class ManifestEntry(Checked):
     """The schema of one manifest entry. A wfdb header gives its own fs."""
     subject: str
     session: str

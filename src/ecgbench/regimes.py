@@ -127,11 +127,21 @@ def _plan_subject(cell: RegimeCell, subject: str, keys) -> SubjectSplit | None:
         return SubjectSplit(subject,
                             tuple(SegmentSource(k) for k in enroll),
                             tuple(SegmentSource(k) for k in probe))
-    if name == "custom_split":
-        return SubjectSplit(subject,
-                            (SegmentSource(keys[0], time_range=cell.enroll_range),),
-                            (SegmentSource(keys[0], time_range=cell.probe_range),))
-    raise ValueError(f"unknown regime {name!r}")
+    return SubjectSplit(subject,  # custom_split
+                        (SegmentSource(keys[0], time_range=cell.enroll_range),),
+                        (SegmentSource(keys[0], time_range=cell.probe_range),))
+
+
+def _seeded_split(n: int, ratio: float, rng):
+    """0..n-1 shuffled by rng, cut at round(ratio * n) clamped so that both
+    halves are non-empty (n >= 2), each half sorted and read-only (the store
+    shares a beat split)."""
+    order = rng.permutation(n)
+    cut = min(max(int(round(ratio * n)), 1), n - 1)
+    halves = np.sort(order[:cut]), np.sort(order[cut:])
+    for half in halves:
+        half.flags.writeable = False
+    return halves
 
 
 def subject_partition(subjects, ratio: float, seed: int):
@@ -142,12 +152,8 @@ def subject_partition(subjects, ratio: float, seed: int):
     subjects = sorted(subjects)
     if len(subjects) < 2:
         raise TooFewSubjects(f"partition needs >= 2 subjects, got {len(subjects)}")
-    order = sub_rng(seed, "subject-partition").permutation(len(subjects))
-    cut = int(round(ratio * len(subjects)))
-    cut = min(max(cut, 1), len(subjects) - 1)
-    train = sorted(subjects[i] for i in order[:cut])
-    evaluate = sorted(subjects[i] for i in order[cut:])
-    return train, evaluate
+    halves = _seeded_split(len(subjects), ratio, sub_rng(seed, "subject-partition"))
+    return tuple([subjects[i] for i in half] for half in halves)
 
 
 # --- prepared segments -----------------------------------------------------------
@@ -316,18 +322,11 @@ class _SubjectData:
 
 
 def _split_beats(n: int, subject: str, cell: RegimeCell, seed: int):
-    """Within-record 70/30 split of n beat positions, seeded shuffle. The
-    halves are read-only: the store shares them."""
+    """Within-record 70/30 split of n beat positions; None below two beats."""
     if n < 2:
         return None
-    rng = sub_rng(seed, "beat-split", cell.name, subject)
-    order = rng.permutation(n)
-    cut = int(round(SINGLE_SESSION_ENROLL_FRACTION * n))
-    cut = min(max(cut, 1), n - 1)
-    halves = np.sort(order[:cut]), np.sort(order[cut:])
-    for half in halves:
-        half.flags.writeable = False
-    return halves
+    return _seeded_split(n, SINGLE_SESSION_ENROLL_FRACTION,
+                         sub_rng(seed, "beat-split", cell.name, subject))
 
 
 def _select(split: SubjectSplit, cell: RegimeCell, store: SegmentStore, seed: int,

@@ -25,7 +25,7 @@ RR_JITTER = 0.03
 DRIFT_CLIP = 1.0
 
 # Per-wave (amplitude mV, center offset s, width s) sampling ranges. Offsets
-# keep P < Q < R(=0) < S < T for any drift magnitude <= 1.
+# keep P < Q < R(=0) < S < T for any drift magnitude below MAX_DRIFT.
 PARAM_RANGES = {
     "p": ((0.08, 0.25), (-0.22, -0.14), (0.020, 0.040)),
     "q": ((-0.25, -0.05), (-0.035, -0.020), (0.006, 0.012)),
@@ -33,6 +33,14 @@ PARAM_RANGES = {
     "s": ((-0.40, -0.10), (0.020, 0.040), (0.006, 0.015)),
     "t": ((0.12, 0.50), (0.22, 0.36), (0.040, 0.080)),
 }
+# Drift moves a center c to c (1 + delta u), |u| <= 1, so the latest center of
+# one wave, hi + delta |hi|, meets the earliest of the next, lo - delta |lo|, at
+# delta = (lo - hi) / (|hi| + |lo|). P against Q is the closest pair:
+# 0.14 (1 - delta) = 0.035 (1 + delta) at delta = 0.6.
+MAX_DRIFT = min(
+    (PARAM_RANGES[b][1][0] - PARAM_RANGES[a][1][1])
+    / (abs(PARAM_RANGES[a][1][1]) + abs(PARAM_RANGES[b][1][0]))
+    for a, b in zip(WAVE_NAMES, WAVE_NAMES[1:]))
 HR_RANGE = (55.0, 85.0)
 
 
@@ -80,6 +88,9 @@ class SessionEffects:
     def __post_init__(self):
         if self.noise_sigma < 0 or self.morphology_drift < 0 or self.amplitude_scale <= 0:
             raise ValueError("bad session effects")
+        if not self.morphology_drift < MAX_DRIFT:
+            raise ValueError(f"morphology_drift must be below {MAX_DRIFT}, where drift "
+                             f"can reorder the waves, got {self.morphology_drift}")
         if self.trend_fraction is not None and not 0.0 <= self.trend_fraction <= 1.0:
             raise ValueError("trend_fraction must be in [0, 1]")
 

@@ -3,6 +3,7 @@ import pytest
 
 from ecgbench.augment import apply_augmentation, augment_training_set
 from ecgbench.core import AugmentConfig, AugmentOpConfig, RecordKey
+from ecgbench.errors import ConfigError
 from ecgbench.util import stable_seed, sub_rng
 
 FS = 250.0
@@ -105,5 +106,6 @@ def test_different_copies_differ():
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
-        apply_augmentation(np.arange(8.0), FS, AugmentOpConfig(kind="mystery"), seed=0)
+    # The op rejects it when it is built, so apply_augmentation never sees it.
+    with pytest.raises(ConfigError, match="^AugmentOpConfig.kind must be one of "):
+        AugmentOpConfig(kind="mystery")

@@ -201,6 +201,18 @@ def test_synth_spec_below_one_sample_per_beat_exits_2(tmp_path):
     assert not (tmp_path / "data").exists()
 
 
+def test_synth_spec_drift_that_can_reorder_the_waves_exits_2(tmp_path, capsys):
+    # From drift 0.6 on, a P center can reach a Q center. Unchecked, rendering
+    # then fails midway: 8 of 20 datasets of 30 subjects at drift 0.8.
+    spec = _write_json(tmp_path / "spec.json", dict(SPEC, sessions=[
+        {"session_id": "s0", "morphology_drift": 0.6}]))
+    code = cli.main(["synth", "--spec", spec, "--out", str(tmp_path / "data")])
+    assert _assert_clean_failure(capsys, code, 2) == (
+        "ecgbench: error: ValueError: morphology_drift must be below 0.6, where drift "
+        "can reorder the waves, got 0.6\n")
+    assert not (tmp_path / "data").exists()
+
+
 def _results_file(path, means) -> str:
     """A results file whose cells (key -> mean) hold that mean for every metric."""
     path.parent.mkdir(exist_ok=True)
@@ -520,6 +532,42 @@ def test_first_failing_cell_reported_at_any_jobs(dataset, capsys):
         errors.append(_assert_clean_failure(capsys, code, 1))
     assert "NonFiniteModel" in errors[0]
     assert errors[1] == errors[0]
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("evaluated")
+
+
+@pytest.mark.parametrize("case", ["out_is_a_file", "results_json_is_a_directory"])
+def test_unusable_out_exits_2_before_evaluating(dataset, tmp_path, monkeypatch, capsys, case):
+    monkeypatch.setattr(cli, "_warm_store", _never)
+    monkeypatch.setattr(cli, "run_evaluation", _never)
+    out = tmp_path / "out"
+    if case == "out_is_a_file":
+        out.write_text("kept\n")
+        error = f"FileExistsError: [Errno 17] File exists: '{out}'"
+    else:
+        (out / "results.json").mkdir(parents=True)
+        error = f"IsADirectoryError: [Errno 21] Is a directory: '{out / 'results.json'}'"
+    code = cli.main(["run", "--config", _config(dataset, "base"), "--out", str(out)])
+    assert _assert_clean_failure(capsys, code, 2) == f"ecgbench: error: output: {error}\n"
+    if case == "out_is_a_file":
+        assert out.read_text() == "kept\n"
+    else:
+        assert os.listdir(out) == ["results.json"] and not os.listdir(out / "results.json")
+
+
+def test_failed_run_keeps_the_results_it_did_not_write(dataset, jobs1, capsys):
+    out = dataset / "kept_results"
+    shutil.copytree(jobs1, out)
+    # The records last 20 s, so the probe range runs past their end.
+    config = _config(dataset, "past_the_end", regime={
+        "name": "custom_split", "enroll_range": [0.0, 8.0], "probe_range": [10.0, 25.0]})
+    code = cli.main(["run", "--config", config, "--out", str(out)])
+    assert _assert_clean_failure(capsys, code, 1).startswith(
+        "ecgbench: error: evaluation: RangeOutOfBounds: ")
+    for name in ("results.json", "results.csv"):
+        assert (out / name).read_bytes() == (jobs1 / name).read_bytes()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

@@ -1,4 +1,5 @@
 import copy
+import json
 import re
 from dataclasses import replace
 
@@ -7,9 +8,13 @@ import pytest
 
 from ecgbench import dsp
 from ecgbench.core import (
+    AUGMENT_KINDS,
+    FILTER_KINDS,
     AugmentConfig,
     AugmentOpConfig,
     DatasetConfig,
+    EmbedderConfig,
+    EvaluationConfig,
     FilterSpec,
     MetricsReport,
     RecordKey,
@@ -25,8 +30,10 @@ from ecgbench.errors import (
     EcgBenchError,
     EmptySeeds,
     InconsistentSettings,
+    SchemaError,
     UnknownField,
 )
+from ecgbench.ingest import ManifestEntry, parse_manifest
 
 MINIMAL = {"dataset": {"kind": "synthetic", "preset": "fallacy30", "seed": 1},
            "regime": "single-session"}
@@ -417,6 +424,66 @@ def test_kind_defaults_fill_alike_built_directly_or_read():
 
 
 def test_window_below_one_sample_rejected_when_built_directly():
-    # A config rejects it by window_len's bound before the spec is built.
-    with pytest.raises(ConfigError, match="^median window_len must be positive, got -1$"):
+    # window_len's bound rejects it, built directly or read from a config.
+    with pytest.raises(ConfigError,
+                       match=r"^FilterSpec\.window_len must be greater than 0, got -1$"):
         FilterSpec(kind="median", window_len=-1)
+
+
+
+# Each field's rule (its choices, its bounds) holds however its type is built:
+# built directly, the error names Type.field; read from a config or a manifest,
+# it names the value's JSON path.
+_FIELD_RULES = {
+    "filter_kind": (
+        lambda: FilterSpec(kind="bogus"),
+        {"preprocess": {"filter": {"kind": "bogus"}}},
+        "FilterSpec.kind", "preprocess.filter.kind",
+        f"must be one of {', '.join(FILTER_KINDS)}, got 'bogus'"),
+    "filter_phase_mode": (
+        lambda: FilterSpec(phase_mode="acausal"),
+        {"preprocess": {"filter": {"phase_mode": "acausal"}}},
+        "FilterSpec.phase_mode", "preprocess.filter.phase_mode",
+        "must be one of zero_phase, causal, got 'acausal'"),
+    "cell_setting": (
+        lambda: RegimeCell("single_session", setting="sideways"),
+        {"regime": {"name": "single_session", "setting": "sideways"}},
+        "RegimeCell.setting", "regime.setting", "must be one of closed, open, got 'sideways'"),
+    "cell_open_ratio": (
+        lambda: RegimeCell("single_session", open_ratio=1.5),
+        {"regime": {"name": "single_session", "open_ratio": 1.5}},
+        "RegimeCell.open_ratio", "regime.open_ratio", "must be less than 1, got 1.5"),
+    "embedder_epochs": (
+        lambda: EmbedderConfig(epochs=-1),
+        {"embedder": {"epochs": -1}},
+        "EmbedderConfig.epochs", "embedder.epochs", "must be at least 0, got -1"),
+    "probe_fusion_k": (
+        lambda: EvaluationConfig(probe_fusion_k=0),
+        {"evaluation": {"probe_fusion_k": 0}},
+        "EvaluationConfig.probe_fusion_k", "evaluation.probe_fusion_k",
+        "must be greater than 0, got 0"),
+    "augment_kind": (
+        lambda: AugmentOpConfig(kind="mystery"),
+        {"embedder": {"augment": {"multiplier": 1, "ops": [{"kind": "mystery"}]}}},
+        "AugmentOpConfig.kind", "embedder.augment.ops[0].kind",
+        f"must be one of {', '.join(AUGMENT_KINDS)}, got 'mystery'"),
+    "manifest_format": (
+        lambda: ManifestEntry(subject="a", session="s0", path="a.mp3", format="mp3"),
+        {"subject": "a", "session": "s0", "path": "a.mp3", "format": "mp3", "fs": 250.0},
+        "ManifestEntry.format", "records[0].format",
+        "must be one of f32le, csv, wfdb, got 'mp3'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FIELD_RULES))
+def test_each_field_rule_holds_built_directly_or_read(name):
+    build, raw, field_name, json_path, rule = _FIELD_RULES[name]
+    if name == "manifest_format":  # raw is the manifest's one record
+        read, read_error = lambda: parse_manifest(json.dumps({"records": [raw]})), SchemaError
+    else:  # raw overrides a config's sections
+        read, read_error = lambda: validate_config(dict(MINIMAL, **raw)), ConfigError
+    for make, where, error in ((build, field_name, ConfigError),
+                               (read, json_path, read_error)):
+        with pytest.raises(error, match=f"^{re.escape(f'{where} {rule}')}$") as caught:
+            make()
+        assert type(caught.value) is error

@@ -512,21 +512,25 @@ def test_beat_split_drawn_once_per_subject_and_seed(monkeypatch):
 
 
 def test_scoring_a_cell_leaves_numpy_ma_unloaded():
-    # np.unique, which the metrics do not call, imports numpy.ma.
+    # np.unique, which neither the metrics nor the MLP's training call, imports
+    # numpy.ma. The morphology cell runs first, so each embedder is seen alone.
     code = ("import sys\n"
             "from tests.test_regimes import BASE_CONFIG, _store, _tiny_spec\n"
             "from ecgbench import regimes\n"
             "from ecgbench.core import validate_config\n"
-            "cfg = validate_config(dict(BASE_CONFIG, regime='single_cross_session'))\n"
-            "regimes.run_evaluation(cfg, 0, store=_store(cfg, _tiny_spec(n_subjects=4)))\n"
-            "print('numpy.ma' in sys.modules)\n")
+            "for embedder in ({}, {'kind': 'mlp', 'epochs': 2}):\n"
+            "    cfg = validate_config(dict(BASE_CONFIG, regime='single_cross_session',\n"
+            "                               embedder=embedder))\n"
+            "    store = _store(cfg, _tiny_spec(n_subjects=4))\n"
+            "    regimes.run_evaluation(cfg, 0, store=store)\n"
+            "    print('numpy.ma' in sys.modules)\n")
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(regimes.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, repo_root, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_reused_templates_and_fused_probes_are_read_only(monkeypatch):

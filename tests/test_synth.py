@@ -139,6 +139,21 @@ def _session_mean_embedding(rec, peaks):
     return embs.mean(axis=0)
 
 
+def test_drift_bound_is_where_neighbouring_waves_can_meet():
+    # The latest P center and the earliest Q center of PARAM_RANGES, drifted
+    # toward each other, stay ordered below MAX_DRIFT and cross just above it.
+    theta = synth.make_subject_params(0)
+    p, q = (replace(w, center_offset=synth.PARAM_RANGES[name][1][end])
+            for w, name, end in zip(theta.waves, "pq", (1, 0)))
+    theta = replace(theta, waves=(p, q, *theta.waves[2:]))
+    u = np.zeros(15)
+    u[1], u[4] = -1.0, 1.0  # P's center moves later, Q's earlier
+    assert synth.MAX_DRIFT == 0.6
+    synth._drifted(theta, 0.599, u)
+    with pytest.raises(ValueError, match="wave centers must be strictly ordered"):
+        synth._drifted(theta, 0.601, u)
+
+
 def test_drift_monotonicity_hook():
     sims = []
     for delta in (0.0, 0.1, 0.2):
