@@ -13,6 +13,7 @@ results_payload) are functions of this module.
 
 import argparse
 import errno
+import functools
 import json
 import os
 import sys
@@ -136,33 +137,37 @@ def _init_worker(store, cells):
     _WORKER_STATE["cells"] = cells
 
 
-def _prepare_or_none(store, source):
+def _in_worker(fn, task):
+    return fn(_WORKER_STATE["store"], _WORKER_STATE["cells"], task)
+
+
+def _prepare(store, cells, source):
     try:
         return store.prepare(source)
     except EcgBenchError:
         return None
 
 
-def _worker_prepare(source):
-    return _prepare_or_none(_WORKER_STATE["store"], source)
+def _evaluate(store, cells, seed: int):
+    return run_evaluation(store.cfg, seed, store=store, cells=cells)
 
 
-def _worker_seed(seed: int):
-    store = _WORKER_STATE["store"]
-    return seed, run_evaluation(store.cfg, seed, store=store,
-                                cells=_WORKER_STATE["cells"])
-
-
-def _pool(jobs: int, tasks: int, store, cells):
-    # Imported here: a run at --jobs 1 loads neither the pool nor its logging.
-    # Under fork, Linux's default, workers inherit the store instead of
-    # unpickling it. The executor forks all of its workers at the first
-    # submit, so it gets no more of them than there are tasks.
+def _run_tasks(fn, tasks: list, jobs: int, store, cells) -> list:
+    """[fn(store, cells, task) for task in tasks]: in this process at jobs 1 or
+    with fewer than two tasks, else over a pool of min(jobs, len(tasks))
+    workers that takes them in batches of len(tasks) // (8 * jobs), at least
+    1. concurrent.futures loads only here, so a run that makes no pool loads
+    neither it nor its logging. Under fork, Linux's default, the workers
+    inherit store and cells instead of unpickling them."""
+    if jobs == 1 or len(tasks) < 2:
+        return [fn(store, cells, task) for task in tasks]
     import concurrent.futures
 
-    return concurrent.futures.ProcessPoolExecutor(
-        max_workers=max(1, min(jobs, tasks)), initializer=_init_worker,
-        initargs=(store, cells))
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(jobs, len(tasks)), initializer=_init_worker,
+            initargs=(store, cells)) as pool:
+        return list(pool.map(functools.partial(_in_worker, fn), tasks,
+                             chunksize=max(1, len(tasks) // (8 * jobs))))
 
 
 def _warm_store(store, cells, jobs: int):
@@ -176,15 +181,9 @@ def _warm_store(store, cells, jobs: int):
     reads or renders its record again and raises the error again, so a run
     reports the same first error at any --jobs.
     """
-    sources = store.sources(cells)
-    if jobs == 1:
-        for source in sources:
-            _prepare_or_none(store, source)
-        return
-    with _pool(jobs, len(sources), store, cells) as pool:
-        for prepared in pool.map(_worker_prepare, sources):
-            if prepared is not None:
-                store.add(prepared)
+    for prepared in _run_tasks(_prepare, store.sources(cells), jobs, store, cells):
+        if prepared is not None:
+            store.add(prepared)
 
 
 def cmd_run(args) -> int:
@@ -224,14 +223,10 @@ def cmd_run(args) -> int:
     written = []  # a failed run removes only the files that it wrote
     try:
         store = regimes.SegmentStore(cfg, index, recordings)
-        pooled = args.jobs > 1 and len(seeds) > 1
-        _warm_store(store, cells, args.jobs if pooled else 1)
-        if pooled:
-            with _pool(args.jobs, len(seeds), store, cells) as pool:
-                per_seed = dict(pool.map(_worker_seed, seeds))
-        else:
-            per_seed = {seed: run_evaluation(cfg, seed, store=store, cells=cells)
-                        for seed in seeds}
+        # The warm-up pools only when the seeds do.
+        _warm_store(store, cells, args.jobs if len(seeds) > 1 else 1)
+        per_seed = dict(zip(seeds, _run_tasks(_evaluate, list(seeds), args.jobs,
+                                              store, cells)))
         payload = results_payload(cfg, seeds, per_seed)
         with open(json_path, "w", encoding="utf-8") as fh:
             written.append(json_path)

@@ -225,6 +225,11 @@ class PreprocessConfig(Checked):
 _BLIND_PLACEHOLDERS = {"pre_s": 0.0, "post_s": 0.0, "align_peak": False}
 
 
+def _same(value, stored) -> bool:
+    """value equals stored, and is a bool exactly when stored is one."""
+    return value == stored and isinstance(value, bool) == isinstance(stored, bool)
+
+
 @dataclass(frozen=True)
 class SegmentationConfig(Checked):
     mode: str = field(default="beat", metadata={"choices": ("beat", "blind")})
@@ -243,6 +248,13 @@ class SegmentationConfig(Checked):
                 if getattr(self, bad) is not None:
                     raise InconsistentSettings(f"beat mode does not take {bad}")
             return
+        # A beat key not given keeps its beat default; store the placeholder.
+        defaults = {f.name: f.default for f in fields(self)}
+        for key, stored in _BLIND_PLACEHOLDERS.items():
+            value = getattr(self, key)
+            if not (_same(value, stored) or _same(value, defaults[key])):
+                raise InconsistentSettings(f"blind mode does not take {key}")
+            object.__setattr__(self, key, stored)
         window = 5.0 if self.window_s is None else self.window_s
         stride = window / 2.0 if self.stride_s is None else self.stride_s
         if not 0.0 < stride <= window:
@@ -469,8 +481,7 @@ def _read_segmentation(raw) -> SegmentationConfig:
     if not isinstance(raw, dict) or raw.get("mode") != "blind":
         return read_object(SegmentationConfig, raw, "segmentation")
     for key, stored in _BLIND_PLACEHOLDERS.items():
-        value = raw.get(key, stored)
-        if value != stored or isinstance(value, bool) != isinstance(stored, bool):
+        if not _same(raw.get(key, stored), stored):
             raise InconsistentSettings(f"blind mode does not take {key}")
     return read_object(SegmentationConfig, raw, "segmentation", **_BLIND_PLACEHOLDERS)
 

@@ -112,12 +112,13 @@ def pan_tompkins(x, fs: float) -> PeakList:
     # Python floats and ints: the same float64 arithmetic as numpy scalars,
     # without a numpy scalar per candidate. Every index the loop reads
     # (idx, best, accepted[-1]) is a candidate, so only candidates are kept.
+    # Candidates come in increasing order, so every rejected one precedes idx.
     cands = candidates.tolist()
     values = dict(zip(cands, integrated[candidates].tolist()))
     for idx in cands:
         if gap is not None and idx - accepted[-1] > gap and rejected:
             # Missed-beat search-back: best earlier candidate above half threshold.
-            window = [j for j in rejected if accepted[-1] + refr <= j < idx]
+            window = [j for j in rejected if j >= accepted[-1] + refr]
             if window:
                 best = max(window, key=values.__getitem__)
                 if values[best] > 0.5 * threshold:
@@ -141,7 +142,7 @@ def pan_tompkins(x, fs: float) -> PeakList:
             threshold = npki + 0.25 * (spki - npki)
             accepted.append(idx)
             gap = _searchback_gap(accepted)
-            rejected = [j for j in rejected if j > idx]
+            rejected.clear()
         else:
             npki = (1.0 - LEVEL_KEEP) * value + LEVEL_KEEP * npki
             threshold = npki + 0.25 * (spki - npki)

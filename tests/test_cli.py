@@ -595,7 +595,7 @@ def test_pools_get_no_more_workers_than_tasks(dataset, jobs1, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
+        def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
     monkeypatch.setattr(cli, "_WORKER_STATE", {})
@@ -607,6 +607,37 @@ def test_pools_get_no_more_workers_than_tasks(dataset, jobs1, monkeypatch):
     assert sizes == [8, 2]
     for name in ("results.json", "results.csv"):
         assert (out / name).read_bytes() == (jobs1 / name).read_bytes()
+    # One seed makes no pool: the warm-up and the seed run in this process.
+    one_seed = _config(dataset, "one_seed", seeds=[0])
+    for jobs in ("16", "1"):
+        out = dataset / f"one_seed_jobs{jobs}"
+        assert cli.main(["run", "--config", one_seed, "--out", str(out), "--jobs", jobs]) == 0
+    assert sizes == [8, 2]
+    for name in ("results.json", "results.csv"):
+        assert (dataset / "one_seed_jobs16" / name).read_bytes() == \
+            (dataset / "one_seed_jobs1" / name).read_bytes()
+
+
+def test_batched_pool_results_identical_to_jobs_1(tmp_path, monkeypatch):
+    # 16 subjects x 2 sessions give 32 sources, so at --jobs 2 the warm-up pool
+    # takes them in batches of 32 // (8 * 2) = 2; the 2 seeds go one by one.
+    spec = _write_json(tmp_path / "spec.json", dict(SPEC, n_subjects=16, duration_s=4.0))
+    assert cli.main(["synth", "--spec", spec, "--out", str(tmp_path / "data")]) == 0
+    config = _config(tmp_path, "cohort", regime="single_cross_session")
+    batches = []
+    pool_map = concurrent.futures.ProcessPoolExecutor.map
+
+    def recording_map(self, fn, *iterables, chunksize=1, **kwargs):
+        batches.append(chunksize)
+        return pool_map(self, fn, *iterables, chunksize=chunksize, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "map", recording_map)
+    for jobs in ("1", "2"):
+        out = str(tmp_path / f"jobs{jobs}")
+        assert cli.main(["run", "--config", config, "--out", out, "--jobs", jobs]) == 0
+    assert batches == [2, 1]
+    for name in ("results.json", "results.csv"):
+        assert (tmp_path / "jobs2" / name).read_bytes() == (tmp_path / "jobs1" / name).read_bytes()
 
 
 def test_no_satisfiable_cell_exits_1_at_jobs_2(dataset, capsys):

@@ -270,6 +270,19 @@ def test_blind_mode_takes_back_only_its_placeholders():
             validate_config(dict(base, segmentation=dict(blind, **{key: value})))
 
 
+def test_blind_config_built_directly_equals_the_one_read():
+    blind = {"mode": "blind", "window_s": 4.0, "stride_s": 4.0}
+    read = validate_config(dict(MINIMAL, segmentation=blind))
+    built = replace(read, segmentation=SegmentationConfig(**blind))
+    assert built == read and config_digest(built) == config_digest(read)
+    assert validate_config(built.to_dict()) == read
+    # A read blind config holds the placeholders, which a copy takes back.
+    assert replace(read.segmentation, window_s=8.0).pre_s == 0.0
+    for key, value in (("pre_s", 0.1), ("post_s", -1.0), ("align_peak", 0)):
+        with pytest.raises(InconsistentSettings, match=f"blind mode does not take {key}"):
+            SegmentationConfig(**blind, **{key: value})
+
+
 # Every section, with the branches that read most keys: a Savitzky-Golay
 # filter, an MLP with one op of each kind, custom_split and cross_session, and
 # an integer template_size.
