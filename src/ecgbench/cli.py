@@ -203,8 +203,7 @@ def cmd_run(args) -> int:
     try:
         index, recordings = load_dataset_from_config(cfg.dataset)
         for fs in sorted({meta.fs for meta in index.records}):
-            if cfg.preprocess.filter.kind not in dsp.WINDOW_KINDS:
-                dsp.design_filter(cfg.preprocess.filter, fs)
+            dsp.design_filter(cfg.preprocess.filter, fs)
             if cfg.segmentation.mode == "beat":
                 rpeak.check_rate(fs)
     except (EcgBenchError, OSError) as exc:

@@ -22,10 +22,12 @@ reads only the JSON shorthands: a dataset given as a path or without a kind, a
 regime's names x settings grid, and blind mode's placeholders for the beat keys.
 
 The sizes that set a run's memory and time (target_len, hidden_dim, epochs)
-are bounded by a budget for a desk-scale run, far above any size in use.
+are bounded by a budget for a desk-scale run, far above any size in use. An
+FIR's length depends on the record's fs too, so dsp.MAX_FIR_TAPS bounds it.
 
 The defaults reproduce the baseline pipeline: 0.5-40 Hz order-3 Butterworth
-band-pass, z-score normalization, beat segmentation 0.2 s before / 0.4 s after
+band-pass (of the three filter kinds, the others being an FIR band-pass and a
+notch), z-score normalization, beat segmentation 0.2 s before / 0.4 s after
 the R peak, cosine matching, mean template fusion over all beats, probe fusion
 of 3, five seeds.
 
@@ -57,9 +59,7 @@ PRESET_NAMES = ("fallacy30", "aging4", "ablation")  # synth.preset_spec
 METRIC_NAMES = ("cosine", "euclidean", "pearson")
 FUSION_NAMES = ("mean", "representative")
 AUGMENT_KINDS = ("amplitude_scale", "gaussian_noise", "time_shift", "random_crop")
-WINDOW_KINDS = ("moving_average", "median", "savitzky_golay")
-IIR_KINDS = ("butterworth_bandpass", "butterworth_highpass", "notch")
-FILTER_KINDS = IIR_KINDS + ("fir_bandpass",) + WINDOW_KINDS
+FILTER_KINDS = ("butterworth_bandpass", "fir_bandpass", "notch")
 
 
 def read_text(path: str) -> str:
@@ -148,44 +148,26 @@ class Checked:
 
 @dataclass(frozen=True)
 class FilterSpec(Checked):
-    """One filtering step of dsp.apply_filter. Only the parameters of ``kind``
-    are consulted.
-
-    phase_mode applies to the LTI kinds; the window kinds (moving_average,
-    median, savitzky_golay) are symmetric by construction and ignore it. A
-    highpass cuts at 0.5 Hz (the default low_hz) unless cut_hz is given, and a
-    Savitzky-Golay fit has poly_order 2 unless it is given.
+    """One filtering step of dsp.apply_filter: a Butterworth band-pass of
+    ``order`` (the default), a windowed-sinc FIR band-pass of ``transition_hz``,
+    or a notch at ``notch_hz`` of quality ``q``. Only the parameters of
+    ``kind`` are consulted. Each kind is applied with zero phase, the one
+    phase_mode.
     """
     kind: str = field(default="butterworth_bandpass", metadata={"choices": FILTER_KINDS})
-    phase_mode: str = field(default="zero_phase", metadata={"choices": ("zero_phase", "causal")})
+    phase_mode: str = field(default="zero_phase", metadata={"choices": ("zero_phase",)})
     order: int = field(default=3, metadata={"gt": 0})
     low_hz: float | None = field(default=0.5, metadata={"gt": 0})
     high_hz: float | None = field(default=40.0, metadata={"gt": 0})
-    cut_hz: float | None = field(default=None, metadata={"gt": 0})
     notch_hz: float | None = field(default=None, metadata={"gt": 0})
     q: float = field(default=30.0, metadata={"gt": 0})
-    window_len: int | None = field(default=None, metadata={"gt": 0})
-    poly_order: int | None = field(default=None, metadata={"ge": 0})
     transition_hz: float = field(default=2.0, metadata={"gt": 0})
 
     def _check(self):
-        kind, w = self.kind, self.window_len
-        if kind == "butterworth_highpass" and self.cut_hz is None:
-            object.__setattr__(self, "cut_hz", 0.5)
+        kind = self.kind
         if kind == "notch" and self.notch_hz is None:
             raise ConfigError("notch filter needs notch_hz")
-        if kind in WINDOW_KINDS:
-            if w is None:
-                raise ConfigError(f"{kind} filter needs window_len")
-            if w % 2 == 0:
-                raise ConfigError(f"{kind} window_len must be odd, got {w}")
-            if kind == "savitzky_golay":
-                if self.poly_order is None:
-                    object.__setattr__(self, "poly_order", 2)
-                if self.poly_order >= w:
-                    raise InconsistentSettings(
-                        f"poly_order {self.poly_order} must be < window_len {w}")
-        if kind.startswith("butterworth") and not 1 <= self.order <= 8:
+        if kind == "butterworth_bandpass" and not 1 <= self.order <= 8:
             raise ConfigError(f"filter.order must be in [1, 8] for {kind}, got {self.order}")
         if kind in ("butterworth_bandpass", "fir_bandpass"):
             if self.low_hz is None or self.high_hz is None or self.low_hz >= self.high_hz:

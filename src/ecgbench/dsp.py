@@ -1,17 +1,19 @@
 """Filtering, resampling, and normalization primitives plus the preprocessing orchestrator.
 
-IIR designs are built from the analog Butterworth prototype via the bilinear
-transform with frequency pre-warping and realized as second-order sections.
-Zero-phase application evaluates the squared magnitude response on the DFT
-grid (forward-backward filtering in circular convolution semantics), which
-keeps it exactly linear, length-preserving, and time-reversal symmetric.
+The three filter kinds: a Butterworth band-pass, built from the analog
+prototype via the bilinear transform with frequency pre-warping and realized
+as second-order sections; a Hamming-windowed sinc FIR band-pass; and an RBJ
+biquad notch. Each is applied with zero phase: the squared magnitude response
+on the DFT grid (forward-backward filtering in circular convolution
+semantics), which keeps it exactly linear, length-preserving, and
+time-reversal symmetric.
 
-scipy.signal is imported only by the Savitzky-Golay and causal branches of
-apply_filter, the only code that uses it, so the default pipeline never loads
+Every filter is built here from numpy alone; nothing in ecgbench imports
 scipy. A filter is a core.FilterSpec (core reads configs without this module),
-which checks its field and cross-field rules when it is built, so its kind and
-phase_mode are ones dsp knows. So dsp checks only what depends on fs or the
-signal: a band that fs cannot hold, a signal too short to filter.
+which checks its field and cross-field rules when it is built, so its kind is
+one dsp knows. So dsp checks only what depends on fs or the signal: a band
+that fs cannot hold, an FIR longer than MAX_FIR_TAPS, a signal too short to
+filter.
 """
 
 import functools
@@ -20,8 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WINDOW_KINDS, FilterSpec
-from .errors import BandOutOfRange, ConfigError, SignalTooShort, ZeroVariance
+from .core import FilterSpec
+from .errors import BandOutOfRange, ConfigError, FilterTooLong, SignalTooShort, ZeroVariance
+
+# Desk-scale budget of FIR taps (8 MB of float64), far above the ~825 taps of
+# a 2 Hz transition at 500 Hz.
+MAX_FIR_TAPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -45,14 +51,6 @@ class BiquadCascade:
     def is_stable(self) -> bool:
         return all(s.is_stable() for s in self.sections)
 
-    def sos(self) -> np.ndarray:
-        """scipy-style (n, 6) array; the overall gain is folded into section 0."""
-        rows = np.array(
-            [[s.b0, s.b1, s.b2, 1.0, s.a1, s.a2] for s in self.sections], dtype=float
-        )
-        rows[0, :3] *= self.gain
-        return rows
-
     def response(self, freqs, fs: float) -> np.ndarray:
         """Complex frequency response at the given frequencies in Hz."""
         z1 = np.exp(-2j * np.pi * np.asarray(freqs, dtype=float) / fs)
@@ -75,74 +73,46 @@ def _bilinear(poles_s, fs: float) -> list[complex]:
     return [(k + s) / (k - s) for s in poles_s]
 
 
-def _pair_into_sections(zpoles, numerator) -> list[Biquad]:
-    """Group digital poles into real-coefficient biquads with the given numerator."""
-    b0, b1, b2 = numerator
+def _pair_into_sections(zpoles) -> list[Biquad]:
+    """Group digital band-pass poles into real-coefficient biquads, each with
+    one zero at z=+1 and one at z=-1.
+
+    The band transform turns each prototype pole into two poles, a conjugate
+    pair or two real ones, so the real poles pair up with none left over.
+    """
     tol = 1e-10
     complex_poles = [z for z in zpoles if z.imag > tol]
     real_poles = sorted(z.real for z in zpoles if abs(z.imag) <= tol)
     sections = [
-        Biquad(b0, b1, b2, -2.0 * z.real, abs(z) ** 2) for z in complex_poles
+        Biquad(1.0, 0.0, -1.0, -2.0 * z.real, abs(z) ** 2) for z in complex_poles
     ]
     for ra, rb in zip(real_poles[0::2], real_poles[1::2]):
-        sections.append(Biquad(b0, b1, b2, -(ra + rb), ra * rb))
-    if len(real_poles) % 2 == 1:
-        # First-order leftover: drop the z^-2 terms.
-        r = real_poles[-1]
-        sections.append(Biquad(b0, b1, 0.0, -r, 0.0))
+        sections.append(Biquad(1.0, 0.0, -1.0, -(ra + rb), ra * rb))
     return sections
 
 
-def design_butterworth(
-    order: int,
-    fs: float,
-    low_hz: float | None = None,
-    high_hz: float | None = None,
-    cut_hz: float | None = None,
-) -> BiquadCascade:
-    """Butterworth band-pass (low_hz..high_hz) or high-pass (cut_hz) cascade.
+def design_butterworth(order: int, fs: float, low_hz: float, high_hz: float) -> BiquadCascade:
+    """Butterworth band-pass (low_hz..high_hz) cascade of ``order`` sections.
 
     Analog prototype poles are mapped with the band transform, then the
-    bilinear transform with pre-warped edges. Band-pass gain is normalized to
-    exactly 1 at the geometric band center; high-pass at the Nyquist frequency.
+    bilinear transform with pre-warped edges. The gain is normalized to
+    exactly 1 at the geometric band center.
     """
     if not 1 <= order <= 8:
         raise ValueError(f"order must be in [1, 8], got {order}")
     nyq = fs / 2.0
+    if not 0.0 < low_hz < high_hz < nyq:
+        raise BandOutOfRange(f"band {low_hz}-{high_hz} Hz outside (0, {nyq}) Hz")
     warp = lambda f: 2.0 * fs * math.tan(math.pi * f / fs)
-    proto = _prototype_poles(order)
-
-    if cut_hz is not None:
-        if not 0.0 < cut_hz < nyq:
-            raise BandOutOfRange(f"cut {cut_hz} Hz outside (0, {nyq}) Hz")
-        w0 = warp(cut_hz)
-        poles_s = [w0 / p for p in proto]
-        zpoles = _bilinear(poles_s, fs)
-        # One zero at DC (z = +1) per pole; first-order leftovers handled below.
-        sections = _pair_into_sections(zpoles, (1.0, -2.0, 1.0))
-        sections = [
-            Biquad(1.0, -1.0, 0.0, s.a1, s.a2) if s.b2 == 0.0 else s for s in sections
-        ]
-        ref_hz = nyq
-    else:
-        if low_hz is None or high_hz is None:
-            raise ValueError("bandpass needs low_hz and high_hz")
-        if not 0.0 < low_hz < high_hz < nyq:
-            raise BandOutOfRange(f"band {low_hz}-{high_hz} Hz outside (0, {nyq}) Hz")
-        w1, w2 = warp(low_hz), warp(high_hz)
-        w0sq, bw = w1 * w2, w2 - w1
-        poles_s = []
-        for p in proto:
-            half = p * bw / 2.0
-            disc = np.sqrt(half * half - w0sq + 0j)
-            poles_s.extend([half + disc, half - disc])
-        zpoles = _bilinear(poles_s, fs)
-        # Each of the `order` sections carries one zero at z=+1 and one at z=-1.
-        sections = _pair_into_sections(zpoles, (1.0, 0.0, -1.0))
-        ref_hz = math.sqrt(low_hz * high_hz)
-
-    cascade = BiquadCascade(tuple(sections), gain=1.0)
-    ref = abs(cascade.response([ref_hz], fs)[0])
+    w1, w2 = warp(low_hz), warp(high_hz)
+    w0sq, bw = w1 * w2, w2 - w1
+    poles_s = []
+    for p in _prototype_poles(order):
+        half = p * bw / 2.0
+        disc = np.sqrt(half * half - w0sq + 0j)
+        poles_s.extend([half + disc, half - disc])
+    cascade = BiquadCascade(tuple(_pair_into_sections(_bilinear(poles_s, fs))))
+    ref = abs(cascade.response([math.sqrt(low_hz * high_hz)], fs)[0])
     if ref == 0.0:
         raise BandOutOfRange("degenerate design: zero response at reference frequency")
     cascade = BiquadCascade(cascade.sections, gain=1.0 / ref)
@@ -168,10 +138,18 @@ def design_notch(notch_hz: float, q: float, fs: float) -> BiquadCascade:
 def design_fir_bandpass(
     low_hz: float, high_hz: float, fs: float, transition_hz: float = 2.0
 ) -> np.ndarray:
-    """Hamming-windowed sinc band-pass taps, odd length round(3.3 fs / transition)."""
+    """Hamming-windowed sinc band-pass taps, odd length round(3.3 fs / transition).
+
+    FilterTooLong names a length past MAX_FIR_TAPS, checked before any array
+    is made.
+    """
     if not 0.0 < low_hz < high_hz < fs / 2.0:
         raise BandOutOfRange(f"band {low_hz}-{high_hz} Hz outside (0, {fs / 2}) Hz")
-    n = int(round(3.3 * fs / transition_hz))
+    length = 3.3 * fs / transition_hz
+    if not length <= MAX_FIR_TAPS:
+        raise FilterTooLong(f"fir_bandpass of transition_hz {transition_hz} at {fs} Hz "
+                            f"needs {length:.3g} taps, past the budget of {MAX_FIR_TAPS}")
+    n = int(round(length))
     if n % 2 == 0:
         n += 1
     m = (n - 1) // 2
@@ -186,8 +164,9 @@ def design_fir_bandpass(
 
 @functools.cache
 def design_filter(spec: FilterSpec, fs: float):
-    """The design of an LTI spec at fs: (cascade or None, taps or None, effective
-    filter length). BandOutOfRange names a band that fs cannot hold.
+    """The design of a spec at fs: (cascade or None, taps or None, effective
+    filter length). BandOutOfRange names a band that fs cannot hold, and
+    FilterTooLong an FIR past MAX_FIR_TAPS.
 
     Each (spec, fs) is designed once and shared, so FIR taps are read-only. A
     design that raises is not kept, so it raises again.
@@ -195,9 +174,6 @@ def design_filter(spec: FilterSpec, fs: float):
     if spec.kind == "butterworth_bandpass":
         casc = design_butterworth(spec.order, fs, low_hz=spec.low_hz, high_hz=spec.high_hz)
         return casc, None, 4 * spec.order + 1
-    if spec.kind == "butterworth_highpass":
-        casc = design_butterworth(spec.order, fs, cut_hz=spec.cut_hz)
-        return casc, None, 2 * spec.order + 1
     if spec.kind == "notch":
         return design_notch(spec.notch_hz, spec.q, fs), None, 3
     taps = design_fir_bandpass(spec.low_hz, spec.high_hz, fs, spec.transition_hz)
@@ -207,7 +183,7 @@ def design_filter(spec: FilterSpec, fs: float):
 
 @functools.lru_cache(maxsize=2)
 def _zero_phase_gain(spec: FilterSpec, n: int, fs: float) -> np.ndarray:
-    """|H|^2 of an LTI spec on the rfft grid of an n-sample signal.
+    """|H|^2 of a spec on the rfft grid of an n-sample signal.
 
     Preprocessing and the detector's band-pass alternate on records of one
     length, so two entries serve both. The array is read-only because every
@@ -224,44 +200,15 @@ def _zero_phase_gain(spec: FilterSpec, n: int, fs: float) -> np.ndarray:
 
 
 def apply_filter(spec: FilterSpec, x, fs: float) -> np.ndarray:
-    """Apply one filter; output has the same length as the input.
-
-    moving_average / median / savitzky_golay use symmetric windows (replicate
-    padding for the first two, polynomial-fit edges for Savitzky-Golay so that
-    low-order polynomials are reproduced exactly).
-    """
+    """Apply one filter with zero phase; output has the same length as the input."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("apply_filter expects a 1-D signal")
-
-    if spec.kind in WINDOW_KINDS:
-        w = spec.window_len
-        if len(x) < w:
-            raise SignalTooShort(f"signal of {len(x)} samples shorter than window {w}")
-        if spec.kind == "savitzky_golay":
-            import scipy.signal
-
-            return scipy.signal.savgol_filter(x, w, spec.poly_order, mode="interp")
-        half = w // 2
-        padded = np.pad(x, half, mode="edge")
-        if spec.kind == "median":
-            frames = np.lib.stride_tricks.sliding_window_view(padded, w)
-            return np.median(frames, axis=1)
-        return np.convolve(padded, np.ones(w) / w, mode="valid")
-
-    cascade, taps, flen = design_filter(spec, fs)
-    if spec.phase_mode == "zero_phase":
-        if len(x) <= 3 * flen:
-            raise SignalTooShort(
-                f"zero_phase needs more than {3 * flen} samples, got {len(x)}"
-            )
-        gain = _zero_phase_gain(spec, len(x), fs)
-        return np.fft.irfft(np.fft.rfft(x) * gain, n=len(x))
-    import scipy.signal  # causal
-
-    if cascade is not None:
-        return scipy.signal.sosfilt(cascade.sos(), x)
-    return scipy.signal.lfilter(taps, [1.0], x)
+    _, _, flen = design_filter(spec, fs)
+    if len(x) <= 3 * flen:
+        raise SignalTooShort(f"zero_phase needs more than {3 * flen} samples, got {len(x)}")
+    gain = _zero_phase_gain(spec, len(x), fs)
+    return np.fft.irfft(np.fft.rfft(x) * gain, n=len(x))
 
 
 def resample_fourier(x, target_len: int) -> np.ndarray:

@@ -74,6 +74,10 @@ class SignalTooShort(EcgBenchError):
     """Signal shorter than the filter needs."""
 
 
+class FilterTooLong(EcgBenchError):
+    """FIR design longer than a desk-scale run holds."""
+
+
 class ZeroVariance(EcgBenchError):
     """Constant segment cannot be normalized."""
 

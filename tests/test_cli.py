@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from ecgbench import cli, ingest, regimes, synth
+from ecgbench import cli, dsp, ingest, regimes, synth
 from ecgbench.core import METRIC_FIELDS, validate_config
 from ecgbench.errors import RangeOutOfBounds
 from ecgbench.ingest import load_record
@@ -133,7 +133,9 @@ def test_report_on_malformed_results_exits_2(tmp_path, capsys, payload):
     {"embedder": {"kind": "mlp", "augment": {
         "multiplier": 1, "ops": [{"kind": "amplitude_scale", "scale_low": "x"}]}}},
     {"embedder": {"kind": "mlp", "augment": {"multiplier": 1, "ops": 5}}},
-    {"preprocess": {"filter": {"kind": "savitzky_golay", "window_len": 9, "poly_order": -1}}},
+    {"preprocess": {"filter": {"kind": "median", "window_len": 5}}},
+    {"preprocess": {"filter": {"phase_mode": "causal"}}},
+    {"preprocess": {"filter": {"cut_hz": 0.5}}},
     {"preprocess": {"filter": {"low_hz": float("nan")}}},
     {"regime": {"names": []}},
     NOT_UTF8,
@@ -145,7 +147,8 @@ def test_report_on_malformed_results_exits_2(tmp_path, capsys, payload):
 ], ids=["target_len_1", "mlp_target_len_7", "unknown_key", "unknown_nested_key",
         "blind_overlap_single_session", "unknown_preset", "filter_order_9",
         "cross_session_one_session", "session_not_a_string", "scale_low_not_a_number",
-        "ops_not_a_list", "negative_poly_order", "nan_low_hz", "no_names", "not_utf8",
+        "ops_not_a_list", "deleted_filter_kind", "deleted_phase_mode",
+        "deleted_filter_key", "nan_low_hz", "no_names", "not_utf8",
         "not_json", "integer_past_the_digit_limit", "target_len_huge", "hidden_dim_huge",
         "epochs_huge"])
 def test_bad_config_exits_2(dataset, capsys, overrides):
@@ -365,6 +368,34 @@ def test_bad_dataset_exits_2_without_output(dataset, tmp_path, capsys, jobs, cas
     err = _assert_clean_failure(capsys, code, 2)
     assert err.startswith(f"ecgbench: error: dataset: {error.format(tmp=tmp_path)}")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("transition_hz, rate", [
+    (1e-300, None), (5e-324, None), (None, None), (2.0, 1e300),
+], ids=["transition_hz_1e-300", "transition_hz_denormal", "one_tap_past_the_budget",
+        "fs_huge"])
+def test_fir_past_the_tap_budget_exits_2_without_output(dataset, tmp_path, capsys,
+                                                        transition_hz, rate):
+    # Unchecked, np.arange(round(3.3 fs / transition_hz)) raised a ValueError
+    # with a traceback; the length is checked before any array is made.
+    manifest = json.loads((dataset / "data" / "manifest.json").read_text())
+    rate = float(rate or manifest["records"][0]["fs"])
+    for record in manifest["records"]:
+        record["path"] = str(dataset / "data" / record["path"])
+        record["fs"] = rate
+    if transition_hz is None:
+        transition_hz = 3.3 * rate / (dsp.MAX_FIR_TAPS + 1)
+    config = _write_json(tmp_path / "config.json", {
+        "dataset": _write_json(tmp_path / "manifest.json", manifest), "regime": REGIMES,
+        "seeds": [0], "preprocess": {"filter": {"kind": "fir_bandpass",
+                                                "transition_hz": transition_hz}}})
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", config, "--out", str(out)])
+    assert _assert_clean_failure(capsys, code, 2) == (
+        f"ecgbench: error: dataset: FilterTooLong: fir_bandpass of transition_hz "
+        f"{transition_hz} at {rate} Hz needs {3.3 * rate / transition_hz:.3g} taps, "
+        f"past the budget of {dsp.MAX_FIR_TAPS}\n")
     assert not out.exists()
 
 

@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ecgbench import dsp
 from ecgbench.core import (
     AUGMENT_KINDS,
     FILTER_KINDS,
@@ -177,16 +176,12 @@ _PINNED_CONFIGS = {
     "minimal": (
         {"dataset": _SYN, "regime": "single_session"},
         "3c4ca9965f7777da39c6dd17f7f9fa7762ddf5de588bd0006b798f6ed739a788"),
-    "butterworth_causal": (
+    "butterworth_minmax": (
         {"dataset": _SYN, "regime": "single_session",
-         "preprocess": {"filter": {"kind": "butterworth_bandpass", "phase_mode": "causal",
+         "preprocess": {"filter": {"kind": "butterworth_bandpass",
                                    "order": 4, "low_hz": 1.0, "high_hz": 35.0},
                         "normalization": "minmax", "target_len": 64}},
-        "1cea263e4c7c82cde1a9c63f163786af158d1c43d48e76d7d26ee44971db433c"),
-    "highpass": (
-        {"dataset": _SYN, "regime": "single_session",
-         "preprocess": {"filter": {"kind": "butterworth_highpass"}}},
-        "efd347f9bebfbeca3b98f789a357599f4c8bf28a0caa0a63cbf662125fabcb67"),
+        "35418fcdda77e5daf560290fbda8f6f55815bc4cf0119f79bd32d3862b4379a9"),
     "notch": (
         {"dataset": _SYN, "regime": "single_session",
          "preprocess": {"filter": {"kind": "notch", "notch_hz": 50.0, "q": 25.0}}},
@@ -195,19 +190,6 @@ _PINNED_CONFIGS = {
         {"dataset": _SYN, "regime": "single_session",
          "preprocess": {"filter": {"kind": "fir_bandpass", "transition_hz": 1.5}}},
         "7daeb5b3fa253f92defb52aa4be30e99dda29c787cbb571ce256a5d703435ca1"),
-    "moving_average": (
-        {"dataset": _SYN, "regime": "single_session",
-         "preprocess": {"filter": {"kind": "moving_average", "window_len": 5}}},
-        "8c3d1ae74aaf92c7bf9017fdc7627fcb593de3f1a15357ddad14fbabe295da87"),
-    "median": (
-        {"dataset": _SYN, "regime": "single_session",
-         "preprocess": {"filter": {"kind": "median", "window_len": 7}}},
-        "e6101eaed9b3a720917e538ea1d039b6b235db623a6fe36940759cfcface6caf"),
-    "savitzky_golay": (
-        {"dataset": _SYN, "regime": "single_session",
-         "preprocess": {"filter": {"kind": "savitzky_golay", "window_len": 9,
-                                   "poly_order": 3}}},
-        "48706f03216caaff5a2f63e3e311a5c02bd6282e3500b30154cc51d248af5a71"),
     "blind": (
         {"dataset": "data/manifest.json", "regime": "single_cross_session",
          "segmentation": {"mode": "blind", "window_s": 4.0, "stride_s": 1.0}},
@@ -283,12 +265,12 @@ def test_blind_config_built_directly_equals_the_one_read():
             SegmentationConfig(**blind, **{key: value})
 
 
-# Every section, with the branches that read most keys: a Savitzky-Golay
-# filter, an MLP with one op of each kind, custom_split and cross_session, and
-# an integer template_size.
+# Every section, with the branches that read most keys: a notch filter, an
+# MLP with one op of each kind, custom_split and cross_session, and an integer
+# template_size.
 _EVERY_SECTION = {
     "dataset": _SYN,
-    "preprocess": {"filter": {"kind": "savitzky_golay", "window_len": 9, "poly_order": 3}},
+    "preprocess": {"filter": {"kind": "notch", "notch_hz": 50.0, "q": 25.0}},
     "embedder": {"kind": "mlp", "augment": {"multiplier": 2, "ops": [
         {"kind": kind} for kind in ("amplitude_scale", "gaussian_noise", "time_shift",
                                     "random_crop")]}},
@@ -336,15 +318,6 @@ def test_every_wrong_leaf_is_accepted_or_a_named_error():
 # type directly raises what reading it from a config raises.
 _BASE = validate_config(MINIMAL)
 _RULES = {
-    "even_window": (
-        lambda: FilterSpec(kind="median", window_len=4),
-        {"preprocess": {"filter": {"kind": "median", "window_len": 4}}},
-        ConfigError, "median window_len must be odd, got 4"),
-    "poly_order_past_window": (
-        lambda: FilterSpec(kind="savitzky_golay", window_len=5, poly_order=7),
-        {"preprocess": {"filter": {"kind": "savitzky_golay", "window_len": 5,
-                                   "poly_order": 7}}},
-        InconsistentSettings, "poly_order 7 must be < window_len 5"),
     "inverted_band": (
         lambda: FilterSpec(low_hz=40.0, high_hz=0.5),
         {"preprocess": {"filter": {"low_hz": 40.0, "high_hz": 0.5}}},
@@ -354,9 +327,9 @@ _RULES = {
         {"preprocess": {"filter": {"kind": "notch"}}},
         ConfigError, "notch filter needs notch_hz"),
     "butterworth_order_9": (
-        lambda: FilterSpec(kind="butterworth_highpass", order=9),
-        {"preprocess": {"filter": {"kind": "butterworth_highpass", "order": 9}}},
-        ConfigError, "filter.order must be in [1, 8] for butterworth_highpass, got 9"),
+        lambda: FilterSpec(kind="butterworth_bandpass", order=9),
+        {"preprocess": {"filter": {"kind": "butterworth_bandpass", "order": 9}}},
+        ConfigError, "filter.order must be in [1, 8] for butterworth_bandpass, got 9"),
     "cross_session_without_sessions": (
         lambda: RegimeCell("cross_session"),
         {"regime": "cross_session"},
@@ -423,27 +396,6 @@ def test_each_type_checks_its_rules_when_built_directly(name):
         assert type(caught.value) is error
 
 
-def test_kind_defaults_fill_alike_built_directly_or_read():
-    # A highpass without cut_hz cuts at 0.5 Hz, however it was built, so one
-    # spec designs one cascade.
-    direct = FilterSpec(kind="butterworth_highpass", low_hz=1.0, high_hz=None)
-    assert direct.cut_hz == 0.5
-    read = validate_config(dict(MINIMAL, preprocess={"filter": {
-        "kind": "butterworth_highpass", "low_hz": 1.0}})).preprocess.filter
-    assert read.cut_hz == 0.5
-    for fs in (250.0, 500.0):
-        assert dsp.design_filter(direct, fs) == dsp.design_filter(read, fs)
-    assert FilterSpec(kind="savitzky_golay", window_len=5).poly_order == 2
-
-
-def test_window_below_one_sample_rejected_when_built_directly():
-    # window_len's bound rejects it, built directly or read from a config.
-    with pytest.raises(ConfigError,
-                       match=r"^FilterSpec\.window_len must be greater than 0, got -1$"):
-        FilterSpec(kind="median", window_len=-1)
-
-
-
 # Each field's rule (its choices, its bounds) holds however its type is built:
 # built directly, the error names Type.field; read from a config or a manifest,
 # it names the value's JSON path.
@@ -457,7 +409,7 @@ _FIELD_RULES = {
         lambda: FilterSpec(phase_mode="acausal"),
         {"preprocess": {"filter": {"phase_mode": "acausal"}}},
         "FilterSpec.phase_mode", "preprocess.filter.phase_mode",
-        "must be one of zero_phase, causal, got 'acausal'"),
+        "must be one of zero_phase, got 'acausal'"),
     "cell_setting": (
         lambda: RegimeCell("single_session", setting="sideways"),
         {"regime": {"name": "single_session", "setting": "sideways"}},

@@ -41,3 +41,20 @@ def unreachable_definitions(src=SRC, bench=BENCH) -> list:
 def test_every_package_definition_is_reached_from_the_package_or_the_bench():
     assert SRC and BENCH
     assert unreachable_definitions() == []
+
+
+def test_no_package_module_imports_scipy():
+    # An AST walk sees an import inside a function too, which an import-time
+    # check of sys.modules would not.
+    found = []
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.stem}:{node.lineno}" for module in modules
+                      if module.split(".")[0] == "scipy"]
+    assert SRC and found == []
