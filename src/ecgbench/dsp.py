@@ -112,13 +112,14 @@ def design_butterworth(order: int, fs: float, low_hz: float, high_hz: float) -> 
         disc = np.sqrt(half * half - w0sq + 0j)
         poles_s.extend([half + disc, half - disc])
     cascade = BiquadCascade(tuple(_pair_into_sections(_bilinear(poles_s, fs))))
+    # Checked before the reference response, which an unstable design can
+    # overflow; the gain does not change stability.
+    if not cascade.is_stable():
+        raise BandOutOfRange("design produced an unstable section (band too extreme)")
     ref = abs(cascade.response([math.sqrt(low_hz * high_hz)], fs)[0])
     if ref == 0.0:
         raise BandOutOfRange("degenerate design: zero response at reference frequency")
-    cascade = BiquadCascade(cascade.sections, gain=1.0 / ref)
-    if not cascade.is_stable():
-        raise BandOutOfRange("design produced an unstable section (band too extreme)")
-    return cascade
+    return BiquadCascade(cascade.sections, gain=1.0 / ref)
 
 
 def design_notch(notch_hz: float, q: float, fs: float) -> BiquadCascade:

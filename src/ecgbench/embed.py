@@ -3,8 +3,11 @@
 The MLP is one rectified hidden layer trained as a multi-class subject
 classifier with plain mini-batch gradient descent on softmax cross-entropy;
 after training the classification head is discarded and the hidden activation
-serves as the embedding. Backpropagation is written out by hand; the tests
-check it against central finite differences.
+serves as the embedding. Backpropagation is written out by hand, once:
+_FlatMlp.loss_and_grads is the only forward and backward pass, the one that
+training runs and the one the tests check against central finite differences.
+It trains in place, in reused buffers, with the array operations of a step
+that allocates each intermediate, so the bits are that step's.
 """
 
 from dataclasses import dataclass
@@ -58,11 +61,13 @@ class MlpModel:
                     "non-finite model parameters (did training diverge?)")
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction for numerical stability."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax(logits: np.ndarray, out=None) -> np.ndarray:
+    """Row-wise softmax with max subtraction for numerical stability, written
+    into out when given (out may be logits itself)."""
+    out = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, axis=-1, keepdims=True)
+    return out
 
 
 def mlp_init(input_dim: int, hidden_dim: int, n_classes: int,
@@ -73,30 +78,61 @@ def mlp_init(input_dim: int, hidden_dim: int, n_classes: int,
     return MlpModel(w1=w1, b1=np.zeros(hidden_dim), w2=w2, b2=np.zeros(n_classes))
 
 
-def _forward(params, x: np.ndarray):
-    """Pre-activation, hidden activation and logits for params (w1, b1, w2, b2)."""
-    w1, b1, w2, b2 = params
-    z1 = x @ w1.T + b1
-    hidden = np.maximum(z1, 0.0)
-    logits = hidden @ w2.T + b2
-    return z1, hidden, logits
+def _split_like(flat: np.ndarray, arrays) -> tuple:
+    """Views of consecutive slices of flat, one shaped like each array."""
+    parts = np.split(flat, np.cumsum([a.size for a in arrays])[:-1])
+    return tuple(part.reshape(a.shape) for part, a in zip(parts, arrays))
 
 
-def _loss_and_grads(params, x: np.ndarray, labels: np.ndarray):
-    """Mean softmax cross-entropy over the batch plus hand-written gradients."""
-    n = len(x)
-    z1, hidden, logits = _forward(params, x)
-    probs = softmax(logits)
-    loss = float(-np.mean(np.log(probs[np.arange(n), labels] + 1e-300)))
-    delta2 = probs
-    delta2[np.arange(n), labels] -= 1.0
-    delta2 /= n
-    gw2 = delta2.T @ hidden
-    gb2 = delta2.sum(axis=0)
-    delta1 = (delta2 @ params[2]) * (z1 > 0.0)
-    gw1 = delta1.T @ x
-    gb1 = delta1.sum(axis=0)
-    return loss, (gw1, gb1, gw2, gb2)
+class _FlatMlp:
+    """The MLP under training: w1, b1, w2, b2 are views of one flat vector and
+    their gradients views of a second, so one update is two whole-vector
+    operations. The step writes into buffers kept per batch length (the last
+    batch of an epoch is shorter) and allocates no layer-sized array."""
+
+    def __init__(self, params):
+        self.flat = np.concatenate([p.reshape(-1) for p in params])
+        self.grad = np.empty_like(self.flat)
+        self.params = _split_like(self.flat, params)
+        self.grads = _split_like(self.grad, params)
+        self._buffers = {}
+
+    def _buffers_for(self, n: int) -> tuple:
+        if n not in self._buffers:
+            hidden_dim, n_classes = self.params[1].size, self.params[3].size
+            self._buffers[n] = (
+                np.empty((n, hidden_dim)), np.empty((n, hidden_dim)),
+                np.empty((n, hidden_dim), dtype=bool), np.empty((n, n_classes)),
+                np.empty((n, hidden_dim)), np.arange(n))
+        return self._buffers[n]
+
+    def loss_and_grads(self, x: np.ndarray, labels: np.ndarray) -> float:
+        """Mean softmax cross-entropy over the batch; writes the hand-written
+        gradients into self.grad."""
+        n = len(x)
+        w1, b1, w2, b2 = self.params
+        gw1, gb1, gw2, gb2 = self.grads
+        # delta2 holds the logits, then the probabilities, then their gradient.
+        z1, hidden, active, delta2, delta1, rows = self._buffers_for(n)
+        np.add(np.matmul(x, w1.T, out=z1), b1, out=z1)
+        np.maximum(z1, 0.0, out=hidden)
+        np.add(np.matmul(hidden, w2.T, out=delta2), b2, out=delta2)
+        softmax(delta2, out=delta2)
+        picked = delta2[rows, labels]
+        loss = float(-np.mean(np.log(picked + 1e-300)))
+        delta2[rows, labels] = picked - 1.0
+        delta2 /= n
+        np.matmul(delta2.T, hidden, out=gw2)
+        np.add.reduce(delta2, axis=0, out=gb2)
+        np.greater(z1, 0.0, out=active)
+        np.multiply(np.matmul(delta2, w2, out=delta1), active, out=delta1)
+        np.matmul(delta1.T, x, out=gw1)
+        np.add.reduce(delta1, axis=0, out=gb1)
+        return loss
+
+    def model(self) -> MlpModel:
+        """The current parameters, copied into a model that owns them."""
+        return MlpModel(*(p.copy() for p in self.params))
 
 
 def mlp_train(x, labels, hidden_dim: int = 64, lr: float = 0.05,
@@ -118,7 +154,7 @@ def mlp_train(x, labels, hidden_dim: int = 64, lr: float = 0.05,
     if low != 0 or high >= len(labels) or not np.bincount(labels).all():
         raise ValueError("labels must be 0..C-1")
     rng = np.random.default_rng(seed)
-    w1, b1, w2, b2 = mlp_init(x.shape[1], hidden_dim, int(high) + 1, rng).params
+    net = _FlatMlp(mlp_init(x.shape[1], hidden_dim, int(high) + 1, rng).params)
     losses = []
     # A diverging run overflows to inf and nan; MlpModel rejects those below.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -127,15 +163,11 @@ def mlp_train(x, labels, hidden_dim: int = 64, lr: float = 0.05,
             batch_losses = []
             for start in range(0, len(x), batch):
                 sel = order[start: start + batch]
-                loss, (gw1, gb1, gw2, gb2) = _loss_and_grads(
-                    (w1, b1, w2, b2), x[sel], labels[sel])
-                batch_losses.append(loss)
-                w1 = w1 - lr * gw1
-                b1 = b1 - lr * gb1
-                w2 = w2 - lr * gw2
-                b2 = b2 - lr * gb2
+                batch_losses.append(net.loss_and_grads(x[sel], labels[sel]))
+                np.multiply(net.grad, lr, out=net.grad)
+                np.subtract(net.flat, net.grad, out=net.flat)
             losses.append(float(np.mean(batch_losses)))
-    return MlpModel(w1=w1, b1=b1, w2=w2, b2=b2), losses
+    return net.model(), losses
 
 
 def mlp_embed(model: MlpModel, samples) -> np.ndarray:

@@ -3,7 +3,9 @@
 Everything here is deliberately naive (threshold enumeration, pairwise loops,
 direct transfer-function evaluation) and shares no code path with the package
 implementations it checks, except morphology_embed: the one-segment form of
-embed.morphology_features, which tests use to embed single beats.
+embed.morphology_features, which tests use to embed single beats, and
+mlp_train_per_step, which starts from embed's mlp_init and returns an
+embed.MlpModel.
 """
 
 import cmath
@@ -12,8 +14,8 @@ import statistics
 import numpy as np
 
 from ecgbench.dsp import FilterSpec, apply_filter
-from ecgbench.embed import morphology_features
-from ecgbench.errors import ZeroVariance
+from ecgbench.embed import MlpModel, mlp_init, morphology_features
+from ecgbench.errors import DimensionMismatch, SingleClass, ZeroVariance
 from ecgbench.synth import R_FRACTION, RR_JITTER
 
 
@@ -244,3 +246,79 @@ def pan_tompkins_per_candidate(x, fs):
         if idx - final[-1] >= refr:
             final.append(idx)
     return final, fired
+
+
+# The MLP's reference step: a fresh array for every intermediate and eight
+# separate parameter updates. embed trains in place and must match it bit for
+# bit.
+
+def softmax_per_step(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax with max subtraction for numerical stability."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _forward_per_step(params, x: np.ndarray):
+    """Pre-activation, hidden activation and logits for params (w1, b1, w2, b2)."""
+    w1, b1, w2, b2 = params
+    z1 = x @ w1.T + b1
+    hidden = np.maximum(z1, 0.0)
+    logits = hidden @ w2.T + b2
+    return z1, hidden, logits
+
+
+def _loss_and_grads_per_step(params, x: np.ndarray, labels: np.ndarray):
+    """Mean softmax cross-entropy over the batch plus hand-written gradients."""
+    n = len(x)
+    z1, hidden, logits = _forward_per_step(params, x)
+    probs = softmax_per_step(logits)
+    loss = float(-np.mean(np.log(probs[np.arange(n), labels] + 1e-300)))
+    delta2 = probs
+    delta2[np.arange(n), labels] -= 1.0
+    delta2 /= n
+    gw2 = delta2.T @ hidden
+    gb2 = delta2.sum(axis=0)
+    delta1 = (delta2 @ params[2]) * (z1 > 0.0)
+    gw1 = delta1.T @ x
+    gb1 = delta1.sum(axis=0)
+    return loss, (gw1, gb1, gw2, gb2)
+
+
+def mlp_train_per_step(x, labels, hidden_dim: int = 64, lr: float = 0.05,
+                       epochs: int = 150, batch: int = 64, seed: int = 0):
+    """Train the classifier; returns (model, per-epoch mean batch loss).
+
+    Deterministic: fixed (data, hyperparameters, seed) gives a bit-identical
+    model. epochs=0 returns the He-initialized model untouched. The model is
+    built, and its parameters checked finite, once, after the last step.
+    """
+    x = np.asarray(x, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    if x.ndim != 2 or len(x) != len(labels):
+        raise DimensionMismatch("x must be (n, d) with one label per row")
+    # Checked by range and count, not np.unique, which imports numpy.ma.
+    low, high = (labels.min(), labels.max()) if len(labels) else (0, 0)
+    if low == high:
+        raise SingleClass("training needs at least two classes")
+    if low != 0 or high >= len(labels) or not np.bincount(labels).all():
+        raise ValueError("labels must be 0..C-1")
+    rng = np.random.default_rng(seed)
+    w1, b1, w2, b2 = mlp_init(x.shape[1], hidden_dim, int(high) + 1, rng).params
+    losses = []
+    # A diverging run overflows to inf and nan; MlpModel rejects those below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            order = rng.permutation(len(x))
+            batch_losses = []
+            for start in range(0, len(x), batch):
+                sel = order[start: start + batch]
+                loss, (gw1, gb1, gw2, gb2) = _loss_and_grads_per_step(
+                    (w1, b1, w2, b2), x[sel], labels[sel])
+                batch_losses.append(loss)
+                w1 = w1 - lr * gw1
+                b1 = b1 - lr * gb1
+                w2 = w2 - lr * gw2
+                b2 = b2 - lr * gb2
+            losses.append(float(np.mean(batch_losses)))
+    return MlpModel(w1=w1, b1=b1, w2=w2, b2=b2), losses

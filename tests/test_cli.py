@@ -399,6 +399,27 @@ def test_fir_past_the_tap_budget_exits_2_without_output(dataset, tmp_path, capsy
     assert not out.exists()
 
 
+def test_unstable_default_filter_exits_2_in_one_line(dataset, tmp_path):
+    # At fs 1e300 the default band-pass design is unstable. Its reference
+    # response overflowed, and numpy's warnings reached stderr before the error,
+    # which an in-process run would not show: pytest records warnings.
+    manifest = json.loads((dataset / "data" / "manifest.json").read_text())
+    for record in manifest["records"]:
+        record["path"] = str(dataset / "data" / record["path"])
+        record["fs"] = 1e300
+    config = _write_json(tmp_path / "config.json", {
+        "dataset": _write_json(tmp_path / "manifest.json", manifest), "regime": REGIMES,
+        "seeds": [0]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "ecgbench", "run", "--config", config,
+         "--out", str(tmp_path / "out")],
+        env=_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == ("ecgbench: error: dataset: BandOutOfRange: design produced "
+                           "an unstable section (band too extreme)\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_finite_record_names_its_first_bad_sample(dataset, tmp_path, capsys):
     # Unchecked, the NaNs would spread through the filter over the whole
     # record, the detector would find no peak, and the run would drop the

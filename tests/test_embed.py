@@ -7,7 +7,7 @@ from ecgbench import embed, synth
 from ecgbench.errors import DimensionMismatch, SingleClass
 from ecgbench.segment import cut, segment_beats
 
-from .oracles import morphology_embed, synthesize_beat
+from .oracles import mlp_train_per_step, morphology_embed, synthesize_beat
 
 
 def _beat(seed=1, fs=250.0):
@@ -16,39 +16,32 @@ def _beat(seed=1, fs=250.0):
 
 
 def mlp_predict(model, x) -> np.ndarray:
-    _, _, logits = embed._forward(model.params, np.asarray(x, dtype=float))
+    logits = embed.mlp_embed(model, x) @ model.w2.T + model.b2
     return np.argmax(logits, axis=-1)
 
 
 def gradient_check(model, sample, label: int, fd_step: float = 1e-5) -> float:
     """Max relative error between the analytic gradients of embed's backprop
-    and central differences, over every parameter of the model on one
-    labeled sample."""
+    (the routine mlp_train steps with) and central differences, over every
+    parameter of the model on one labeled sample."""
     if fd_step <= 0:
         raise ValueError("fd_step must be positive")
     x = np.asarray(sample, dtype=float).reshape(1, -1)
     y = np.asarray([label], dtype=int)
-    _, grads = embed._loss_and_grads(model.params, x, y)
-    params = [p.copy() for p in model.params]
-
-    def loss_at(ps):
-        loss, _ = embed._loss_and_grads(ps, x, y)
-        return loss
-
+    net = embed._FlatMlp(model.params)
+    net.loss_and_grads(x, y)
+    grad = net.grad.copy()
     worst = 0.0
-    for param, grad in zip(params, grads):
-        flat = param.reshape(-1)
-        gflat = grad.reshape(-1)
-        for j in range(flat.size):
-            keep = flat[j]
-            flat[j] = keep + fd_step
-            up = loss_at(params)
-            flat[j] = keep - fd_step
-            down = loss_at(params)
-            flat[j] = keep
-            numeric = (up - down) / (2.0 * fd_step)
-            denom = max(abs(gflat[j]) + abs(numeric), 1e-12)
-            worst = max(worst, abs(gflat[j] - numeric) / denom)
+    for j in range(net.flat.size):
+        keep = net.flat[j]
+        net.flat[j] = keep + fd_step
+        up = net.loss_and_grads(x, y)
+        net.flat[j] = keep - fd_step
+        down = net.loss_and_grads(x, y)
+        net.flat[j] = keep
+        numeric = (up - down) / (2.0 * fd_step)
+        denom = max(abs(grad[j]) + abs(numeric), 1e-12)
+        worst = max(worst, abs(grad[j] - numeric) / denom)
     return worst
 
 
@@ -98,8 +91,37 @@ def test_mlp_zero_epochs_returns_init():
     model, losses = embed.mlp_train(x, y, hidden_dim=8, epochs=0, seed=42)
     expected = embed.mlp_init(16, 8, 2, np.random.default_rng(42))
     assert losses == []
-    assert np.array_equal(model.w1, expected.w1)
-    assert np.array_equal(model.w2, expected.w2)
+    for got, want in zip(model.params, expected.params):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n,batch", [(1340, 64), (937, 64), (50, 16), (10, 64)])
+@pytest.mark.parametrize("n_classes,hidden_dim", [(2, 8), (30, 64)])
+def test_mlp_train_matches_per_step_oracle_bitwise(n, batch, n_classes, hidden_dim):
+    # The grid holds a ragged last batch (1340, 937) and batch > n (10).
+    rng = np.random.default_rng(n + n_classes)
+    x = rng.normal(size=(n, 24))
+    y = np.arange(n) % n_classes
+    for epochs in (0, 1, 7):
+        model, losses = embed.mlp_train(x, y, hidden_dim=hidden_dim,
+                                        epochs=epochs, batch=batch, seed=5)
+        want, want_losses = mlp_train_per_step(x, y, hidden_dim=hidden_dim,
+                                               epochs=epochs, batch=batch, seed=5)
+        assert [p.tobytes() for p in model.params] == [p.tobytes() for p in want.params]
+        assert losses == want_losses
+
+
+def test_trained_model_owns_its_arrays():
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(70, 12))
+    y = np.arange(70) % 3
+    first, _ = embed.mlp_train(x, y, hidden_dim=6, epochs=3, seed=1)
+    kept = [p.copy() for p in first.params]
+    second, _ = embed.mlp_train(x, y, hidden_dim=6, epochs=5, seed=2)
+    assert [p.tobytes() for p in first.params] == [p.tobytes() for p in kept]
+    assert all(p.flags.owndata for p in first.params + second.params)
+    assert not any(np.shares_memory(a, b)
+                   for a in first.params for b in second.params)
 
 
 def test_mlp_single_class_rejected():
