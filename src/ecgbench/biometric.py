@@ -49,25 +49,45 @@ class PairScores:
     impostor: np.ndarray
 
 
-def pairwise(p, g, metric: str) -> np.ndarray:
-    """(n, m) similarities between the rows of p (n, d) and the rows of g (m, d)."""
+# Rows squared and summed per block in _row_sumsq: a (256, d) temporary, not (n, d).
+_SUMSQ_ROWS = 256
+
+
+def _row_sumsq(x) -> np.ndarray:
+    """add.reduce(x * x, axis=1), a block of rows at a time.
+
+    np.linalg.norm(x, axis=1) of a real x is the square root of this, and
+    np.sum(x**2, axis=1) is this; each row's sum is the same alone or in a block.
+    """
+    out = np.empty(len(x))
+    for start in range(0, len(x), _SUMSQ_ROWS):
+        block = x[start: start + _SUMSQ_ROWS]
+        np.add.reduce(block * block, axis=1, out=out[start: start + _SUMSQ_ROWS])
+    return out
+
+
+def pairwise(p, g, metric: str, *, _own_p: bool = False) -> np.ndarray:
+    """(n, m) similarities between the rows of p (n, d) and the rows of g (m, d).
+
+    _own_p: score_matrix owns p, so cosine and pearson scale its rows in place.
+    """
     if metric == "cosine":
-        gn = np.linalg.norm(g, axis=1)
-        pn = np.linalg.norm(p, axis=1)
+        gn = np.sqrt(_row_sumsq(g))
+        pn = np.sqrt(_row_sumsq(p))
         if np.any(gn == 0.0) or np.any(pn == 0.0):
             raise ZeroVector("cosine undefined for all-zero vectors")
-        return (p / pn[:, None]) @ (g / gn[:, None]).T
+        return np.divide(p, pn[:, None], out=p if _own_p else None) @ (g / gn[:, None]).T
     if metric == "pearson":
         gc = g - g.mean(axis=1, keepdims=True)
-        pc = p - p.mean(axis=1, keepdims=True)
-        gn = np.linalg.norm(gc, axis=1)
-        pn = np.linalg.norm(pc, axis=1)
+        pc = np.subtract(p, p.mean(axis=1, keepdims=True), out=p if _own_p else None)
+        gn = np.sqrt(_row_sumsq(gc))
+        pn = np.sqrt(_row_sumsq(pc))
         if np.any(gn == 0.0) or np.any(pn == 0.0):
             raise ConstantVector("pearson undefined for constant vectors")
-        return (pc / pn[:, None]) @ (gc / gn[:, None]).T
+        # gc and pc are this function's own (or score_matrix's) arrays.
+        return np.divide(pc, pn[:, None], out=pc) @ np.divide(gc, gn[:, None], out=gc).T
     if metric == "euclidean":
-        sq = (np.sum(p**2, axis=1)[:, None] + np.sum(g**2, axis=1)[None, :]
-              - 2.0 * (p @ g.T))
+        sq = _row_sumsq(p)[:, None] + _row_sumsq(g)[None, :] - 2.0 * (p @ g.T)
         return -np.sqrt(np.maximum(sq, 0.0))
     raise ValueError(f"metric must be one of {METRIC_NAMES}, got {metric!r}")
 
@@ -140,14 +160,15 @@ def fuse_probes(embeddings, k: int) -> np.ndarray:
 def score_matrix(gallery, probes, probe_subjects, metric: str = "cosine") -> ScoreMatrix:
     """All probe-template similarities; rows in probe order, columns by subject.
 
-    gallery: iterable of Template; probes: (n, d) array, or n vectors, with
-    their true subject ids alongside.
+    gallery: iterable of Template; probes: an (n, d) array, n vectors, or a list
+    of (k, d) blocks stacked in order, with their true subject ids alongside.
+    The probes are read, never written: the stacked matrix is a new array.
     """
     gallery = sorted(gallery, key=lambda t: t.subject_id)
-    probes = np.asarray(probes, dtype=float)
     if not gallery or not len(probes):
         raise ValueError("score_matrix needs a non-empty gallery and probes")
-    scores = pairwise(probes, np.stack([t.vector for t in gallery]), metric)
+    p = np.vstack(probes, dtype=float)
+    scores = pairwise(p, np.stack([t.vector for t in gallery]), metric, _own_p=True)
     return ScoreMatrix(
         scores=scores,
         probe_subjects=tuple(probe_subjects),
@@ -157,25 +178,40 @@ def score_matrix(gallery, probes, probe_subjects, metric: str = "cosine") -> Sco
 
 def generate_pairs(matrix: ScoreMatrix, mode: str = "balanced",
                    seed: int = 0) -> PairScores:
-    """Genuine scores are the own-subject cells; impostors the rest.
+    """Genuine scores are the own-subject cells; impostors the rest, row-major.
 
     balanced samples min(|genuine|, |impostors|) impostor cells uniformly
     without replacement with the given seed; all keeps every impostor cell.
+    balanced reads each drawn cell by its (row, column), without a copy of
+    the impostor cells.
     """
     column = {g: j for j, g in enumerate(matrix.gallery_subjects)}
     probe_column = np.array([column.get(p, -1) for p in matrix.probe_subjects])
-    genuine_mask = probe_column[:, None] == np.arange(len(matrix.gallery_subjects))
-    genuine = matrix.scores[genuine_mask]
-    impostor = matrix.scores[~genuine_mask]
+    has_genuine = probe_column >= 0
+    rows = np.flatnonzero(has_genuine)
+    genuine = matrix.scores[rows, probe_column[rows]]
+    n_impostor = matrix.scores.size - genuine.size
     if genuine.size == 0:
         raise NoGenuinePairs("no probe has its subject in the gallery")
-    if impostor.size == 0:
+    if n_impostor == 0:
         raise NoGenuinePairs("gallery of one subject yields no impostor cells")
     if mode == "all":
-        return PairScores(genuine=genuine.copy(), impostor=impostor.copy())
+        impostor_mask = np.ones(matrix.scores.shape, dtype=bool)
+        impostor_mask[rows, probe_column[rows]] = False
+        return PairScores(genuine=genuine, impostor=matrix.scores[impostor_mask])
     if mode == "balanced":
-        take = min(genuine.size, impostor.size)
-        idx = sub_rng(seed, "impostor-sample").choice(impostor.size, size=take,
+        take = min(genuine.size, n_impostor)
+        idx = sub_rng(seed, "impostor-sample").choice(n_impostor, size=take,
                                                       replace=False)
-        return PairScores(genuine=genuine.copy(), impostor=impostor[np.sort(idx)])
+        # Row r holds n_gallery - 1 impostor cells if it has a genuine column,
+        # which is skipped, else n_gallery.
+        n_gallery = len(matrix.gallery_subjects)
+        counts = n_gallery - has_genuine
+        ends = np.cumsum(counts)
+        skip = np.where(has_genuine, probe_column, n_gallery)
+        position = np.sort(idx)
+        row = np.searchsorted(ends, position, side="right")
+        offset = position - (ends - counts)[row]
+        col = offset + (offset >= skip[row])
+        return PairScores(genuine=genuine, impostor=matrix.scores[row, col])
     raise ValueError(f"mode must be balanced or all, got {mode!r}")

@@ -16,6 +16,7 @@ that fs cannot hold, an FIR longer than MAX_FIR_TAPS, a signal too short to
 filter.
 """
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -111,7 +112,14 @@ def design_butterworth(order: int, fs: float, low_hz: float, high_hz: float) -> 
         half = p * bw / 2.0
         disc = np.sqrt(half * half - w0sq + 0j)
         poles_s.extend([half + disc, half - disc])
+    # Where 2 fs overflows, the pre-warped edges are inf and the poles NaN; the
+    # bilinear map would warn on them and pair none into a section.
+    if not all(cmath.isfinite(s) for s in poles_s):
+        raise BandOutOfRange(f"design produced non-finite poles at {fs} Hz")
     cascade = BiquadCascade(tuple(_pair_into_sections(_bilinear(poles_s, fs))))
+    if len(cascade.sections) != order:
+        raise BandOutOfRange(f"design produced {len(cascade.sections)} sections, "
+                             f"not {order}")
     # Checked before the reference response, which an unstable design can
     # overflow; the gain does not change stability.
     if not cascade.is_stable():

@@ -450,8 +450,10 @@ def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
     if cfg.embedder.kind == "mlp":
         picks = [(label, pick) for label, subject in enumerate(train_subjects)
                  for pick in realized[subject].enroll]
-        blocks = [_rows(*pick) for _, pick in picks]
-        labels = [np.full(len(rows), label) for rows, (label, _) in zip(blocks, picks)]
+        # (source rows, rows to take, label): each pick's stored features, then
+        # with augmentation each pick's augmented copies. One matrix holds them.
+        parts = [(prepared.features, idx[prepared.present[idx]], label)
+                 for label, (prepared, idx) in picks]
         if cfg.embedder.augment.multiplier > 0:
             # Augmented copies are new segments, so only they need new features;
             # they follow every original row, pick by pick.
@@ -462,10 +464,16 @@ def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
                     cfg.embedder.augment, augment_seed)
                 rows, present = morphology_features(
                     copies, cfg.embedder.target_len, cfg.preprocess.normalization)
-                blocks.append(rows[present])
-                labels.append(np.full(len(blocks[-1]), label))
+                parts.append((rows, np.flatnonzero(present), label))
+        sizes = [len(take) for _, take, _ in parts]
+        x = np.empty((sum(sizes), cfg.embedder.target_len))
+        start = 0
+        for rows, take, _ in parts:
+            np.take(rows, take, axis=0, out=x[start: start + len(take)])
+            start += len(take)
+        labels = np.repeat([label for _, _, label in parts], sizes)
         model, _losses = mlp_train(
-            np.concatenate(blocks), np.concatenate(labels),
+            x, labels,
             hidden_dim=cfg.embedder.hidden_dim, lr=cfg.embedder.lr,
             epochs=cfg.embedder.epochs, batch=cfg.embedder.batch,
             seed=stable_seed(seed, "mlp", cell.name, cell.setting))
@@ -523,7 +531,7 @@ def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
         raise RegimeUnsatisfiable(
             f"{cell.name}|{cell.setting}: fewer than two evaluable subjects")
 
-    matrix = biometric.score_matrix(gallery, np.concatenate(probe_blocks), probe_subjects,
+    matrix = biometric.score_matrix(gallery, probe_blocks, probe_subjects,
                                     cfg.evaluation.metric)
     pairs = biometric.generate_pairs(
         matrix, cfg.evaluation.pair_sampling,

@@ -3,9 +3,10 @@
 Everything here is deliberately naive (threshold enumeration, pairwise loops,
 direct transfer-function evaluation) and shares no code path with the package
 implementations it checks, except morphology_embed: the one-segment form of
-embed.morphology_features, which tests use to embed single beats, and
+embed.morphology_features, which tests use to embed single beats,
 mlp_train_per_step, which starts from embed's mlp_init and returns an
-embed.MlpModel.
+embed.MlpModel, and score_matrix_copying and generate_pairs_copying, which
+return biometric's ScoreMatrix and PairScores and draw with util.sub_rng.
 """
 
 import cmath
@@ -13,10 +14,20 @@ import statistics
 
 import numpy as np
 
+from ecgbench.biometric import PairScores, ScoreMatrix
+from ecgbench.core import METRIC_NAMES
 from ecgbench.dsp import FilterSpec, apply_filter
 from ecgbench.embed import MlpModel, mlp_init, morphology_features
-from ecgbench.errors import DimensionMismatch, SingleClass, ZeroVariance
+from ecgbench.errors import (
+    ConstantVector,
+    DimensionMismatch,
+    NoGenuinePairs,
+    SingleClass,
+    ZeroVariance,
+    ZeroVector,
+)
 from ecgbench.synth import R_FRACTION, RR_JITTER
+from ecgbench.util import sub_rng
 
 
 def far_frr_at(threshold, genuine, impostor):
@@ -322,3 +333,75 @@ def mlp_train_per_step(x, labels, hidden_dim: int = 64, lr: float = 0.05,
                 b2 = b2 - lr * gb2
             losses.append(float(np.mean(batch_losses)))
     return MlpModel(w1=w1, b1=b1, w2=w2, b2=b2), losses
+
+
+# The scoring path that copies: fresh normalized probe rows, full-size squares
+# in the row norms, and a copy of every impostor cell. biometric scores without
+# those copies and must match it bit for bit.
+
+def pairwise_copying(p, g, metric: str) -> np.ndarray:
+    """(n, m) similarities between the rows of p (n, d) and the rows of g (m, d)."""
+    if metric == "cosine":
+        gn = np.linalg.norm(g, axis=1)
+        pn = np.linalg.norm(p, axis=1)
+        if np.any(gn == 0.0) or np.any(pn == 0.0):
+            raise ZeroVector("cosine undefined for all-zero vectors")
+        return (p / pn[:, None]) @ (g / gn[:, None]).T
+    if metric == "pearson":
+        gc = g - g.mean(axis=1, keepdims=True)
+        pc = p - p.mean(axis=1, keepdims=True)
+        gn = np.linalg.norm(gc, axis=1)
+        pn = np.linalg.norm(pc, axis=1)
+        if np.any(gn == 0.0) or np.any(pn == 0.0):
+            raise ConstantVector("pearson undefined for constant vectors")
+        return (pc / pn[:, None]) @ (gc / gn[:, None]).T
+    if metric == "euclidean":
+        sq = (np.sum(p**2, axis=1)[:, None] + np.sum(g**2, axis=1)[None, :]
+              - 2.0 * (p @ g.T))
+        return -np.sqrt(np.maximum(sq, 0.0))
+    raise ValueError(f"metric must be one of {METRIC_NAMES}, got {metric!r}")
+
+
+def score_matrix_copying(gallery, probes, probe_subjects,
+                         metric: str = "cosine") -> ScoreMatrix:
+    """All probe-template similarities; rows in probe order, columns by subject.
+
+    gallery: iterable of Template; probes: (n, d) array, or n vectors, with
+    their true subject ids alongside.
+    """
+    gallery = sorted(gallery, key=lambda t: t.subject_id)
+    probes = np.asarray(probes, dtype=float)
+    if not gallery or not len(probes):
+        raise ValueError("score_matrix needs a non-empty gallery and probes")
+    scores = pairwise_copying(probes, np.stack([t.vector for t in gallery]), metric)
+    return ScoreMatrix(
+        scores=scores,
+        probe_subjects=tuple(probe_subjects),
+        gallery_subjects=tuple(t.subject_id for t in gallery),
+    )
+
+
+def generate_pairs_copying(matrix: ScoreMatrix, mode: str = "balanced",
+                           seed: int = 0) -> PairScores:
+    """Genuine scores are the own-subject cells; impostors the rest.
+
+    balanced samples min(|genuine|, |impostors|) impostor cells uniformly
+    without replacement with the given seed; all keeps every impostor cell.
+    """
+    column = {g: j for j, g in enumerate(matrix.gallery_subjects)}
+    probe_column = np.array([column.get(p, -1) for p in matrix.probe_subjects])
+    genuine_mask = probe_column[:, None] == np.arange(len(matrix.gallery_subjects))
+    genuine = matrix.scores[genuine_mask]
+    impostor = matrix.scores[~genuine_mask]
+    if genuine.size == 0:
+        raise NoGenuinePairs("no probe has its subject in the gallery")
+    if impostor.size == 0:
+        raise NoGenuinePairs("gallery of one subject yields no impostor cells")
+    if mode == "all":
+        return PairScores(genuine=genuine.copy(), impostor=impostor.copy())
+    if mode == "balanced":
+        take = min(genuine.size, impostor.size)
+        idx = sub_rng(seed, "impostor-sample").choice(impostor.size, size=take,
+                                                      replace=False)
+        return PairScores(genuine=genuine.copy(), impostor=impostor[np.sort(idx)])
+    raise ValueError(f"mode must be balanced or all, got {mode!r}")

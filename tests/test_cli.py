@@ -399,24 +399,40 @@ def test_fir_past_the_tap_budget_exits_2_without_output(dataset, tmp_path, capsy
     assert not out.exists()
 
 
+def _run_default_filter_at(dataset, tmp_path, rate):
+    """`ecgbench run` in a subprocess on the dataset with every record at fs rate."""
+    manifest = json.loads((dataset / "data" / "manifest.json").read_text())
+    for record in manifest["records"]:
+        record["path"] = str(dataset / "data" / record["path"])
+        record["fs"] = rate
+    config = _write_json(tmp_path / "config.json", {
+        "dataset": _write_json(tmp_path / "manifest.json", manifest), "regime": REGIMES,
+        "seeds": [0]})
+    return subprocess.run(
+        [sys.executable, "-m", "ecgbench", "run", "--config", config,
+         "--out", str(tmp_path / "out")],
+        env=_env(), capture_output=True, text=True, timeout=120)
+
+
 def test_unstable_default_filter_exits_2_in_one_line(dataset, tmp_path):
     # At fs 1e300 the default band-pass design is unstable. Its reference
     # response overflowed, and numpy's warnings reached stderr before the error,
     # which an in-process run would not show: pytest records warnings.
-    manifest = json.loads((dataset / "data" / "manifest.json").read_text())
-    for record in manifest["records"]:
-        record["path"] = str(dataset / "data" / record["path"])
-        record["fs"] = 1e300
-    config = _write_json(tmp_path / "config.json", {
-        "dataset": _write_json(tmp_path / "manifest.json", manifest), "regime": REGIMES,
-        "seeds": [0]})
-    proc = subprocess.run(
-        [sys.executable, "-m", "ecgbench", "run", "--config", config,
-         "--out", str(tmp_path / "out")],
-        env=_env(), capture_output=True, text=True, timeout=120)
+    proc = _run_default_filter_at(dataset, tmp_path, 1e300)
     assert proc.returncode == 2
     assert proc.stderr == ("ecgbench: error: dataset: BandOutOfRange: design produced "
                            "an unstable section (band too extreme)\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rate", [1e308, 1.7e308])
+def test_overflowing_fs_exits_2_in_one_line(dataset, tmp_path, rate):
+    # Where 2 fs overflows, the poles were NaN and the cascade empty, which
+    # passed the stability check: four numpy warnings, then exit 1 at evaluation.
+    proc = _run_default_filter_at(dataset, tmp_path, rate)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"ecgbench: error: dataset: BandOutOfRange: design produced "
+                           f"non-finite poles at {rate} Hz\n")
     assert not (tmp_path / "out").exists()
 
 
