@@ -1,7 +1,7 @@
 """Templates, probe fusion, similarity scoring, and genuine/impostor pairs.
 
-All similarity metrics are oriented so that higher means more similar:
-cosine and pearson in [-1, 1], euclidean as the negated distance.
+Both similarity metrics, cosine and pearson, lie in [-1, 1], higher meaning
+more similar.
 """
 
 from dataclasses import dataclass
@@ -56,8 +56,8 @@ _SUMSQ_ROWS = 256
 def _row_sumsq(x) -> np.ndarray:
     """add.reduce(x * x, axis=1), a block of rows at a time.
 
-    np.linalg.norm(x, axis=1) of a real x is the square root of this, and
-    np.sum(x**2, axis=1) is this; each row's sum is the same alone or in a block.
+    np.linalg.norm(x, axis=1) of a real x is the square root of this; each
+    row's sum is the same alone or in a block.
     """
     out = np.empty(len(x))
     for start in range(0, len(x), _SUMSQ_ROWS):
@@ -86,9 +86,6 @@ def pairwise(p, g, metric: str, *, _own_p: bool = False) -> np.ndarray:
             raise ConstantVector("pearson undefined for constant vectors")
         # gc and pc are this function's own (or score_matrix's) arrays.
         return np.divide(pc, pn[:, None], out=pc) @ np.divide(gc, gn[:, None], out=gc).T
-    if metric == "euclidean":
-        sq = _row_sumsq(p)[:, None] + _row_sumsq(g)[None, :] - 2.0 * (p @ g.T)
-        return -np.sqrt(np.maximum(sq, 0.0))
     raise ValueError(f"metric must be one of {METRIC_NAMES}, got {metric!r}")
 
 

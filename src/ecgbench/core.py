@@ -56,9 +56,8 @@ REGIME_NAMES = (
     "custom_split",
 )
 PRESET_NAMES = ("fallacy30", "aging4", "ablation")  # synth.preset_spec
-METRIC_NAMES = ("cosine", "euclidean", "pearson")
+METRIC_NAMES = ("cosine", "pearson")
 FUSION_NAMES = ("mean", "representative")
-AUGMENT_KINDS = ("amplitude_scale", "gaussian_noise", "time_shift", "random_crop")
 FILTER_KINDS = ("butterworth_bandpass", "fir_bandpass", "notch")
 
 
@@ -247,26 +246,12 @@ class SegmentationConfig(Checked):
 
 
 @dataclass(frozen=True)
-class AugmentOpConfig(Checked):
-    kind: str = field(metadata={"choices": AUGMENT_KINDS})
-    scale_low: float = field(default=0.8, metadata={"gt": 0})
-    scale_high: float = field(default=1.2, metadata={"gt": 0})
-    sigma: float = field(default=0.02, metadata={"ge": 0})
-    max_shift_s: float = field(default=0.02, metadata={"ge": 0})
-    crop_fraction: float = field(default=0.9, metadata={"gt": 0, "le": 1})
-
-
-@dataclass(frozen=True)
 class AugmentConfig(Checked):
-    multiplier: int = field(default=0, metadata={"ge": 0})
-    ops: tuple[AugmentOpConfig, ...] = ()
-
-    def _check(self):
-        for i, op in enumerate(self.ops):
-            if op.scale_low > op.scale_high:
-                raise ConfigError(f"embedder.augment.ops[{i}]: degenerate scale range")
-        if self.multiplier > 0 and not self.ops:
-            raise InconsistentSettings("augment.multiplier > 0 with no ops")
+    """Training augmentation is not offered: this section takes only its empty
+    value, no copies and no ops. It stays because to_dict writes it into every
+    config and its digest."""
+    multiplier: int = field(default=0, metadata={"ge": 0, "le": 0})
+    ops: tuple[()] = ()
 
 
 @dataclass(frozen=True)
@@ -419,7 +404,7 @@ def _read_value(value, kind, meta, where: str):
             return read_object(option, value, where)
         if get_origin(option) is tuple and isinstance(value, list):
             items = get_args(option)
-            if items[-1] is Ellipsis:
+            if items[-1:] == (Ellipsis,):
                 items = items[:1] * len(value)
             elif len(value) != len(items):
                 raise ConfigError(

@@ -10,13 +10,12 @@ regardless of worker scheduling.
 
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from . import biometric, dsp, metrics, rpeak, segment, synth
-from .augment import augment_training_set
 from .core import METRIC_FIELDS, MetricsReport, RegimeCell, RunConfig
 from .embed import mlp_embed, mlp_train, morphology_features
 from .errors import (
@@ -164,7 +163,7 @@ class PreparedSource:
     """The segments of one (record, time range), as arrays with row i for
     segment i: its sample span in record space and its morphology feature. A
     constant segment's feature row is NaN and its present entry False. The
-    samples are not kept; SegmentStore.samples cuts them again."""
+    samples are not kept."""
     record_key: tuple
     time_range: tuple | None
     spans: np.ndarray  # (n, 2) int: (lo, hi) in original-record sample indices
@@ -172,16 +171,17 @@ class PreparedSource:
     present: np.ndarray  # (n,) bool: the segment is not constant
 
 
-def _clean_range(clean, time_range):
-    """The clean samples inside time_range (all of them for None) and the
-    record index of the first."""
+def _cut_range(recording, time_range):
+    """The recording cut to time_range (all of it for None), under its own
+    key, and the record index of its first sample. A range is cut before it
+    is filtered, so no sample outside it reaches its segments."""
     if time_range is None:
-        return clean.samples, 0
-    lo = int(round(time_range[0] * clean.fs))
-    hi = int(round(time_range[1] * clean.fs))
-    if lo < 0 or hi > len(clean.samples) or hi <= lo:
+        return recording, 0
+    lo = int(round(time_range[0] * recording.fs))
+    hi = int(round(time_range[1] * recording.fs))
+    if lo < 0 or hi > len(recording.channels[0]) or hi <= lo:
         raise RangeOutOfBounds(f"range {time_range} outside record")
-    return clean.samples[lo:hi], lo
+    return replace(recording, channels=tuple(c[lo:hi] for c in recording.channels)), lo
 
 
 class SegmentStore:
@@ -256,17 +256,10 @@ class SegmentStore:
             array.flags.writeable = False
         self._prepared[(prepared.record_key, prepared.time_range)] = prepared
 
-    def samples(self, prepared: PreparedSource, idx):
-        """(block, fs): the samples of the segments at rows idx of a
-        preparation, as one (len(idx), L) block cut again by their spans from
-        the record's clean signal, and its fs. The record is looked up, and so
-        read or rendered, again for it."""
-        clean = dsp.preprocess(self.recordings[prepared.record_key], self.cfg.preprocess)
-        return segment.cut(clean.samples, prepared.spans[idx]), clean.fs
-
     def _segment(self, record_key, time_range) -> PreparedSource:
-        clean = dsp.preprocess(self.recordings[record_key], self.cfg.preprocess)
-        samples, offset = _clean_range(clean, time_range)
+        recording, offset = _cut_range(self.recordings[record_key], time_range)
+        clean = dsp.preprocess(recording, self.cfg.preprocess)
+        samples = clean.samples
         seg_cfg = self.cfg.segmentation
         if seg_cfg.mode == "beat":
             try:
@@ -448,30 +441,18 @@ def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
         train_subjects = eval_subjects = subjects_used
 
     if cfg.embedder.kind == "mlp":
-        picks = [(label, pick) for label, subject in enumerate(train_subjects)
-                 for pick in realized[subject].enroll]
-        # (source rows, rows to take, label): each pick's stored features, then
-        # with augmentation each pick's augmented copies. One matrix holds them.
-        parts = [(prepared.features, idx[prepared.present[idx]], label)
-                 for label, (prepared, idx) in picks]
-        if cfg.embedder.augment.multiplier > 0:
-            # Augmented copies are new segments, so only they need new features;
-            # they follow every original row, pick by pick.
-            augment_seed = stable_seed(seed, "augment", cell.name, cell.setting)
-            for label, (prepared, idx) in picks:
-                copies = augment_training_set(
-                    *store.samples(prepared, idx), prepared.record_key, idx.tolist(),
-                    cfg.embedder.augment, augment_seed)
-                rows, present = morphology_features(
-                    copies, cfg.embedder.target_len, cfg.preprocess.normalization)
-                parts.append((rows, np.flatnonzero(present), label))
-        sizes = [len(take) for _, take, _ in parts]
+        # (label, stored features, rows to take) per enrollment pick; one
+        # matrix holds the training rows, pick by pick.
+        picks = [(label, prepared.features, idx[prepared.present[idx]])
+                 for label, subject in enumerate(train_subjects)
+                 for prepared, idx in realized[subject].enroll]
+        sizes = [len(take) for _, _, take in picks]
         x = np.empty((sum(sizes), cfg.embedder.target_len))
         start = 0
-        for rows, take, _ in parts:
+        for _, rows, take in picks:
             np.take(rows, take, axis=0, out=x[start: start + len(take)])
             start += len(take)
-        labels = np.repeat([label for _, _, label in parts], sizes)
+        labels = np.repeat([label for label, _, _ in picks], sizes)
         model, _losses = mlp_train(
             x, labels,
             hidden_dim=cfg.embedder.hidden_dim, lr=cfg.embedder.lr,

@@ -355,10 +355,6 @@ def pairwise_copying(p, g, metric: str) -> np.ndarray:
         if np.any(gn == 0.0) or np.any(pn == 0.0):
             raise ConstantVector("pearson undefined for constant vectors")
         return (pc / pn[:, None]) @ (gc / gn[:, None]).T
-    if metric == "euclidean":
-        sq = (np.sum(p**2, axis=1)[:, None] + np.sum(g**2, axis=1)[None, :]
-              - 2.0 * (p @ g.T))
-        return -np.sqrt(np.maximum(sq, 0.0))
     raise ValueError(f"metric must be one of {METRIC_NAMES}, got {metric!r}")
 
 

@@ -144,13 +144,16 @@ def test_report_on_malformed_results_exits_2(tmp_path, capsys, payload):
     {"embedder": {"target_len": 10**13}},
     {"embedder": {"kind": "mlp", "hidden_dim": 10**9}},
     {"embedder": {"kind": "mlp", "epochs": 10**12}},
+    {"evaluation": {"metric": "euclidean"}},
+    {"embedder": {"kind": "mlp", "augment": {"multiplier": 2, "ops": []}}},
+    {"embedder": {"kind": "mlp", "augment": {"ops": [{"kind": "amplitude_scale"}]}}},
 ], ids=["target_len_1", "mlp_target_len_7", "unknown_key", "unknown_nested_key",
         "blind_overlap_single_session", "unknown_preset", "filter_order_9",
         "cross_session_one_session", "session_not_a_string", "scale_low_not_a_number",
         "ops_not_a_list", "deleted_filter_kind", "deleted_phase_mode",
         "deleted_filter_key", "nan_low_hz", "no_names", "not_utf8",
         "not_json", "integer_past_the_digit_limit", "target_len_huge", "hidden_dim_huge",
-        "epochs_huge"])
+        "epochs_huge", "deleted_metric", "deleted_augment_multiplier", "deleted_augment_op"])
 def test_bad_config_exits_2(dataset, capsys, overrides):
     if isinstance(overrides, bytes):
         config = _write_json(dataset / "bad.json", overrides)
@@ -284,6 +287,20 @@ def test_diverging_mlp_exits_1_without_output(dataset, capsys):
     out = dataset / "diverge"
     code = cli.main(["run", "--config", _diverging_config(dataset), "--out", str(out)])
     assert "NonFiniteModel" in _assert_clean_failure(capsys, code, 1)
+    assert os.listdir(out) == []
+
+
+def test_range_too_short_to_filter_exits_1(dataset, capsys):
+    # A range is filtered on its own samples, so one shorter than the filter
+    # can take fails on its own length: 0.1 s is 25 samples at 250 Hz, and the
+    # default order-3 Butterworth needs more than 39.
+    config = _config(dataset, "short_range", regime={
+        "name": "custom_split", "enroll_range": [0.0, 0.1], "probe_range": [10.0, 18.0]})
+    out = dataset / "short_range"
+    code = cli.main(["run", "--config", config, "--out", str(out)])
+    assert _assert_clean_failure(capsys, code, 1) == (
+        "ecgbench: error: evaluation: SignalTooShort: "
+        "zero_phase needs more than 39 samples, got 25\n")
     assert os.listdir(out) == []
 
 
@@ -746,10 +763,11 @@ def _fresh_store(cfg):
     return regimes.SegmentStore(cfg, *regimes.load_dataset_from_config(cfg.dataset))
 
 
-def _augment_cfg(root, multiplier, **overrides):
-    return _cfg(root, f"augment{multiplier}", seeds=[0], embedder={
-        "kind": "mlp", "epochs": 2,
-        "augment": {"multiplier": multiplier, "ops": [{"kind": "amplitude_scale"}]}},
+def _mlp_cfg(root, multiplier, **overrides):
+    """A one-seed MLP config that spells out its augment section, whose one
+    accepted value has multiplier 0 and no ops."""
+    return _cfg(root, "mlp", seeds=[0], embedder={
+        "kind": "mlp", "epochs": 2, "augment": {"multiplier": multiplier, "ops": []}},
         **overrides)
 
 
@@ -788,10 +806,9 @@ def _track_recordings(monkeypatch, kind) -> list:
 @pytest.mark.parametrize("multiplier", [0], ids=["plain"])
 def test_warm_up_frees_recordings_unless_augmenting(dataset, monkeypatch, jobs, multiplier):
     # A preset's store renders a record at each lookup and keeps none, so
-    # warm-up leaves no Recording alive; an augmented training, which renders
-    # its records once more, is the preset_augmented case below.
+    # warm-up leaves no Recording alive.
     renders = _track_recordings(monkeypatch, "preset")
-    cfg = _augment_cfg(dataset, multiplier, dataset=_module_spec_preset(monkeypatch))
+    cfg = _mlp_cfg(dataset, multiplier, dataset=_module_spec_preset(monkeypatch))
     store = _fresh_store(cfg)
     key = next(iter(store.recordings))
     assert store.recordings[key] is not store.recordings[key]
@@ -824,31 +841,25 @@ def test_failed_preparation_keeps_its_record(dataset, monkeypatch, jobs):
 
 
 @pytest.mark.parametrize("jobs", [1, 2], ids=["jobs1", "jobs2"])
-@pytest.mark.parametrize("kind, multiplier", [
-    ("manifest", 0), ("manifest", 1), ("preset", 1)],
-    ids=["plain", "augmented", "preset_augmented"])
+@pytest.mark.parametrize("multiplier", [0], ids=["plain"])
 def test_manifest_records_are_read_where_prepared_and_never_kept(
-        dataset, monkeypatch, jobs, kind, multiplier):
-    # A manifest's records are read, and a preset's rendered, at each lookup
-    # of store.recordings, so only the process that prepares a record holds
-    # it, and only while it prepares it.
-    reads = _track_recordings(monkeypatch, kind)
-    overrides = {} if kind == "manifest" else {"dataset": _module_spec_preset(monkeypatch)}
-    cfg = _augment_cfg(dataset, multiplier, **overrides)
+        dataset, monkeypatch, jobs, multiplier):
+    # A manifest's records are read at each lookup of store.recordings, so
+    # only the process that prepares a record holds it, and only while it
+    # prepares it.
+    reads = _track_recordings(monkeypatch, "manifest")
+    cfg = _mlp_cfg(dataset, multiplier)
     store = _fresh_store(cfg)
-    # Loading reads and checks each of a manifest's 8 records, and keeps none;
-    # it renders none of a preset's.
-    loaded = 8 if kind == "manifest" else 0
-    assert len(reads) == loaded and len(store.recordings) == 8
+    # Loading reads and checks each of the 8 records, and keeps none.
+    assert len(reads) == 8 and len(store.recordings) == 8
     assert all(ref() is None for ref in reads)
     cli._warm_store(store, cfg.regimes, jobs)
     assert len(store._prepared) == len(store.sources(cfg.regimes)) == 8
-    # At jobs 1 this process prepares, and reads or renders, each record once
-    # more; a pool's workers do it in its place.
-    assert len(reads) == loaded + (8 if jobs == 1 else 0)
+    # At jobs 1 this process prepares, and reads, each record once more; a
+    # pool's workers do it in its place.
+    assert len(reads) == 8 + (8 if jobs == 1 else 0)
     assert all(ref() is None for ref in reads)
     assert len(store.recordings) == 8
-    # An augmented training reads or renders its records once more.
     assert regimes.run_evaluation(cfg, 0, store=store) == \
         regimes.run_evaluation(cfg, 0, store=_fresh_store(cfg))
     assert all(ref() is None for ref in reads)
@@ -953,7 +964,7 @@ def test_jobs_1_never_loads_the_process_pool(dataset):
 # JSON only, and synth writes records without the evaluation pipeline.
 _LIGHT = ("numpy", "ecgbench.regimes", "ecgbench.synth", "ecgbench.ingest", "ecgbench.dsp")
 _SYNTH = tuple(f"ecgbench.{name}" for name in (
-    "regimes", "rpeak", "segment", "embed", "biometric", "metrics", "augment", "dsp"))
+    "regimes", "rpeak", "segment", "embed", "biometric", "metrics", "dsp"))
 
 
 @pytest.mark.parametrize("command, unloaded", [

@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 
 from ecgbench.core import (
-    AUGMENT_KINDS,
     FILTER_KINDS,
     AugmentConfig,
-    AugmentOpConfig,
     DatasetConfig,
     EmbedderConfig,
     EvaluationConfig,
@@ -158,19 +156,22 @@ def test_metrics_report_rejects_out_of_range_values():
 
 
 def test_augment_config_validation():
-    cfg = validate_config(dict(MINIMAL, embedder={
-        "kind": "mlp",
-        "augment": {"multiplier": 2, "ops": [{"kind": "gaussian_noise", "sigma": 0.05}]}}))
-    assert cfg.embedder.augment.multiplier == 2
-    with pytest.raises(InconsistentSettings):
-        validate_config(dict(MINIMAL, embedder={"augment": {"multiplier": 1}}))
-    with pytest.raises(ConfigError):
+    # Training augmentation is gone; its section takes only the empty value
+    # that to_dict writes into every config.
+    for augment in ({}, {"multiplier": 0}, {"multiplier": 0, "ops": []}):
+        cfg = validate_config(dict(MINIMAL, embedder={"kind": "mlp", "augment": augment}))
+        assert cfg.embedder.augment == AugmentConfig()
+        assert cfg.to_dict()["embedder"]["augment"] == {"multiplier": 0, "ops": []}
+    with pytest.raises(ConfigError,
+                       match=r"^embedder\.augment\.ops must be a list of 0 items, got 1$"):
         validate_config(dict(MINIMAL, embedder={
-            "augment": {"multiplier": 1, "ops": [{"kind": "explode"}]}}))
+            "kind": "mlp", "augment": {"ops": [{"kind": "gaussian_noise", "sigma": 0.05}]}}))
 
 
 # Digests computed before RunConfig.to_dict was derived from the dataclass
 # fields; every results.json embeds config_digest, so they must not move.
+# mlp_augment's was computed, before augmentation was removed, for its config
+# as it is now: the augment section at its one accepted value.
 _SYN = {"kind": "synthetic", "preset": "aging4", "seed": 3}
 _PINNED_CONFIGS = {
     "minimal": (
@@ -203,14 +204,9 @@ _PINNED_CONFIGS = {
          "regime": {"names": ["single_session", "llo_long_term"],
                     "settings": ["closed", "open"], "open_ratio": 0.4, "split_seed": 11},
          "embedder": {"kind": "mlp", "target_len": 96, "hidden_dim": 32, "lr": 0.1,
-                      "epochs": 20, "batch": 16,
-                      "augment": {"multiplier": 2, "ops": [
-                          {"kind": "amplitude_scale", "scale_low": 0.9, "scale_high": 1.1},
-                          {"kind": "gaussian_noise", "sigma": 0.01},
-                          {"kind": "time_shift", "max_shift_s": 0.01},
-                          {"kind": "random_crop", "crop_fraction": 0.8}]}},
+                      "epochs": 20, "batch": 16, "augment": {"multiplier": 0, "ops": []}},
          "seeds": [5, 2, 9]},
-        "43b0d09bc72a4a04fab6ecebcd211af95408242967cb2b158b72d922345f46a5"),
+        "51df21d31aaaf21186b52b1660aa95fef7f9c0dd03596530cb2fdb292a19ebb3"),
     "custom_split_cross_session": (
         {"dataset": _SYN,
          "regime": [
@@ -266,14 +262,11 @@ def test_blind_config_built_directly_equals_the_one_read():
 
 
 # Every section, with the branches that read most keys: a notch filter, an
-# MLP with one op of each kind, custom_split and cross_session, and an integer
-# template_size.
+# MLP, custom_split and cross_session, and an integer template_size.
 _EVERY_SECTION = {
     "dataset": _SYN,
     "preprocess": {"filter": {"kind": "notch", "notch_hz": 50.0, "q": 25.0}},
-    "embedder": {"kind": "mlp", "augment": {"multiplier": 2, "ops": [
-        {"kind": kind} for kind in ("amplitude_scale", "gaussian_noise", "time_shift",
-                                    "random_crop")]}},
+    "embedder": {"kind": "mlp"},
     "regime": [
         {"name": "custom_split", "enroll_range": [0, 8], "probe_range": [10.5, 18]},
         {"name": "cross_session", "enroll_session": "s0", "probe_session": "s3",
@@ -298,7 +291,7 @@ def _leaf_paths(tree, path=()):
 def test_every_wrong_leaf_is_accepted_or_a_named_error():
     tree = validate_config(_EVERY_SECTION).to_dict()
     paths = list(_leaf_paths(tree))
-    assert len(paths) > 60
+    assert len(paths) == 43  # every leaf of the tree, the augment section's multiplier too
     for path in paths:
         for wrong in _WRONG_VALUES:
             raw = copy.deepcopy(tree)
@@ -354,17 +347,6 @@ _RULES = {
         lambda: SegmentationConfig(mode="blind", window_s=2.0, stride_s=3.0),
         {"segmentation": {"mode": "blind", "window_s": 2.0, "stride_s": 3.0}},
         InconsistentSettings, "blind mode needs 0 < stride_s <= window_s, got 3.0/2.0"),
-    "degenerate_scale_range": (
-        lambda: AugmentConfig(1, (AugmentOpConfig("gaussian_noise"),
-                                  AugmentOpConfig("amplitude_scale", 1.2, 0.8))),
-        {"embedder": {"augment": {"multiplier": 1, "ops": [
-            {"kind": "gaussian_noise"},
-            {"kind": "amplitude_scale", "scale_low": 1.2, "scale_high": 0.8}]}}},
-        ConfigError, "embedder.augment.ops[1]: degenerate scale range"),
-    "multiplier_without_ops": (
-        lambda: AugmentConfig(multiplier=1),
-        {"embedder": {"augment": {"multiplier": 1}}},
-        InconsistentSettings, "augment.multiplier > 0 with no ops"),
     "empty_seeds": (
         lambda: replace(_BASE, seeds=()),
         {"seeds": []},
@@ -427,11 +409,10 @@ _FIELD_RULES = {
         {"evaluation": {"probe_fusion_k": 0}},
         "EvaluationConfig.probe_fusion_k", "evaluation.probe_fusion_k",
         "must be greater than 0, got 0"),
-    "augment_kind": (
-        lambda: AugmentOpConfig(kind="mystery"),
-        {"embedder": {"augment": {"multiplier": 1, "ops": [{"kind": "mystery"}]}}},
-        "AugmentOpConfig.kind", "embedder.augment.ops[0].kind",
-        f"must be one of {', '.join(AUGMENT_KINDS)}, got 'mystery'"),
+    "augment_multiplier": (
+        lambda: AugmentConfig(multiplier=2),
+        {"embedder": {"kind": "mlp", "augment": {"multiplier": 2}}},
+        "AugmentConfig.multiplier", "embedder.augment.multiplier", "must be at most 0, got 2"),
     "manifest_format": (
         lambda: ManifestEntry(subject="a", session="s0", path="a.mp3", format="mp3"),
         {"subject": "a", "session": "s0", "path": "a.mp3", "format": "mp3", "fs": 250.0},

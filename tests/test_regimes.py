@@ -249,20 +249,21 @@ def test_open_setting_disjoint_pools():
 
 
 def _cut(store, key, time_range=None):
-    """The spans that preprocessing, detection and segmentation give for a
-    (record, time range), in the range's sample indices; the range's samples;
-    and the record index of the range's first sample."""
+    """The spans that filtering, detection and segmentation give for a
+    (record, time range), in the range's sample indices; the range's samples,
+    filtered on their own; and the record index of the range's first sample."""
     cfg = store.cfg
-    clean = dsp.preprocess(store.recordings[key], cfg.preprocess)
-    offset = 0 if time_range is None else int(round(time_range[0] * clean.fs))
-    hi = len(clean.samples) if time_range is None else int(round(time_range[1] * clean.fs))
-    samples = clean.samples[offset:hi]
+    rec = store.recordings[key]
+    raw = rec.channels[0]
+    offset = 0 if time_range is None else int(round(time_range[0] * rec.fs))
+    hi = len(raw) if time_range is None else int(round(time_range[1] * rec.fs))
+    samples = dsp.apply_filter(cfg.preprocess.filter, raw[offset:hi], rec.fs)
     seg_cfg = cfg.segmentation
     if seg_cfg.mode == "blind":
-        return segment.segment_blind(samples, clean.fs, seg_cfg.window_s,
+        return segment.segment_blind(samples, rec.fs, seg_cfg.window_s,
                                      seg_cfg.stride_s), samples, offset
-    peaks = rpeak.pan_tompkins(samples, clean.fs).indices
-    return segment.segment_beats(samples, clean.fs, peaks, seg_cfg.pre_s, seg_cfg.post_s,
+    peaks = rpeak.pan_tompkins(samples, rec.fs).indices
+    return segment.segment_beats(samples, rec.fs, peaks, seg_cfg.pre_s, seg_cfg.post_s,
                                  align=seg_cfg.align_peak), samples, offset
 
 
@@ -340,14 +341,31 @@ def test_segments_are_cut_again_byte_for_byte(fs, segmentation, time_range):
     spans, samples, offset = _cut(store, key, time_range)
     assert len(spans) > 4
     assert prepared.spans.tolist() == (spans + offset).tolist()
-    expect = np.stack([samples[lo:hi] for lo, hi in spans.tolist()])
-    block, block_fs = store.samples(prepared, np.arange(len(spans)))
-    assert block_fs == fs
-    _assert_same_block(block, expect)
-    # A selection keeps its rows' samples, in selection order.
-    picked = np.array([1, 2, len(spans) - 1])
-    _assert_same_block(store.samples(prepared, picked)[0], expect[picked])
-    assert len(store.samples(prepared, np.arange(0))[0]) == 0
+    expect = np.stack([morphology_embed(samples[lo:hi], cfg.embedder.target_len,
+                                        cfg.preprocess.normalization)
+                       for lo, hi in spans.tolist()])
+    _assert_same_block(prepared.features, expect)
+    assert prepared.present.all()
+
+
+def test_a_range_is_filtered_on_its_own_samples():
+    # The zero-phase filter is a circular FFT product: filtering the whole
+    # record would let the samples outside a range move its segments.
+    cfg = validate_config(dict(BASE_CONFIG, regime="single_cross_session"))
+    stores = [_store(cfg, _tiny_spec(n_subjects=2)) for _ in range(2)]
+    key = stores[0].index.records[0].key
+    source = regimes.SegmentSource(key, (2.0, 9.5))
+    rec = stores[1].recordings[key]
+    other = next(r for k, r in stores[1].recordings.items() if k.subject_id != key.subject_id)
+    lo, hi = (int(round(t * rec.fs)) for t in source.time_range)
+    swapped = np.array(other.channels[0])
+    swapped[lo:hi] = rec.channels[0][lo:hi]
+    assert not np.array_equal(swapped, rec.channels[0])
+    stores[1].recordings[key] = replace(rec, channels=(swapped,))
+    before, after = (store.prepare(source) for store in stores)
+    assert len(before.spans) > 4
+    for name in ("spans", "features", "present"):
+        _assert_same_block(getattr(after, name), getattr(before, name))
 
 
 def test_prepared_source_holds_only_its_key_and_read_only_arrays(monkeypatch):
@@ -379,20 +397,14 @@ def test_prepared_source_holds_only_its_key_and_read_only_arrays(monkeypatch):
     assert not any(getattr(copy, name).flags.writeable for name in names[2:])
 
 
-def _mlp_config(multiplier):
-    return validate_config({
+def test_mlp_without_augmentation_preprocesses_nothing_once_warm(monkeypatch):
+    cfg = validate_config({
         "dataset": {"kind": "synthetic", "preset": "fallacy30", "seed": 1},
         "regime": {"names": ["single_session", "single_cross_session"],
                    "settings": ["closed", "open"]},
-        "embedder": {"kind": "mlp", "epochs": 2,
-                     "augment": {"multiplier": multiplier,
-                                 "ops": [{"kind": "amplitude_scale"}]}},
+        "embedder": {"kind": "mlp", "epochs": 2},
         "seeds": [0],
     })
-
-
-def test_mlp_without_augmentation_preprocesses_nothing_once_warm(monkeypatch):
-    cfg = _mlp_config(multiplier=0)
     store = _store(cfg, _tiny_spec(n_subjects=4))
     for source in store.sources(cfg.regimes):
         store.prepare(source)
@@ -402,51 +414,6 @@ def test_mlp_without_augmentation_preprocesses_nothing_once_warm(monkeypatch):
                         lambda rec, c: calls.append(rec.key) or preprocess(rec, c))
     out = regimes.run_evaluation(cfg, 0, store)
     assert len(out) == 4 and calls == []
-
-
-def test_augmented_mlp_preprocesses_each_training_source_once(monkeypatch):
-    cfg = _mlp_config(multiplier=1)
-    cell = RegimeCell("single_cross_session")
-    store = _store(cfg, _tiny_spec(n_subjects=4))
-    for source in store.sources([cell]):
-        store.prepare(source)
-    calls = []
-    preprocess = regimes.dsp.preprocess
-    monkeypatch.setattr(regimes.dsp, "preprocess",
-                        lambda rec, c: calls.append(rec.key) or preprocess(rec, c))
-    regimes.evaluate_cell(cfg, cell, store, seed=0)
-    # Closed setting: every subject trains, from its s0 record only.
-    assert calls == [meta.key for meta in store.index.records
-                     if meta.key.session_id == "s0"]
-
-
-def _hash_probe_data(store, cfg, cell, seed):
-    plan = regimes.map_regime(store.index, cell)
-    realized = regimes._realize_plan(plan, cell, store, seed)[0]
-    digest = hashlib.sha256()
-    for subject in sorted(realized):
-        for prepared, idx in realized[subject].probe:
-            digest.update(store.samples(prepared, idx)[0].tobytes())
-            digest.update(prepared.features[idx].tobytes())
-    return digest.hexdigest()
-
-
-def test_augmentation_never_touches_probe_data():
-    cfg = validate_config({
-        "dataset": {"kind": "synthetic", "preset": "fallacy30", "seed": 1},
-        "regime": "single_session",
-        "embedder": {"kind": "mlp", "epochs": 10,
-                     "augment": {"multiplier": 2,
-                                 "ops": [{"kind": "gaussian_noise", "sigma": 0.05},
-                                         {"kind": "amplitude_scale"}]}},
-        "seeds": [0],
-    })
-    store = _store(cfg, _tiny_spec(n_subjects=4))
-    cell = cfg.regimes[0]
-    before = _hash_probe_data(store, cfg, cell, seed=0)
-    regimes.evaluate_cell(cfg, cell, store, seed=0)
-    after = _hash_probe_data(store, cfg, cell, seed=0)
-    assert before == after
 
 
 _MEMO_REGIMES = {"names": ["single_session", "single_cross_session", "llo_long_term"],
@@ -607,11 +574,12 @@ def test_aggregate_runs_mean_and_std():
 
 
 # --- outputs pinned before the per-beat feature cache ------------------------------
-# No benchmark workload reaches augmentation, blind mode or custom_split time
-# ranges; these digests of the per-seed records were computed before each
-# beat's feature was cached on the SegmentStore and must not move. The two
-# mlp_augment digests were re-pinned once, when stable_seed began to hash a
-# numpy integer part as its int (the augmentation seeds are numpy integers).
+# No benchmark workload reaches blind mode or custom_split time ranges; these
+# digests of the per-seed records were computed before each beat's feature was
+# cached on the SegmentStore and must not move. The mlp_augment configs give
+# the augment section its one value, so their digests are those of the same
+# configs without augmentation. The custom_split digest was re-pinned once,
+# when a time range began to be filtered on its own samples.
 
 _PIN_SPEC = {
     "n_subjects": 6,
@@ -631,13 +599,9 @@ _PINNED_RUNS = {
          "regime": {"names": ["single_session", "single_cross_session"],
                     "settings": ["closed", "open"], "open_ratio": 0.5},
          "embedder": {"kind": "mlp", "hidden_dim": 16, "epochs": 5, "batch": 16,
-                      "augment": {"multiplier": 2, "ops": [
-                          {"kind": "amplitude_scale", "scale_low": 0.9, "scale_high": 1.1},
-                          {"kind": "gaussian_noise", "sigma": 0.02},
-                          {"kind": "time_shift", "max_shift_s": 0.02},
-                          {"kind": "random_crop", "crop_fraction": 0.8}]}},
+                      "augment": {"multiplier": 0, "ops": []}},
          "seeds": [0, 1]},
-        "20d350f8d9f40fd64dcf32f320c16eec36faf6f571ad37c85b4b5b8bc52fa304"),
+        "3c7b6872877514f0c868380a8699f883259b560b792f9e9b91018c36f7e56a30"),
     "blind": (
         {"dataset": _PIN_DATASET,
          "regime": {"names": ["single_session", "single_cross_session"],
@@ -655,7 +619,7 @@ _PINNED_RUNS = {
          "evaluation": {"template_fusion": "representative", "template_size": 20,
                         "probe_fusion_k": 1},
          "seeds": [0, 1]},
-        "3cc0964a798e53379b74f42fc2fb82a4ebccb6172586a77f67a7a83c856926ac"),
+        "84fd534e707c23cbee4a62dc81c01fd8ed847ce9231095f07a52b9e993575f35"),
 }
 
 
@@ -683,7 +647,7 @@ def _mixed_rate_store(cfg, seed=1):
 
 
 def test_mixed_rate_mlp_augment_record_pinned():
-    # Augmented copies of 250 Hz and 360 Hz beats are embedded pick by pick.
+    # The training rows of 250 Hz and 360 Hz records are gathered pick by pick.
     raw = dict(_PINNED_RUNS["mlp_augment"][0],
                regime={"name": "single_cross_session", "setting": "closed"})
     cfg = validate_config(raw)
@@ -692,4 +656,4 @@ def test_mixed_rate_mlp_augment_record_pinned():
     records = [regimes.run_evaluation(cfg, seed, store=store) for seed in cfg.seeds]
     text = json.dumps(records, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "a7d54ddd363737fc2693d77aa486f873034ecb6fb6da8cde0137d973bafdd457")
+        "c63fe73873335944403c96ca668cc57568b1e8b18e40269d69762ae4a75c61dc")
