@@ -24,7 +24,6 @@ from .errors import (ConfigError, EcgBenchError, FormatMismatch, SchemaError,
                      SchemaVersionMismatch)
 
 SCHEMA_VERSION = 1
-SEED_ENV = "ECGBENCH_SEED_OVERRIDE"
 CSV_HEADER = "regime,setting," + ",".join(METRIC_FIELDS)
 RESULTS_FILE_ERRORS = (OSError, FormatMismatch, SchemaError, SchemaVersionMismatch)
 
@@ -68,15 +67,6 @@ def cmd_synth(args) -> int:
         return _fail(f"{type(exc).__name__}: {exc}", 2)
     print(f"wrote {len(index.records)} records and {manifest_path}")
     return 0
-
-
-def _resolve_seeds(cfg: RunConfig) -> tuple:
-    override = os.environ.get(SEED_ENV)
-    if override is None:
-        return cfg.seeds
-    if not override.isdecimal():
-        raise ConfigError(f"{SEED_ENV} must be a non-negative integer, got {override!r}")
-    return (int(override),)
 
 
 def _select_cells(cfg: RunConfig, regime: str | None, setting: str | None):
@@ -192,7 +182,6 @@ def cmd_run(args) -> int:
         return _fail(f"--jobs must be at least 1, got {args.jobs}", 2)
     try:
         cfg = validate_config(_read_json(args.config))
-        seeds = _resolve_seeds(cfg)
     except (OSError, FormatMismatch, ConfigError) as exc:
         return _fail(f"config: {exc}", 2)
     cells = _select_cells(cfg, args.regime, args.setting)
@@ -223,10 +212,10 @@ def cmd_run(args) -> int:
     try:
         store = regimes.SegmentStore(cfg, index, recordings)
         # The warm-up pools only when the seeds do.
-        _warm_store(store, cells, args.jobs if len(seeds) > 1 else 1)
-        per_seed = dict(zip(seeds, _run_tasks(_evaluate, list(seeds), args.jobs,
-                                              store, cells)))
-        payload = results_payload(cfg, seeds, per_seed)
+        _warm_store(store, cells, args.jobs if len(cfg.seeds) > 1 else 1)
+        per_seed = dict(zip(cfg.seeds, _run_tasks(_evaluate, list(cfg.seeds), args.jobs,
+                                                  store, cells)))
+        payload = results_payload(cfg, cfg.seeds, per_seed)
         with open(json_path, "w", encoding="utf-8") as fh:
             written.append(json_path)
             json.dump(payload, fh, sort_keys=True, indent=2)
@@ -239,7 +228,7 @@ def cmd_run(args) -> int:
             os.remove(path)
         return _fail(f"evaluation: {type(exc).__name__}: {exc}", 1)
     print(f"wrote {json_path} and {csv_path} "
-          f"({len(cells)} cell(s) x {len(seeds)} seed(s))")
+          f"({len(cells)} cell(s) x {len(cfg.seeds)} seed(s))")
     return 0
 
 

@@ -24,15 +24,14 @@ def morphology_features(rows, target_len: int = 128, method: str = "zscore"):
     invariant to amplitude scale.
 
     Returns (matrix, present). A row that is constant once resampled has no
-    embedding: its present entry is False and its matrix row NaN.
+    embedding: its present entry is False and the matrix holds the embeddings
+    of the other rows only, in order.
     """
     if target_len < 8:
         raise ValueError(f"target_len must be >= 8, got {target_len}")
     resampled = dsp.resample_fourier(rows, target_len)
     present = np.ptp(resampled, axis=-1) != 0
-    matrix = np.full(resampled.shape, np.nan)
-    matrix[present] = dsp.normalize(resampled[present], method)
-    return matrix, present
+    return dsp.normalize(resampled[present], method), present
 
 
 @dataclass(frozen=True)

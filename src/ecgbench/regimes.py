@@ -160,15 +160,14 @@ def subject_partition(subjects, ratio: float, seed: int):
 
 @dataclass(frozen=True)
 class PreparedSource:
-    """The segments of one (record, time range), as arrays with row i for
-    segment i: its sample span in record space and its morphology feature. A
-    constant segment's feature row is NaN and its present entry False. The
+    """The segments of one (record, time range) that have a feature, as arrays
+    with row i for segment i: its sample span in record space and its
+    morphology feature. A constant segment has no feature and is not kept. The
     samples are not kept."""
     record_key: tuple
     time_range: tuple | None
     spans: np.ndarray  # (n, 2) int: (lo, hi) in original-record sample indices
     features: np.ndarray  # (n, embedder.target_len)
-    present: np.ndarray  # (n,) bool: the segment is not constant
 
 
 def _cut_range(recording, time_range):
@@ -186,12 +185,13 @@ def _cut_range(recording, time_range):
 
 class SegmentStore:
     """Caches, per (record, time range), the spans and features of the
-    segments that preprocessing, detection and segmentation give; a record's
-    segments are cut from it as one block and embedded as one batch. Neither
-    the filtered record nor the segments' samples are kept. recordings maps each
-    record key to its Recording; an ingest.RecordFiles reads or renders the
-    record at each lookup, so only the process that prepares a record holds
-    its samples, and only while it prepares it.
+    segments that preprocessing, detection and segmentation give, less the
+    constant ones; a record's segments are cut from it as one block and
+    embedded as one batch. Neither the filtered record nor the segments'
+    samples are kept. recordings maps each record key to its Recording; an
+    ingest.RecordFiles reads or renders the record at each lookup, so only the
+    process that prepares a record holds its samples, and only while it
+    prepares it.
 
     It also keeps, per process, the evaluation products of cfg that no seed
     changes (see reused): each cell's plan, the realization of a plan without
@@ -252,7 +252,7 @@ class SegmentStore:
         its arrays read-only: every cell and seed that selects a segment shares
         them, so an in-place write raises instead of corrupting a later
         evaluation. Pickling drops the flag, so it is set here."""
-        for array in (prepared.spans, prepared.features, prepared.present):
+        for array in (prepared.spans, prepared.features):
             array.flags.writeable = False
         self._prepared[(prepared.record_key, prepared.time_range)] = prepared
 
@@ -277,10 +277,10 @@ class SegmentStore:
             features, present = morphology_features(
                 segment.cut(samples, spans), self.cfg.embedder.target_len,
                 self.cfg.preprocess.normalization)
+            spans = spans[present]
         else:
             features = np.empty((0, self.cfg.embedder.target_len))
-            present = np.empty(0, dtype=bool)
-        return PreparedSource(record_key, time_range, spans + offset, features, present)
+        return PreparedSource(record_key, time_range, spans + offset, features)
 
 
 def _render(spec, seed: int, meta: RecordMeta):
@@ -308,7 +308,8 @@ def load_dataset_from_config(ds_cfg):
 @dataclass(frozen=True)
 class _SubjectData:
     """One subject's (prepared source, segment indices) selections per side,
-    one for each source that kept segments, and its enrollment sessions."""
+    one for each source that kept segments, and its enrollment sessions. Each
+    side holds at least one segment, and so at least one feature row."""
     enroll: list
     probe: list
     sessions: tuple
@@ -326,7 +327,8 @@ def _select(split: SubjectSplit, cell: RegimeCell, store: SegmentStore, seed: in
             empty: set):
     """(prepared, indices) for each source of the split that keeps segments,
     per side; None when a beat split has fewer than two beats. The key of each
-    record that gave no segments at all is added to empty."""
+    record that kept no segment (none was found, or each was constant) is
+    added to empty."""
     sides = ([], [])
     for side, sources in zip(sides, (split.enroll, split.probe)):
         for source in sources:
@@ -350,7 +352,9 @@ def _realize_plan(plan: SplitPlan, cell: RegimeCell, store: SegmentStore,
                   seed: int):
     """Select each subject's segments, enforcing no sample overlap between the
     enrollment and probe sides of any record. Returns the realized subjects,
-    the dropped ones and the keys of the selected records without segments."""
+    the dropped ones (a tuple) and the keys of the selected records without
+    segments. This is the one place where a subject drops out for want of
+    segments."""
     realized = {}
     dropped = []
     empty = set()
@@ -368,7 +372,7 @@ def _realize_plan(plan: SplitPlan, cell: RegimeCell, store: SegmentStore,
         enroll, probe = sides
         sessions = (prepared.record_key.session_id for prepared, _ in enroll)
         realized[subject] = _SubjectData(enroll, probe, tuple(dict.fromkeys(sessions)))
-    return realized, dropped, empty
+    return realized, tuple(dropped), empty
 
 
 def _span_overlaps(enroll, probe):
@@ -395,17 +399,6 @@ def _splits_beats(plan: SplitPlan) -> bool:
                for source in split.enroll + split.probe)
 
 
-def _rows(prepared: PreparedSource, idx) -> np.ndarray:
-    """Feature rows of the selected non-constant segments, in order."""
-    return prepared.features[idx[prepared.present[idx]]]
-
-
-def _kept(pick) -> bool:
-    """Whether a (prepared, indices) selection holds a non-constant segment."""
-    prepared, idx = pick
-    return bool(prepared.present[idx].any())
-
-
 def _sources(picks) -> tuple:
     """The (record key, time range) of each (prepared, indices) selection."""
     return tuple((prepared.record_key, prepared.time_range) for prepared, _ in picks)
@@ -419,16 +412,14 @@ def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
     if seeded:
         realized, dropped, empty = _realize_plan(plan, cell, store, seed)
     else:
-        # Made once per process; dropped is extended below, so every call
-        # gets its own copies.
+        # Made once per process; nothing below writes into it.
         realized, dropped, empty = store.reused(
             ("realized", cell), lambda: _realize_plan(plan, cell, store, seed))
-        realized, dropped, empty = dict(realized), list(dropped), set(empty)
     if not realized:
         raise RegimeUnsatisfiable(f"{cell.name}: no subject survived realization")
     subjects_used = sorted(realized)
-    # A flat or lead-off record has no beat to detect; name it rather than
-    # drop its subject silently.
+    # A flat or lead-off record keeps no segment; name it rather than drop
+    # its subject silently.
     cell_warnings = {f"no segments from record {'/'.join(map(str, key))}"
                      for key in empty}
 
@@ -443,7 +434,7 @@ def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
     if cfg.embedder.kind == "mlp":
         # (label, stored features, rows to take) per enrollment pick; one
         # matrix holds the training rows, pick by pick.
-        picks = [(label, prepared.features, idx[prepared.present[idx]])
+        picks = [(label, prepared.features, idx)
                  for label, subject in enumerate(train_subjects)
                  for prepared, idx in realized[subject].enroll]
         sizes = [len(take) for _, _, take in picks]
@@ -465,7 +456,7 @@ def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
     evaluation = cfg.evaluation
 
     def make_template(subject, data):
-        rows = np.concatenate([_rows(*pick) for pick in data.enroll])
+        rows = np.concatenate([prepared.features[idx] for prepared, idx in data.enroll])
         template = biometric.build_template(
             embed_rows(rows), subject, fusion=evaluation.template_fusion,
             size=evaluation.template_size, metric=evaluation.metric,
@@ -474,7 +465,9 @@ def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
         return template
 
     def make_probes(pick):
-        fused = biometric.fuse_probes(embed_rows(_rows(*pick)), evaluation.probe_fusion_k)
+        prepared, idx = pick
+        fused = biometric.fuse_probes(embed_rows(prepared.features[idx]),
+                                      evaluation.probe_fusion_k)
         fused.flags.writeable = False
         return fused
 
@@ -494,21 +487,15 @@ def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
     gallery = []
     probe_blocks = []
     probe_subjects = []
-    final_eval = []
     for subject in eval_subjects:
         data = realized[subject]
-        probe_picks = [pick for pick in data.probe if _kept(pick)]
-        if not any(map(_kept, data.enroll)) or not probe_picks:
-            dropped.append(subject)
-            continue
-        final_eval.append(subject)
         gallery.append(template_of(subject, data))
-        for pick in probe_picks:
+        for pick in data.probe:
             fused = probes_of(pick)
             probe_blocks.append(fused)
             probe_subjects.extend([subject] * len(fused))
 
-    if len(final_eval) < 2:
+    if len(eval_subjects) < 2:
         raise RegimeUnsatisfiable(
             f"{cell.name}|{cell.setting}: fewer than two evaluable subjects")
 
@@ -535,8 +522,8 @@ def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
         "tar_at_far": tar,
         "counts": {
             "subjects_total": total,
-            "subjects_used": len(final_eval),
-            "subjects_excluded": total - len(final_eval),
+            "subjects_used": len(eval_subjects),
+            "subjects_excluded": total - len(eval_subjects),
             "train_subjects": len(train_subjects),
             "gallery_size": len(gallery),
             "probe_count": len(probe_subjects),
@@ -546,8 +533,8 @@ def evaluate_cell(cfg: RunConfig, cell: RegimeCell, store: SegmentStore,
         "warnings": sorted(cell_warnings),
         "diag": {
             "train_subjects": list(train_subjects),
-            "eval_subjects": list(final_eval),
-            "excluded": sorted(set(list(plan.excluded) + dropped)),
+            "eval_subjects": list(eval_subjects),
+            "excluded": sorted(plan.excluded + dropped),
         },
     }
     return record

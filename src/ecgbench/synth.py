@@ -86,8 +86,12 @@ class SessionEffects:
     trend_fraction: float | None = None
 
     def __post_init__(self):
-        if self.noise_sigma < 0 or self.morphology_drift < 0 or self.amplitude_scale <= 0:
-            raise ValueError("bad session effects")
+        if self.noise_sigma < 0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.morphology_drift < 0:
+            raise ValueError(f"morphology_drift must be >= 0, got {self.morphology_drift}")
+        if self.amplitude_scale <= 0:
+            raise ValueError(f"amplitude_scale must be > 0, got {self.amplitude_scale}")
         if not self.morphology_drift < MAX_DRIFT:
             raise ValueError(f"morphology_drift must be below {MAX_DRIFT}, where drift "
                              f"can reorder the waves, got {self.morphology_drift}")

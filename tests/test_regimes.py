@@ -282,23 +282,22 @@ def test_prepared_features_are_shared_read_only_morphology_rows():
     n = len(spans)
     assert n > 0 and whole.features.shape == (n, cfg.embedder.target_len)
     assert whole.spans.tolist() == spans.tolist()
-    assert whole.present.tolist() == [True] * n
     for (lo, hi), row in zip(spans.tolist(), whole.features):
         expect = morphology_embed(samples[lo:hi], cfg.embedder.target_len,
                                   cfg.preprocess.normalization)
         assert row.tobytes() == expect.tobytes()
-    for array in (whole.spans, whole.features, whole.present):
+    for array in (whole.spans, whole.features):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
-    # A constant segment has no feature: its row is NaN.
+    # A constant segment has no feature: its row is not kept.
     lo, hi = spans[0].tolist()
     features, present = morphology_features(
         np.stack([np.ones(hi - lo), samples[lo:hi]]), cfg.embedder.target_len,
         cfg.preprocess.normalization)
     assert present.tolist() == [False, True]
-    assert np.isnan(features[0]).all()
-    assert features[1].tobytes() == whole.features[0].tobytes()
+    assert features.shape == (1, cfg.embedder.target_len)
+    assert features[0].tobytes() == whole.features[0].tobytes()
 
 
 def test_features_resample_once_per_segment_length(monkeypatch):
@@ -318,7 +317,7 @@ def test_features_resample_once_per_segment_length(monkeypatch):
     assert batches == [(len(spans), spans[0, 1] - spans[0, 0])]
     flat = store.prepare(regimes.SegmentSource(second))
     assert len(batches) == 1
-    assert flat.spans.shape == (0, 2) and flat.present.shape == (0,)
+    assert flat.spans.shape == (0, 2)
     assert flat.features.shape == (0, cfg.embedder.target_len)
     expect = [morphology_embed(samples[lo:hi], cfg.embedder.target_len,
                                cfg.preprocess.normalization)
@@ -345,7 +344,37 @@ def test_segments_are_cut_again_byte_for_byte(fs, segmentation, time_range):
                                         cfg.preprocess.normalization)
                        for lo, hi in spans.tolist()])
     _assert_same_block(prepared.features, expect)
-    assert prepared.present.all()
+
+
+def test_a_constant_segment_keeps_neither_span_nor_feature(monkeypatch):
+    cfg = validate_config(dict(BASE_CONFIG, segmentation=dict(_BLIND, stride_s=2.0)))
+    store = _store(cfg, _tiny_spec(n_subjects=2))
+    key = store.index.records[0].key
+    spans, samples, _ = _cut(store, key)
+    # A flat stretch holds windows 2 and 3 whole, and windows 1 and 4 in part.
+    lo, hi = spans[2, 0] - 5, spans[3, 1] + 5
+    samples[lo:hi] = 0.0
+    preprocess = regimes.dsp.preprocess
+
+    def flat_stretch(rec, pre_cfg):
+        clean = preprocess(rec, pre_cfg)
+        flat = clean.samples.copy()
+        flat[lo:hi] = 0.0
+        return replace(clean, samples=flat)
+
+    monkeypatch.setattr(regimes.dsp, "preprocess", flat_stretch)
+    prepared = store.prepare(regimes.SegmentSource(key))
+    kept = np.delete(spans, [2, 3], axis=0)
+    assert prepared.spans.tolist() == kept.tolist()
+    expect = np.stack([morphology_embed(samples[a:b], cfg.embedder.target_len,
+                                        cfg.preprocess.normalization)
+                       for a, b in kept.tolist()])
+    _assert_same_block(prepared.features, expect)
+    # A within-record split is drawn over the kept segments only.
+    cell = RegimeCell("single_session")
+    sides = regimes._select(store.plan(cell).subjects[key.subject_id], cell, store, 0, set())
+    picked = np.concatenate([idx for side in sides for _, idx in side])
+    assert sorted(picked.tolist()) == list(range(len(kept)))
 
 
 def test_a_range_is_filtered_on_its_own_samples():
@@ -364,7 +393,7 @@ def test_a_range_is_filtered_on_its_own_samples():
     stores[1].recordings[key] = replace(rec, channels=(swapped,))
     before, after = (store.prepare(source) for store in stores)
     assert len(before.spans) > 4
-    for name in ("spans", "features", "present"):
+    for name in ("spans", "features"):
         _assert_same_block(getattr(after, name), getattr(before, name))
 
 
@@ -380,9 +409,9 @@ def test_prepared_source_holds_only_its_key_and_read_only_arrays(monkeypatch):
     # Segmentation makes no per-beat object: it returns one span array.
     assert len(results) == 1 and type(results[0]) is np.ndarray
     names = [f.name for f in dataclasses.fields(regimes.PreparedSource)]
-    assert names == ["record_key", "time_range", "spans", "features", "present"]
+    assert names == ["record_key", "time_range", "spans", "features"]
     assert (prepared.record_key, prepared.time_range) == (key, (2.0, 9.5))
-    assert prepared.spans.dtype == int and prepared.present.dtype == bool
+    assert prepared.spans.dtype == int
     assert prepared.features.dtype == float
     for name in names[2:]:
         array = getattr(prepared, name)
