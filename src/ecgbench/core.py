@@ -5,19 +5,21 @@ keys ``dataset``, ``preprocess``, ``segmentation``, ``embedder``, ``regime``,
 ``evaluation``, ``seeds``. Unknown keys anywhere in the tree are errors
 (fail-closed).
 
-Each section is a frozen dataclass below (the filter's FilterSpec too), and
-read_object takes the schema from its fields: a field's JSON key, its default
-(the value of a key left out), its JSON type (from the annotation), and the
+Each section is a frozen dataclass below (the filter's FilterSpec too).
+read_object reads the three JSON inputs with one set of rules: this config, a
+manifest's entries (ingest.ManifestEntry) and a synth --spec (synth.SynthSpec).
+It takes the schema from the fields: a field's JSON key, its default (the
+value of a key left out), its JSON type (from the annotation), and the
 strings it allows and the bounds of its numbers (from its metadata). The JSON
 type rules: a boolean is not a number; an integer field takes no fraction; a
 float field takes any finite number and stores it as a float; null is read only
 where the annotation has ``| None``; a tuple is a JSON list, and a nested
 dataclass a JSON object.
 
-Each such type is a Checked: built from a config or directly, it checks each
+Each such type is a Checked: built from JSON or directly, it checks each
 field against its metadata, then its own rules that span fields, which also
-fill the defaults that depend on other fields. So a FilterSpec or RegimeCell
-that a layer receives is valid by construction. validate_config itself
+fill the defaults that depend on other fields. So a FilterSpec, RegimeCell or
+SynthSpec that a layer receives is valid by construction. validate_config itself
 reads only the JSON shorthands: a dataset given as a path or without a kind, a
 regime's names x settings grid, and blind mode's placeholders for the beat keys.
 

@@ -14,7 +14,7 @@ class EcgBenchError(Exception):
 # --- configuration -----------------------------------------------------------
 
 class ConfigError(EcgBenchError):
-    """Invalid run configuration."""
+    """Invalid run configuration or synthetic dataset spec."""
 
 
 class UnknownField(ConfigError):

@@ -10,13 +10,13 @@ Everything is a pure function of (spec, seed).
 """
 
 import json
-import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import PRESET_NAMES, RecordKey, Recording, read_object
+from .core import PRESET_NAMES, Checked, RecordKey, Recording, read_object
+from .errors import ConfigError
 from .util import stable_seed, sub_rng
 
 WAVE_NAMES = ("p", "q", "r", "s", "t")
@@ -42,6 +42,14 @@ MAX_DRIFT = min(
     / (abs(PARAM_RANGES[a][1][1]) + abs(PARAM_RANGES[b][1][0]))
     for a, b in zip(WAVE_NAMES, WAVE_NAMES[1:]))
 HR_RANGE = (55.0, 85.0)
+# Desk-scale budgets, far above any size in use (30 subjects of 30,000 samples
+# in the presets, 1,000 subjects at cohort scale): past them a spec would exhaust
+# memory or overflow a sample index before a record is written. Amplitudes
+# within MAX_AMPLITUDE_MV keep every sample within about 1e6 mV, far inside float32.
+MAX_SUBJECTS = 10_000
+MAX_RECORD_SAMPLES = 2_000_000
+MAX_FS = 100_000.0
+MAX_AMPLITUDE_MV = 1000.0
 
 
 @dataclass(frozen=True)
@@ -69,7 +77,7 @@ class SubjectMorphology:
 
 
 @dataclass(frozen=True)
-class SessionEffects:
+class SessionEffects(Checked):
     """Per-session acquisition conditions.
 
     trend_fraction (when set) overrides the dataset-level drift_trend_weight
@@ -77,50 +85,46 @@ class SessionEffects:
     subject's persistent aging direction rather than session-specific jitter.
     """
     session_id: str
-    day_index: int = 0
-    morphology_drift: float = 0.0
-    noise_sigma: float = 0.0
-    baseline_amp: float = 0.0
-    baseline_freq: float = 0.3
-    amplitude_scale: float = 1.0
-    trend_fraction: float | None = None
-
-    def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.morphology_drift < 0:
-            raise ValueError(f"morphology_drift must be >= 0, got {self.morphology_drift}")
-        if self.amplitude_scale <= 0:
-            raise ValueError(f"amplitude_scale must be > 0, got {self.amplitude_scale}")
-        if not self.morphology_drift < MAX_DRIFT:
-            raise ValueError(f"morphology_drift must be below {MAX_DRIFT}, where drift "
-                             f"can reorder the waves, got {self.morphology_drift}")
-        if self.trend_fraction is not None and not 0.0 <= self.trend_fraction <= 1.0:
-            raise ValueError("trend_fraction must be in [0, 1]")
+    day_index: int = field(default=0, metadata={"ge": 0})
+    morphology_drift: float = field(default=0.0, metadata={"ge": 0, "lt": MAX_DRIFT})
+    noise_sigma: float = field(default=0.0, metadata={"ge": 0, "le": MAX_AMPLITUDE_MV})
+    baseline_amp: float = field(
+        default=0.0, metadata={"ge": -MAX_AMPLITUDE_MV, "le": MAX_AMPLITUDE_MV})
+    baseline_freq: float = field(default=0.3, metadata={"ge": 0})
+    amplitude_scale: float = field(default=1.0, metadata={"gt": 0, "le": MAX_AMPLITUDE_MV})
+    trend_fraction: float | None = field(default=None, metadata={"ge": 0, "le": 1})
 
 
 @dataclass(frozen=True)
-class SynthSpec:
-    n_subjects: int
+class SynthSpec(Checked):
+    n_subjects: int = field(metadata={"ge": 2, "le": MAX_SUBJECTS})
     sessions: tuple[SessionEffects, ...]
-    duration_s: float = 60.0
-    fs: float = 250.0
-    records_per_session: int = 1
-    drift_trend_weight: float = 0.0
+    duration_s: float = field(default=60.0, metadata={"gt": 0})
+    fs: float = field(default=250.0, metadata={"gt": 0, "le": MAX_FS})
+    records_per_session: int = field(default=1, metadata={"ge": 1})
+    drift_trend_weight: float = field(default=0.0, metadata={"ge": 0, "le": 1})
 
-    def __post_init__(self):
-        if self.n_subjects < 2:
-            raise ValueError("need at least 2 subjects")
+    def _check(self):
         if not self.sessions:
-            raise ValueError("need at least one session")
-        if not 0.0 <= self.drift_trend_weight <= 1.0:
-            raise ValueError("drift_trend_weight must be in [0, 1]")
-        if not 0.0 < self.duration_s < math.inf:
-            raise ValueError(f"duration_s must be positive and finite, got {self.duration_s}")
-        if not 0.0 < self.fs < math.inf:
-            raise ValueError(f"fs must be positive and finite, got {self.fs}")
+            raise ConfigError("spec.sessions must not be empty")
         if _shortest_beat(HR_RANGE[1], self.fs) < 1:
-            raise ValueError(f"fs {self.fs} Hz leaves the shortest beat without a sample")
+            raise ConfigError(f"spec.fs {self.fs} Hz leaves the shortest beat without a sample")
+        samples = round(self.duration_s * self.fs)
+        if not 1 <= samples <= MAX_RECORD_SAMPLES:
+            raise ConfigError(f"spec.duration_s * fs must give 1 to {MAX_RECORD_SAMPLES} "
+                              f"samples a record, got {self.duration_s * self.fs:.6g}")
+        first = {}
+        for i, sess in enumerate(self.sessions):
+            where = f"spec.sessions[{i}]"
+            if not sess.baseline_freq < self.fs / 2:
+                raise ConfigError(f"{where}.baseline_freq must be below fs / 2 = "
+                                  f"{self.fs / 2}, got {sess.baseline_freq}")
+            j = first.setdefault(sess.session_id, i)
+            if j != i:
+                raise ConfigError(
+                    f"{where}.session_id {sess.session_id!r} repeats spec.sessions[{j}]'s: "
+                    f"the two would share every seed, so with equal effects their records "
+                    f"would be byte-identical")
 
 
 def _shortest_beat(heart_rate_bpm: float, fs: float) -> int:
@@ -344,17 +348,9 @@ AGING_SESSION_JITTER = 0.15  # constant per-session placement/state drift (aging
 def preset_spec(name: str) -> SynthSpec:
     """Built-in dataset presets used by the acceptance runs."""
     if name == "fallacy30":
-        return SynthSpec(
-            n_subjects=30,
-            sessions=(
-                SessionEffects("s0", day_index=0, morphology_drift=0.15,
-                               noise_sigma=0.05, baseline_amp=0.08),
-                SessionEffects("s1", day_index=1, morphology_drift=0.15,
-                               noise_sigma=0.05, baseline_amp=0.08),
-            ),
-            duration_s=60.0,
-            fs=250.0,
-        )
+        return SynthSpec(n_subjects=30, sessions=tuple(
+            SessionEffects(f"s{d}", day_index=d, morphology_drift=0.15, noise_sigma=0.05,
+                           baseline_amp=0.08) for d in (0, 1)))
     if name == "aging4":
         # Every session carries a constant placement/state jitter; on top of
         # it an aging trend grows with the day gap (delta = rate * gap / 30).
@@ -367,33 +363,23 @@ def preset_spec(name: str) -> SynthSpec:
                 f"s{i}", day_index=d, morphology_drift=total,
                 noise_sigma=0.04, baseline_amp=0.05,
                 trend_fraction=trend / total if total > 0 else 0.0))
-        return SynthSpec(n_subjects=30, sessions=tuple(sessions), duration_s=60.0,
-                         fs=250.0)
+        return SynthSpec(n_subjects=30, sessions=tuple(sessions))
     if name == "ablation":
-        return SynthSpec(
-            n_subjects=30,
-            sessions=(
-                SessionEffects("s0", day_index=0, morphology_drift=0.1,
-                               noise_sigma=0.08, baseline_amp=0.05,
-                               amplitude_scale=0.8),
-                SessionEffects("s1", day_index=1, morphology_drift=0.1,
-                               noise_sigma=0.08, baseline_amp=0.05,
-                               amplitude_scale=1.25),
-            ),
-            duration_s=120.0,
-            fs=250.0,
-        )
+        return SynthSpec(n_subjects=30, duration_s=120.0, sessions=tuple(
+            SessionEffects(f"s{d}", day_index=d, morphology_drift=0.1, noise_sigma=0.08,
+                           baseline_amp=0.05, amplitude_scale=scale)
+            for d, scale in enumerate((0.8, 1.25))))
     raise ValueError(f"unknown preset {name!r} (have {', '.join(PRESET_NAMES)})")
 
 
 def spec_from_dict(raw) -> SynthSpec:
     """Build a SynthSpec from a parsed JSON description (cmd_synth --spec).
 
-    core.read_object reads it, so the keys, defaults and JSON types are the
-    fields of SynthSpec and SessionEffects: ConfigError names a spec or session
-    that is not an object, a key that names no field, a missing key without a
-    default, and a value of the wrong JSON type (an integer field takes no
-    fraction, a string field no number). The dataclasses raise ValueError for
-    values they reject.
+    core.read_object reads it, so the keys, defaults, JSON types and field
+    rules are those of SynthSpec and SessionEffects, as a run config's are of
+    its sections: ConfigError names the JSON path of a spec or session that is
+    not an object, a key that names no field, a missing key without a default,
+    a value of the wrong JSON type or out of its field's bounds, and a rule
+    that spans fields.
     """
     return read_object(SynthSpec, raw, "spec")

@@ -160,33 +160,54 @@ def test_bad_config_exits_2(dataset, capsys, overrides):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("spec, field", [
+def _session(**kw) -> dict:
+    return dict(SPEC, sessions=[{"session_id": "s0", **kw}])
+
+
+@pytest.mark.parametrize("spec, path", [
     ([SPEC], None),
     (dict(SPEC, sessions=["s0"]), None),
-    (dict(SPEC, sessions=[{"session_id": "s0", "noise_sgima": 0.03}]), None),
+    (_session(noise_sgima=0.03), None),
     (dict(SPEC, fs=float("inf")), None),
     (dict(SPEC, duration_s=0.0), None),
     (dict(SPEC, n_subjects=2.7), None),
     (dict(SPEC, sessions=[{"session_id": 7}]), None),
     (NOT_UTF8, None),
     (NOT_JSON, None),
-    (dict(SPEC, sessions=[{"session_id": "s0", "noise_sigma": -1}]), "noise_sigma"),
-    (dict(SPEC, sessions=[{"session_id": "s0", "morphology_drift": -0.1}]),
-     "morphology_drift"),
-    (dict(SPEC, sessions=[{"session_id": "s0", "amplitude_scale": 0}]), "amplitude_scale"),
+    (_session(noise_sigma=-1), "spec.sessions[0].noise_sigma"),
+    (_session(morphology_drift=-0.1), "spec.sessions[0].morphology_drift"),
+    (_session(amplitude_scale=0), "spec.sessions[0].amplitude_scale"),
+    # No spec here is rendered: a value past a bound fails before anything is
+    # built, so a size that would exhaust memory is safe to pass.
+    (dict(SPEC, records_per_session=0), "spec.records_per_session"),
+    (_session(day_index=-1), "spec.sessions[0].day_index"),
+    (dict(SPEC, duration_s=1e12), "spec.duration_s"),
+    (dict(SPEC, duration_s=0.001), "spec.duration_s"),
+    (dict(SPEC, fs=1e300, duration_s=1e-299), "spec.fs"),
+    (_session(noise_sigma=1e308), "spec.sessions[0].noise_sigma"),
+    (_session(amplitude_scale=1e308), "spec.sessions[0].amplitude_scale"),
+    (_session(baseline_freq=125.0), "spec.sessions[0].baseline_freq"),
+    (_session(baseline_freq=-1e308), "spec.sessions[0].baseline_freq"),
+    (dict(SPEC, n_subjects=synth.MAX_SUBJECTS + 1), "spec.n_subjects"),
+    (dict(SPEC, sessions=[{"session_id": "s0"}, {"session_id": "s0"}]),
+     "spec.sessions[1].session_id"),
 ], ids=["spec_not_an_object", "session_not_an_object", "unknown_session_key",
         "infinite_fs", "zero_duration", "fractional_subjects", "session_id_not_a_string",
         "not_utf8", "not_json", "negative_noise_sigma", "negative_morphology_drift",
-        "zero_amplitude_scale"])
-def test_bad_synth_spec_exits_2(tmp_path, capsys, spec, field):
-    path = _write_json(tmp_path / "spec.json", spec)
-    code = cli.main(["synth", "--spec", path, "--out", str(tmp_path / "data")])
+        "zero_amplitude_scale", "no_record_per_session", "negative_day_index",
+        "duration_past_the_budget", "record_of_no_sample", "fs_past_the_budget",
+        "noise_sigma_past_float32", "amplitude_scale_past_float32",
+        "baseline_freq_at_nyquist", "negative_baseline_freq", "subjects_past_the_budget",
+        "duplicate_session_id"])
+def test_bad_synth_spec_exits_2(tmp_path, capsys, spec, path):
+    spec_path = _write_json(tmp_path / "spec.json", spec)
+    code = cli.main(["synth", "--spec", spec_path, "--out", str(tmp_path / "data")])
     err = _assert_clean_failure(capsys, code, 2)
     assert err.count("\n") == 1
     if isinstance(spec, bytes):
-        assert err.startswith(f"ecgbench: error: FormatMismatch: {path}: ")
-    if field is not None:
-        assert err.startswith(f"ecgbench: error: ValueError: {field} ")
+        assert err.startswith(f"ecgbench: error: FormatMismatch: {spec_path}: ")
+    if path is not None:
+        assert err.startswith(f"ecgbench: error: ConfigError: {path} ")
     assert not (tmp_path / "data").exists()
 
 
@@ -200,8 +221,8 @@ def test_synth_spec_below_one_sample_per_beat_exits_2(tmp_path):
          "--out", str(tmp_path / "data")],
         env=_env(), capture_output=True, text=True, timeout=30)
     assert proc.returncode == 2
-    assert proc.stderr == ("ecgbench: error: ValueError: "
-                           "fs 0.5 Hz leaves the shortest beat without a sample\n")
+    assert proc.stderr == ("ecgbench: error: ConfigError: "
+                           "spec.fs 0.5 Hz leaves the shortest beat without a sample\n")
     assert not (tmp_path / "data").exists()
 
 
@@ -212,8 +233,8 @@ def test_synth_spec_drift_that_can_reorder_the_waves_exits_2(tmp_path, capsys):
         {"session_id": "s0", "morphology_drift": 0.6}]))
     code = cli.main(["synth", "--spec", spec, "--out", str(tmp_path / "data")])
     assert _assert_clean_failure(capsys, code, 2) == (
-        "ecgbench: error: ValueError: morphology_drift must be below 0.6, where drift "
-        "can reorder the waves, got 0.6\n")
+        "ecgbench: error: ConfigError: spec.sessions[0].morphology_drift must be less "
+        "than 0.6, got 0.6\n")
     assert not (tmp_path / "data").exists()
 
 

@@ -1,8 +1,12 @@
 """Layout checks over the source trees: no code in the package that neither the
-package nor the benchmark reaches."""
+package nor the benchmark reaches, and one checker for every JSON input."""
 
 import ast
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_args
+
+from ecgbench import core, ingest, synth
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "ecgbench").glob("*.py"))
@@ -58,3 +62,20 @@ def test_no_package_module_imports_scipy():
             found += [f"{path.stem}:{node.lineno}" for module in modules
                       if module.split(".")[0] == "scipy"]
     assert SRC and found == []
+
+
+def test_every_dataclass_read_from_json_is_checked():
+    # read_object builds a nested dataclass from a field's annotation, through
+    # unions and tuples, so walking the annotations of the three JSON inputs'
+    # roots finds every type it can build.
+    built, todo = set(), [core.RunConfig, ingest.ManifestEntry, synth.SynthSpec]
+    while todo:
+        kind = todo.pop()
+        if is_dataclass(kind):
+            if kind not in built:
+                built.add(kind)
+                todo += [f.type for f in fields(kind)]
+        else:
+            todo += get_args(kind)
+    assert {core.FilterSpec, core.RegimeCell, synth.SessionEffects} <= built
+    assert sorted(k.__name__ for k in built if not issubclass(k, core.Checked)) == []

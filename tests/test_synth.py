@@ -11,6 +11,7 @@ import pytest
 
 from ecgbench import ingest, synth
 from ecgbench.core import RecordKey
+from ecgbench.errors import ConfigError
 from ecgbench.segment import cut, segment_beats
 from ecgbench.util import stable_seed, sub_rng
 
@@ -292,8 +293,41 @@ def test_generate_recordings_rejects_a_key_of_no_record(key):
 
 
 def test_single_subject_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"^SynthSpec.n_subjects must be at least 2, got 1$"):
         synth.SynthSpec(n_subjects=1, sessions=(_effects(),))
+
+
+def test_spec_rejects_a_repeated_session_id():
+    # Every seed of a session is keyed by its id, so two sessions of one id
+    # would hold byte-identical records: a leak between "sessions".
+    with pytest.raises(ConfigError, match=r"^spec.sessions\[2\].session_id 's0' repeats "
+                                          r"spec.sessions\[0\]'s: .* would be byte-identical$"):
+        synth.SynthSpec(n_subjects=2, sessions=(
+            _effects("s0"), _effects("s1"), _effects("s0", day_index=3)))
+
+
+def test_spec_at_its_budgets_is_accepted_and_one_past_is_not():
+    sessions = (_effects(),)
+    at = synth.MAX_RECORD_SAMPLES / synth.MAX_FS
+    synth.SynthSpec(n_subjects=synth.MAX_SUBJECTS, sessions=sessions,
+                    duration_s=at, fs=synth.MAX_FS)
+    with pytest.raises(ConfigError, match="^SynthSpec.n_subjects must be at most"):
+        synth.SynthSpec(n_subjects=synth.MAX_SUBJECTS + 1, sessions=sessions)
+    with pytest.raises(ConfigError, match="^SynthSpec.fs must be at most"):
+        synth.SynthSpec(n_subjects=2, sessions=sessions, fs=synth.MAX_FS * 1.01)
+    with pytest.raises(ConfigError, match=r"^spec.duration_s \* fs must give 1 to"):
+        synth.SynthSpec(n_subjects=2, sessions=sessions, duration_s=at * 1.01,
+                        fs=synth.MAX_FS)
+
+
+def test_largest_amplitudes_render_finite_float32_samples():
+    most = synth.MAX_AMPLITUDE_MV
+    effects = _effects(noise_sigma=most, baseline_amp=-most, amplitude_scale=most,
+                       baseline_freq=124.9, morphology_drift=0.59)
+    rec, _ = synth.synthesize_record(synth.make_subject_params(4), effects, 8.0, 250.0,
+                                     seed=1)
+    samples = rec.channels[0].astype("<f4")
+    assert np.all(np.isfinite(samples)) and np.abs(samples).max() < 1.1e6
 
 
 @pytest.mark.parametrize("field, value", [
@@ -301,7 +335,7 @@ def test_single_subject_rejected():
     ("fs", 0.5), ("duration_s", 0.0), ("duration_s", float("inf")),
 ])
 def test_spec_rejects_sampling_that_cannot_render(field, value):
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ConfigError, match=field):
         synth.SynthSpec(n_subjects=2, sessions=(_effects(),), **{field: value})
 
 
@@ -310,7 +344,7 @@ def test_lowest_accepted_fs_renders_a_sample_per_beat():
     spec = synth.SynthSpec(n_subjects=2, sessions=(_effects(),), duration_s=60.0, fs=0.75)
     (rec, peaks), _ = synth.generate_recordings(spec, 0)
     assert len(rec.channels[0]) == 45 and len(peaks) >= 1
-    with pytest.raises(ValueError, match="shortest beat"):
+    with pytest.raises(ConfigError, match="shortest beat"):
         synth.SynthSpec(n_subjects=2, sessions=(_effects(),), fs=0.7)
 
 
